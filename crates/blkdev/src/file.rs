@@ -1,16 +1,18 @@
 //! A file-backed functional block device.
 
 use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
-
-use parking_lot::Mutex;
 
 use crate::{check_range, BlockDevice, Result};
 
 /// A block device backed by a host file, used by the runnable examples so a
 /// cache survives process restarts the way a real cache SSD partition does.
+///
+/// Reads and writes are positional (`pread`/`pwrite`), so no lock is held:
+/// a read never waits behind another thread's write or `fdatasync`.
 pub struct FileDisk {
-    file: Mutex<File>,
+    file: File,
     capacity: u64,
 }
 
@@ -24,20 +26,14 @@ impl FileDisk {
             .truncate(false)
             .open(path)?;
         file.set_len(capacity)?;
-        Ok(FileDisk {
-            file: Mutex::new(file),
-            capacity,
-        })
+        Ok(FileDisk { file, capacity })
     }
 
     /// Opens an existing device file, using its current length as capacity.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let capacity = file.metadata()?.len();
-        Ok(FileDisk {
-            file: Mutex::new(file),
-            capacity,
-        })
+        Ok(FileDisk { file, capacity })
     }
 }
 
@@ -48,24 +44,18 @@ impl BlockDevice for FileDisk {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         check_range(offset, buf.len(), self.capacity)?;
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(buf)?;
+        self.file.read_exact_at(buf, offset)?;
         Ok(())
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         check_range(offset, data.len(), self.capacity)?;
-        use std::io::{Seek, SeekFrom, Write};
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(offset))?;
-        f.write_all(data)?;
+        self.file.write_all_at(data, offset)?;
         Ok(())
     }
 
     fn flush(&self) -> Result<()> {
-        self.file.lock().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 }
@@ -73,6 +63,8 @@ impl BlockDevice for FileDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn tmppath(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -101,6 +93,41 @@ mod tests {
         let path = tmppath("bounds");
         let d = FileDisk::create(&path, 100).unwrap();
         assert!(d.write_at(90, &[0u8; 20]).is_err());
+        let mut buf = [0u8; 20];
+        assert!(d.read_at(90, &mut buf).is_err(), "read past the end");
+        assert!(d.read_at(80, &mut buf).is_ok(), "read up to the end");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_disk_open_of_a_missing_file_fails() {
+        assert!(FileDisk::open(tmppath("missing")).is_err());
+    }
+
+    #[test]
+    fn file_disk_reads_complete_while_another_thread_flushes() {
+        let path = tmppath("flush");
+        let d = FileDisk::create(&path, 1 << 20).unwrap();
+        d.write_at(0, &[0xAB; 4096]).unwrap();
+        let stop = AtomicBool::new(false);
+        let flushes = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let n = flushes.fetch_add(1, Ordering::Relaxed);
+                    d.write_at(4096, &[n as u8; 4096]).unwrap();
+                    d.flush().unwrap();
+                }
+            });
+            // Keep reading until the other thread has flushed many times,
+            // so reads and flushes overlap.
+            let mut buf = [0u8; 4096];
+            while flushes.load(Ordering::Relaxed) < 20 {
+                d.read_at(0, &mut buf).unwrap();
+                assert!(buf.iter().all(|&b| b == 0xAB), "read saw a torn block");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -775,10 +775,14 @@ fn cmd_check(bucket: &str, image: &str) -> Result<(), String> {
     let mut problems = 0usize;
     let mut stranded = 0usize;
 
-    // Per-object verification of the image's own stream.
-    let mut seqs: Vec<ObjSeq> = store
+    // One listing names the image's own data objects and its checkpoints.
+    let mut names = store
         .list(&format!("{image}."))
-        .map_err(|e| format!("list: {e}"))?
+        .map_err(|e| format!("list: {e}"))?;
+    names.sort();
+
+    // Per-object verification of the image's own stream.
+    let mut seqs: Vec<ObjSeq> = names
         .iter()
         .filter_map(|n| parse_object_seq(image, n))
         .collect();
@@ -841,10 +845,11 @@ fn cmd_check(bucket: &str, image: &str) -> Result<(), String> {
     }
 
     // Every checkpoint must parse against the volume UUID.
-    let mut ckpts = store
-        .list(&format!("{image}.ckpt."))
-        .map_err(|e| format!("list checkpoints: {e}"))?;
-    ckpts.sort();
+    let ckpt_prefix = format!("{image}.ckpt.");
+    let ckpts: Vec<&String> = names
+        .iter()
+        .filter(|n| n.starts_with(&ckpt_prefix))
+        .collect();
     for name in &ckpts {
         match store
             .get(name)

@@ -7,13 +7,32 @@
 //! client. Recovery keeps only the consecutive prefix (99, 100) and
 //! deletes the *stranded* objects beyond it (102), guaranteeing the
 //! recovered image is a consistent prefix of committed writes.
+//!
+//! Recovery costs two rounds of concurrent backend requests, not one round
+//! trip per object. Round 1 GETs the superblock alongside one LIST of the
+//! image's namespace, which names the checkpoints, the objects after the
+//! newest one up to the first missing sequence number, and the stranded
+//! objects. Round 2 GETs the newest checkpoint alongside the headers of
+//! those objects, on up to [`FETCH_WORKERS`] scoped threads. Headers are
+//! then applied strictly in sequence order, as a serial walk would apply
+//! them, and a fetch error fails recovery only if the walk reaches that
+//! object: it never requests one past the cut.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use objstore::{ObjError, ObjectStore};
 
 use crate::checkpoint::CheckpointData;
 use crate::objfmt::{self, DataHeader, Superblock};
 use crate::objmap::{ObjLoc, ObjectMap};
-use crate::types::{object_name, superblock_name, LsvdError, ObjSeq, Result};
+use crate::types::{object_name, parse_object_seq, superblock_name, LsvdError, ObjSeq, Result};
+
+/// Most header fetches recovery keeps in flight at once.
+pub const FETCH_WORKERS: usize = 32;
 
 /// The outcome of backend recovery.
 #[derive(Debug)]
@@ -58,36 +77,6 @@ pub fn fetch_header(store: &dyn ObjectStore, name: &str) -> Result<Option<DataHe
     }
 }
 
-fn newest_checkpoint(
-    store: &dyn ObjectStore,
-    image: &str,
-    uuid: u64,
-    upto: Option<ObjSeq>,
-) -> Result<Option<CheckpointData>> {
-    let prefix = format!("{image}.ckpt.");
-    let mut names = store.list(&prefix)?;
-    names.sort();
-    for name in names.iter().rev() {
-        let Some(seq) = name
-            .strip_prefix(&prefix)
-            .and_then(|s| s.parse::<ObjSeq>().ok())
-        else {
-            continue;
-        };
-        if upto.is_some_and(|u| seq > u) {
-            continue;
-        }
-        let obj = store.get(name)?;
-        match CheckpointData::parse(&obj, uuid) {
-            Ok(ck) => return Ok(Some(ck)),
-            // A corrupt checkpoint falls back to the previous one; the log
-            // roll-forward covers the difference.
-            Err(_) => continue,
-        }
-    }
-    Ok(None)
-}
-
 /// Applies one recovered data object to the map, honouring GC source
 /// conditions. Trims advertised by the object are punched *before* its
 /// data extents, so a trim-then-rewrite that landed in one batch resolves
@@ -119,6 +108,131 @@ pub fn apply_header(objmap: &mut ObjectMap, h: &DataHeader) {
     }
 }
 
+/// Runs `a` on a scoped thread while the caller runs `b`.
+fn join<A: Send, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+    thread::scope(|s| {
+        let a = s.spawn(a);
+        let b = b();
+        (a.join().unwrap_or_else(|p| resume_unwind(p)), b)
+    })
+}
+
+/// Calls `f` on every item from up to [`FETCH_WORKERS`] threads, the
+/// caller's included, and returns the results in item order.
+fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done = thread::scope(|s| {
+        let helpers: Vec<_> = (1..items.len().min(FETCH_WORKERS))
+            .map(|_| s.spawn(work))
+            .collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// What one LIST of `{image}.` says about the image's own namespace.
+struct Listing {
+    /// Checkpoints by name, each with the sequence its name says it covers.
+    ckpts: Vec<(String, ObjSeq)>,
+    /// Sequence numbers of the image's own data objects.
+    objects: BTreeSet<ObjSeq>,
+}
+
+impl Listing {
+    fn new(image: &str, mut names: Vec<String>) -> Listing {
+        names.sort();
+        let ckpt_prefix = format!("{image}.ckpt.");
+        let mut listing = Listing {
+            ckpts: Vec::new(),
+            objects: BTreeSet::new(),
+        };
+        for name in names {
+            if let Some(seq) = parse_object_seq(image, &name) {
+                listing.objects.insert(seq);
+            } else if let Some(seq) = name
+                .strip_prefix(&ckpt_prefix)
+                .and_then(|s| s.parse::<ObjSeq>().ok())
+            {
+                listing.ckpts.push((name, seq));
+            }
+        }
+        listing
+    }
+}
+
+/// The log past a checkpoint as a serial walk would see it, with headers
+/// fetched ahead of the walk in concurrent batches.
+struct Log<'a> {
+    store: &'a dyn ObjectStore,
+    sb: &'a Superblock,
+    upto: Option<ObjSeq>,
+    listed: &'a BTreeSet<ObjSeq>,
+    fetched: BTreeMap<ObjSeq, Result<Option<DataHeader>>>,
+}
+
+impl Log<'_> {
+    /// Whether the walk could find object `seq`: within `upto`, and listed
+    /// or in an ancestor stream, which the image's listing does not cover.
+    fn may_exist(&self, seq: ObjSeq) -> bool {
+        self.upto.is_none_or(|u| seq <= u)
+            && (seq < self.sb.own_first_seq() || self.listed.contains(&seq))
+    }
+
+    /// Fetches the headers the walk would request after `from` that no
+    /// earlier batch fetched: own-stream objects up to the first gap in
+    /// the listing, and ancestor-stream objects, resolved by name,
+    /// [`FETCH_WORKERS`] at a time.
+    fn prefetch(&mut self, from: ObjSeq) {
+        let own_first = self.sb.own_first_seq();
+        let mut want = Vec::new();
+        let mut seq = from;
+        while let Some(next) = seq.checked_add(1).filter(|&s| self.may_exist(s)) {
+            if next < own_first && next - from > FETCH_WORKERS as ObjSeq {
+                break;
+            }
+            seq = next;
+            if !self.fetched.contains_key(&seq) {
+                want.push(seq);
+            }
+        }
+        let names: Vec<String> = want
+            .iter()
+            .map(|&s| object_name(self.sb.stream_for(s), s))
+            .collect();
+        let store = self.store;
+        let headers = fan_out(&names, |name| fetch_header(store, name));
+        self.fetched.extend(want.into_iter().zip(headers));
+    }
+
+    /// The header of object `seq`, or `None` where the walk stops at a gap.
+    fn header(&mut self, seq: ObjSeq) -> Result<Option<DataHeader>> {
+        if !self.may_exist(seq) {
+            return Ok(None);
+        }
+        if !self.fetched.contains_key(&seq) {
+            self.prefetch(seq - 1);
+        }
+        self.fetched
+            .remove(&seq)
+            .expect("prefetch fetches the object it starts from")
+    }
+}
+
 /// Recovers the backend state of `image`.
 ///
 /// With `upto = Some(seq)` (snapshot mounts), recovery stops at that
@@ -130,13 +244,39 @@ pub fn recover_backend(
     image: &str,
     upto: Option<ObjSeq>,
 ) -> Result<RecoveredBackend> {
-    let sb_obj = store.get(&superblock_name(image)).map_err(|e| match e {
+    // Round 1: the superblock alongside one listing of the namespace.
+    let (names, sb_obj) = join(
+        || store.list(&format!("{image}.")),
+        || store.get(&superblock_name(image)),
+    );
+    let sb_obj = sb_obj.map_err(|e| match e {
         ObjError::NotFound(_) => LsvdError::BadVolume(format!("{image}: no superblock")),
         other => other.into(),
     })?;
     let superblock = Superblock::parse(&sb_obj)?;
+    let listing = Listing::new(image, names?);
+    let mut log = Log {
+        store,
+        sb: &superblock,
+        upto,
+        listed: &listing.objects,
+        fetched: BTreeMap::new(),
+    };
 
-    let ckpt = newest_checkpoint(store, image, superblock.uuid, upto)?;
+    // Round 2: the newest checkpoint alongside the headers past the
+    // sequence its name gives. A corrupt checkpoint falls back to the
+    // previous one, fetching the headers that one leaves out.
+    let mut ckpt = None;
+    for (name, seq) in listing.ckpts.iter().rev() {
+        if upto.is_some_and(|u| *seq > u) {
+            continue;
+        }
+        let (obj, ()) = join(|| store.get(name), || log.prefetch(*seq));
+        if let Ok(ck) = CheckpointData::parse(&obj?, superblock.uuid) {
+            ckpt = Some(ck);
+            break;
+        }
+    }
     let (mut objmap, mut frontier, ckpt_seq, snapshots, deferred_deletes) = match ckpt {
         Some(ck) => (
             ck.rebuild_map(),
@@ -148,16 +288,14 @@ pub fn recover_backend(
         None => (ObjectMap::new(), 0, 0, Vec::new(), Vec::new()),
     };
 
-    // Roll the log forward from the checkpoint, stopping at the first gap.
+    // Roll the log forward from the parsed `covers_seq`, stopping at the
+    // first gap. Where it differs from the name's sequence, `header`
+    // fetches what round 2 left out; headers fetched past the cut are
+    // never read, so their errors cannot fail recovery.
     let mut last_seq = ckpt_seq;
-    let mut seq = ckpt_seq + 1;
     loop {
-        if upto.is_some_and(|u| seq > u) {
-            break;
-        }
-        let stream = superblock.stream_for(seq);
-        let name = object_name(stream, seq);
-        let Some(h) = fetch_header(store, &name)? else {
+        let seq = last_seq + 1;
+        let Some(h) = log.header(seq)? else {
             break;
         };
         if h.uuid != superblock.uuid && seq >= superblock.own_first_seq() {
@@ -167,20 +305,18 @@ pub fn recover_backend(
         apply_header(&mut objmap, &h);
         frontier = frontier.max(h.last_cache_seq);
         last_seq = seq;
-        seq += 1;
     }
 
     // Prefix rule: delete stranded own-stream objects beyond the cut.
     let mut stranded_deleted = Vec::new();
     if upto.is_none() {
-        let own_prefix = format!("{image}.");
-        for name in store.list(&own_prefix)? {
-            if let Some(s) = crate::types::parse_object_seq(image, &name) {
-                if s > last_seq {
-                    store.delete(&name)?;
-                    stranded_deleted.push(name);
-                }
-            }
+        for &seq in listing
+            .objects
+            .range((Bound::Excluded(last_seq), Bound::Unbounded))
+        {
+            let name = object_name(image, seq);
+            store.delete(&name)?;
+            stranded_deleted.push(name);
         }
     }
 
@@ -230,6 +366,9 @@ pub fn prune_checkpoints(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
+
     use bytes::Bytes;
     use objstore::MemStore;
 
@@ -240,17 +379,28 @@ mod tests {
 
     const UUID: u64 = 0xFACE;
 
-    fn put_super(store: &MemStore, image: &str) {
+    fn put_super_with(store: &dyn ObjectStore, image: &str, ancestry: Vec<(String, ObjSeq)>) {
         let sb = Superblock {
             uuid: UUID,
             size_bytes: 1 << 30,
             image: image.into(),
-            ancestry: vec![],
+            ancestry,
         };
         store.put(&superblock_name(image), sb.build()).unwrap();
     }
 
-    fn put_data(store: &MemStore, image: &str, seq: ObjSeq, lba: u64, sectors: u32, cseq: u64) {
+    fn put_super(store: &dyn ObjectStore, image: &str) {
+        put_super_with(store, image, vec![]);
+    }
+
+    fn put_data(
+        store: &dyn ObjectStore,
+        image: &str,
+        seq: ObjSeq,
+        lba: u64,
+        sectors: u32,
+        cseq: u64,
+    ) {
         let data = vec![seq as u8; (sectors as u64 * SECTOR) as usize];
         let obj = build_data_object(UUID, seq, cseq, None, &[(lba, sectors)], &data);
         store.put(&object_name(image, seq), obj).unwrap();
@@ -407,6 +557,178 @@ mod tests {
             recover_backend(&store, "ghost", None),
             Err(LsvdError::BadVolume(_))
         ));
+    }
+
+    #[test]
+    fn clone_without_a_checkpoint_walks_the_ancestor_stream_by_name() {
+        // More ancestor objects than one fetch window, then the clone's own.
+        let store = MemStore::new();
+        let base_last = FETCH_WORKERS as ObjSeq + 8;
+        put_super(&store, "base");
+        for seq in 1..=base_last {
+            put_data(&store, "base", seq, seq as u64 * 8, 8, seq as u64);
+        }
+        put_super_with(&store, "c", vec![("base".into(), base_last)]);
+        for seq in base_last + 1..=base_last + 3 {
+            put_data(&store, "c", seq, seq as u64 * 8, 8, seq as u64);
+        }
+
+        let rb = recover_backend(&store, "c", Some(ObjSeq::MAX)).unwrap();
+        assert_eq!(rb.ckpt_seq, 0);
+        assert_eq!(rb.last_seq, base_last + 3);
+        assert_eq!(rb.objmap.lookup(8).unwrap().2.seq, 1, "ancestor data");
+
+        // A gap in the ancestor stream cuts the log there; the clone's own
+        // objects past it are stranded, and the base is never touched.
+        store.delete(&object_name("base", 20)).unwrap();
+        let base_objects = store.list("base.").unwrap();
+        let rb = recover_backend(&store, "c", None).unwrap();
+        assert_eq!(rb.last_seq, 19);
+        assert_eq!(rb.stranded_deleted.len(), 3);
+        assert_eq!(store.list("base.").unwrap(), base_objects);
+    }
+
+    /// A `MemStore` that counts LISTs and HEADs, records the peak number of
+    /// header requests (HEAD or ranged GET) in flight, and fails ranged
+    /// GETs of one chosen object.
+    ///
+    /// Each header request is held until [`FETCH_WORKERS`] are in flight,
+    /// so that recovery's workers pile up to whatever limit it really
+    /// keeps. A timeout releases requests that wait for company that never
+    /// comes, at the tail of a run or under a serial walk.
+    #[derive(Default)]
+    struct CountingStore {
+        inner: MemStore,
+        lists: AtomicUsize,
+        heads: AtomicUsize,
+        inflight: Mutex<usize>,
+        arrived: Condvar,
+        peak: AtomicUsize,
+        fail_get: Option<String>,
+        failed: AtomicUsize,
+    }
+
+    impl CountingStore {
+        fn header_request<T>(&self, f: impl FnOnce() -> T) -> T {
+            let mut n = self.inflight.lock().unwrap();
+            *n += 1;
+            self.peak.fetch_max(*n, Ordering::SeqCst);
+            self.arrived.notify_all();
+            let wait = Duration::from_millis(50);
+            let (n, _) = self
+                .arrived
+                .wait_timeout_while(n, wait, |n| *n < FETCH_WORKERS)
+                .unwrap();
+            drop(n);
+            let out = f();
+            *self.inflight.lock().unwrap() -= 1;
+            out
+        }
+    }
+
+    impl ObjectStore for CountingStore {
+        fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+            self.inner.put(name, data)
+        }
+        fn get(&self, name: &str) -> objstore::Result<Bytes> {
+            self.inner.get(name)
+        }
+        fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+            if self.fail_get.as_deref() == Some(name) {
+                self.failed.fetch_add(1, Ordering::SeqCst);
+                return Err(ObjError::Timeout(name.to_string()));
+            }
+            self.header_request(|| self.inner.get_range(name, offset, len))
+        }
+        fn head(&self, name: &str) -> objstore::Result<u64> {
+            self.heads.fetch_add(1, Ordering::SeqCst);
+            self.header_request(|| self.inner.head(name))
+        }
+        fn delete(&self, name: &str) -> objstore::Result<()> {
+            self.inner.delete(name)
+        }
+        fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+            self.lists.fetch_add(1, Ordering::SeqCst);
+            self.inner.list(prefix)
+        }
+    }
+
+    #[test]
+    fn roll_forward_overlaps_header_fetches_up_to_the_cap() {
+        let store = CountingStore::default();
+        put_super(&store, "vol");
+        store
+            .put(
+                &checkpoint_name("vol", 0),
+                CheckpointData::capture(&ObjectMap::new(), 0, 0, &[], &[]).build(UUID),
+            )
+            .unwrap();
+        let objects = 3 * FETCH_WORKERS as ObjSeq;
+        for seq in 1..=objects {
+            put_data(&store, "vol", seq, seq as u64 * 8, 8, seq as u64);
+        }
+
+        let rb = recover_backend(&store, "vol", None).unwrap();
+        assert_eq!(rb.last_seq, objects);
+        let peak = store.peak.load(Ordering::SeqCst);
+        assert!(
+            peak > 1 && peak <= FETCH_WORKERS,
+            "peak in-flight header fetches {peak}, cap {FETCH_WORKERS}"
+        );
+        assert_eq!(store.lists.load(Ordering::SeqCst), 1, "one listing");
+        assert_eq!(
+            store.heads.load(Ordering::SeqCst),
+            objects as usize,
+            "no HEAD probe past the end of the log"
+        );
+    }
+
+    #[test]
+    fn fetch_error_fails_recovery_only_before_the_cut() {
+        // Two ways the walk stops at object 4 after fetching past it: a
+        // gap in an ancestor stream (no listing covers it), and a foreign
+        // object squatting on the image's own name.
+        let ancestor_gap = |store: &CountingStore| {
+            put_super(store, "base");
+            for seq in 1..=6 {
+                put_data(store, "base", seq, seq as u64 * 8, 8, seq as u64);
+            }
+            store.delete(&object_name("base", 4)).unwrap();
+            put_super_with(store, "vol", vec![("base".into(), 6)]);
+            "base"
+        };
+        let squatter = |store: &CountingStore| {
+            put_super(store, "vol");
+            for seq in 1..=6 {
+                put_data(store, "vol", seq, seq as u64 * 8, 8, seq as u64);
+            }
+            let foreign = build_data_object(0xBAD, 4, 4, None, &[(0, 8)], &[4; 4096]);
+            store.put(&object_name("vol", 4), foreign).unwrap();
+            "vol"
+        };
+        for setup in [
+            &ancestor_gap as &dyn Fn(&CountingStore) -> &'static str,
+            &squatter,
+        ] {
+            for (fail, fails_recovery) in [(5, false), (2, true)] {
+                let mut store = CountingStore::default();
+                let stream = setup(&store);
+                store.fail_get = Some(object_name(stream, fail));
+
+                let result = recover_backend(&store, "vol", None);
+                assert_eq!(store.failed.load(Ordering::SeqCst), 1, "GET was injected");
+                match result {
+                    Ok(rb) => {
+                        assert!(!fails_recovery, "{stream}: error on {fail} was ignored");
+                        assert_eq!(rb.last_seq, 3);
+                    }
+                    Err(e) => {
+                        assert!(fails_recovery, "{stream}: {fail} is past the cut: {e}");
+                        assert!(matches!(e, LsvdError::Backend(ObjError::Timeout(_))));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -584,20 +584,13 @@ impl Volume {
         if store.exists(&superblock_name(new_image))? {
             return Err(LsvdError::BadVolume(format!("{new_image}: already exists")));
         }
+        // Reading the base deletes nothing, for the reason `snapshot_seq`
+        // gives.
         let upto = match snapshot {
-            None => None,
-            Some(name) => {
-                let probe = recovery::recover_backend(store.as_ref(), base_image, None)?;
-                let seq = probe
-                    .snapshots
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|&(_, s)| s)
-                    .ok_or_else(|| LsvdError::NoSuchSnapshot(name.to_string()))?;
-                Some(seq)
-            }
+            None => ObjSeq::MAX,
+            Some(name) => snapshot_seq(store.as_ref(), base_image, name)?,
         };
-        let rb = recovery::recover_backend(store.as_ref(), base_image, upto)?;
+        let rb = recovery::recover_backend(store.as_ref(), base_image, Some(upto))?;
         let mut ancestry = rb.superblock.ancestry.clone();
         ancestry.push((base_image.to_string(), rb.last_seq));
         let sb = Superblock {
@@ -751,13 +744,7 @@ impl Volume {
         cfg: VolumeConfig,
     ) -> Result<Volume> {
         let stack = build_store_stack(store, &cfg);
-        let probe = recovery::recover_backend(stack.store.as_ref(), image, None)?;
-        let seq = probe
-            .snapshots
-            .iter()
-            .find(|(n, _)| n == snapshot)
-            .map(|&(_, s)| s)
-            .ok_or_else(|| LsvdError::NoSuchSnapshot(snapshot.to_string()))?;
+        let seq = snapshot_seq(stack.store.as_ref(), image, snapshot)?;
         let rb = recovery::recover_backend(stack.store.as_ref(), image, Some(seq))?;
         let mut vol = Self::attach_fresh_cache(
             stack,
@@ -2734,6 +2721,19 @@ fn fresh_uuid(image: &str, size: u64) -> u64 {
         base = base.rotate_left(7) ^ b as u64;
     }
     base ^ size.rotate_left(32)
+}
+
+/// The sequence snapshot `name` of `image` was taken at. The probe deletes
+/// nothing: `image` may be open elsewhere with pipelined writeback, where
+/// object N+2 can be stored before N+1, and a read-write recovery would
+/// delete N+2 as stranded.
+fn snapshot_seq(store: &dyn ObjectStore, image: &str, name: &str) -> Result<ObjSeq> {
+    recovery::recover_backend(store, image, Some(ObjSeq::MAX))?
+        .snapshots
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|&(_, s)| s)
+        .ok_or_else(|| LsvdError::NoSuchSnapshot(name.to_string()))
 }
 
 #[cfg(test)]

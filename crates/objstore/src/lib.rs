@@ -239,8 +239,9 @@ impl<T: ObjectStore + ?Sized> ObjectStore for Arc<T> {
     }
 }
 
-pub(crate) fn slice_range(name: &str, data: &Bytes, offset: u64, len: u64) -> Result<Bytes> {
-    let size = data.len() as u64;
+/// Checks that `[offset, offset + len)` lies inside an object of `size`
+/// bytes.
+pub(crate) fn check_range(name: &str, offset: u64, len: u64, size: u64) -> Result<()> {
     if offset.checked_add(len).is_none_or(|end| end > size) {
         return Err(ObjError::BadRange {
             name: name.to_string(),
@@ -249,5 +250,10 @@ pub(crate) fn slice_range(name: &str, data: &Bytes, offset: u64, len: u64) -> Re
             size,
         });
     }
+    Ok(())
+}
+
+pub(crate) fn slice_range(name: &str, data: &Bytes, offset: u64, len: u64) -> Result<Bytes> {
+    check_range(name, offset, len, data.len() as u64)?;
     Ok(data.slice(offset as usize..(offset + len) as usize))
 }

@@ -742,6 +742,275 @@ fn volume_recovers_from_headers_when_all_checkpoints_are_lost() {
 }
 
 // ---------------------------------------------------------------------
+// Concurrent roll-forward: `recover_backend` fetches headers in parallel
+// batches and must return exactly what the serial walk it replaced
+// returns, over streams with gaps, GC objects, trims, foreign squatters,
+// corrupt or mislabelled checkpoints, `upto` bounds and clone ancestry.
+// ---------------------------------------------------------------------
+
+/// The serial backend recovery the concurrent one replaced, kept as its
+/// reference: one request at a time, and every object after the
+/// checkpoint probed by name until the first one missing.
+fn serial_recover_backend(
+    store: &dyn objstore::ObjectStore,
+    image: &str,
+    upto: Option<u32>,
+) -> lsvd::Result<lsvd::recovery::RecoveredBackend> {
+    use lsvd::checkpoint::CheckpointData;
+    use lsvd::objmap::ObjectMap;
+    use lsvd::recovery::{apply_header, fetch_header, RecoveredBackend};
+    use lsvd::types::{object_name, parse_object_seq, superblock_name};
+
+    let superblock = Superblock::parse(&store.get(&superblock_name(image))?)?;
+    let prefix = format!("{image}.ckpt.");
+    let mut names = store.list(&prefix)?;
+    names.sort();
+    let mut ckpt = None;
+    for name in names.iter().rev() {
+        let Some(seq) = name
+            .strip_prefix(&prefix)
+            .and_then(|s| s.parse::<u32>().ok())
+        else {
+            continue;
+        };
+        if upto.is_some_and(|u| seq > u) {
+            continue;
+        }
+        if let Ok(ck) = CheckpointData::parse(&store.get(name)?, superblock.uuid) {
+            ckpt = Some(ck);
+            break;
+        }
+    }
+    let (mut objmap, mut frontier, ckpt_seq, snapshots, deferred_deletes) = match ckpt {
+        Some(ck) => (
+            ck.rebuild_map(),
+            ck.frontier,
+            ck.covers_seq,
+            ck.snapshots,
+            ck.deferred_deletes,
+        ),
+        None => (ObjectMap::new(), 0, 0, Vec::new(), Vec::new()),
+    };
+
+    let mut last_seq = ckpt_seq;
+    let mut seq = ckpt_seq + 1;
+    loop {
+        if upto.is_some_and(|u| seq > u) {
+            break;
+        }
+        let name = object_name(superblock.stream_for(seq), seq);
+        let Some(h) = fetch_header(store, &name)? else {
+            break;
+        };
+        if h.uuid != superblock.uuid && seq >= superblock.own_first_seq() {
+            break;
+        }
+        apply_header(&mut objmap, &h);
+        frontier = frontier.max(h.last_cache_seq);
+        last_seq = seq;
+        seq += 1;
+    }
+
+    let mut stranded_deleted = Vec::new();
+    if upto.is_none() {
+        for name in store.list(&format!("{image}."))? {
+            if parse_object_seq(image, &name).is_some_and(|s| s > last_seq) {
+                store.delete(&name)?;
+                stranded_deleted.push(name);
+            }
+        }
+    }
+    Ok(RecoveredBackend {
+        superblock,
+        objmap,
+        last_seq,
+        frontier,
+        snapshots,
+        deferred_deletes,
+        ckpt_seq,
+        stranded_deleted,
+    })
+}
+
+#[derive(Debug, Clone)]
+enum LogObj {
+    Data {
+        lba: u64,
+        sectors: u32,
+    },
+    /// A trim-only object.
+    Trim {
+        lba: u64,
+        sectors: u32,
+    },
+    /// A GC object whose one extent claims to come from `back` objects
+    /// earlier.
+    Gc {
+        lba: u64,
+        sectors: u32,
+        back: u32,
+    },
+    /// An object of another volume squatting on the name.
+    Foreign,
+    Missing,
+}
+
+#[derive(Debug, Clone)]
+struct LogSpec {
+    /// Sequences `1..=ancestor` live in the stream of a base image that the
+    /// recovered image was cloned from; 0 means no ancestry.
+    ancestor: u32,
+    /// Object `i` has sequence `i + 1`.
+    objects: Vec<LogObj>,
+    /// Checkpoints as `(name seq, covers_seq lag behind it, corrupt)`.
+    ckpts: Vec<(u32, u32, bool)>,
+    upto: Option<u32>,
+}
+
+fn log_spec() -> impl Strategy<Value = LogSpec> {
+    let obj = prop_oneof![
+        6 => (0u64..64, 1u32..16).prop_map(|(b, sectors)| LogObj::Data { lba: b * 8, sectors }),
+        2 => (0u64..64, 1u32..16).prop_map(|(b, sectors)| LogObj::Trim { lba: b * 8, sectors }),
+        2 => (0u64..64, 1u32..16, 1u32..8)
+            .prop_map(|(b, sectors, back)| LogObj::Gc { lba: b * 8, sectors, back }),
+        1 => Just(LogObj::Foreign),
+        1 => Just(LogObj::Missing),
+    ];
+    let ckpt = (
+        0u32..70,
+        prop_oneof![6 => Just(0u32), 1 => 1u32..4],
+        prop_oneof![3 => Just(false), 1 => Just(true)],
+    );
+    (
+        prop_oneof![2 => Just(0u32), 1 => 1u32..50],
+        prop::collection::vec(obj, 1..70),
+        prop::collection::vec(ckpt, 0..4),
+        prop_oneof![3 => Just(None), 1 => (0u32..80).prop_map(Some)],
+    )
+        .prop_map(|(ancestor, objects, ckpts, upto)| LogSpec {
+            ancestor,
+            objects,
+            ckpts,
+            upto,
+        })
+}
+
+/// Stores the image `img` that `spec` describes.
+fn build_log(spec: &LogSpec) -> objstore::MemStore {
+    use bytes::Bytes;
+    use lsvd::checkpoint::CheckpointData;
+    use lsvd::objfmt::build_data_header_with_trims;
+    use lsvd::objmap::ObjectMap;
+    use lsvd::types::{checkpoint_name, object_name, superblock_name};
+    use objstore::ObjectStore;
+
+    const OWN_UUID: u64 = 0xC10E;
+    const BASE_UUID: u64 = 0xBA5E;
+    let store = objstore::MemStore::new();
+    let ancestry = if spec.ancestor > 0 {
+        vec![("base".to_string(), spec.ancestor)]
+    } else {
+        vec![]
+    };
+    let sb = Superblock {
+        uuid: OWN_UUID,
+        size_bytes: 1 << 30,
+        image: "img".into(),
+        ancestry,
+    };
+    store.put(&superblock_name("img"), sb.build()).unwrap();
+
+    // The map and frontier as of each sequence, for checkpoints to capture.
+    let mut map = ObjectMap::new();
+    let mut states = vec![(map.clone(), 0u64)];
+    for (i, obj) in spec.objects.iter().enumerate() {
+        let seq = i as u32 + 1;
+        let cseq = seq as u64 * 3;
+        let (stream, uuid) = if seq <= spec.ancestor {
+            ("base", BASE_UUID)
+        } else {
+            ("img", OWN_UUID)
+        };
+        let body = match *obj {
+            LogObj::Data { lba, sectors } => {
+                let data = vec![seq as u8; sectors as usize * 512];
+                build_data_object(uuid, seq, cseq, None, &[(lba, sectors)], &data)
+            }
+            LogObj::Trim { lba, sectors } => Bytes::from(build_data_header_with_trims(
+                uuid,
+                seq,
+                cseq,
+                &[(lba, sectors)],
+                &[],
+                &[],
+                0,
+            )),
+            LogObj::Gc { lba, sectors, back } => {
+                let data = vec![seq as u8; sectors as usize * 512];
+                let src = [(seq.saturating_sub(back).max(1), 0)];
+                build_data_object(uuid, seq, cseq, Some(&src), &[(lba, sectors)], &data)
+            }
+            LogObj::Foreign => build_data_object(0xBAD, seq, cseq, None, &[(0, 8)], &[7; 4096]),
+            LogObj::Missing => {
+                states.push((map.clone(), cseq));
+                continue;
+            }
+        };
+        lsvd::recovery::apply_header(&mut map, &parse_data_header(&body).unwrap());
+        store.put(&object_name(stream, seq), body).unwrap();
+        states.push((map.clone(), cseq));
+    }
+
+    for &(seq, lag, corrupt) in &spec.ckpts {
+        let covers = seq.saturating_sub(lag).min(spec.objects.len() as u32);
+        let body = if corrupt {
+            Bytes::from_static(b"not a checkpoint")
+        } else {
+            let (map, frontier) = &states[covers as usize];
+            let snaps = [(format!("s{covers}"), covers)];
+            CheckpointData::capture(map, covers, *frontier, &snaps, &[]).build(OWN_UUID)
+        };
+        store.put(&checkpoint_name("img", seq), body).unwrap();
+    }
+    store
+}
+
+type RecoveredView = (
+    Vec<(u64, u64, lsvd::objmap::ObjLoc)>,
+    Vec<(u32, lsvd::objmap::ObjStat)>,
+    (u32, u64, u32),
+    Vec<String>,
+    Vec<(String, u32)>,
+);
+
+fn recovered_view(rb: &lsvd::recovery::RecoveredBackend) -> RecoveredView {
+    (
+        rb.objmap.map_extents().collect(),
+        rb.objmap.objects().collect(),
+        (rb.last_seq, rb.frontier, rb.ckpt_seq),
+        rb.stranded_deleted.clone(),
+        rb.snapshots.clone(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn concurrent_recovery_matches_the_serial_walk(spec in log_spec()) {
+        use objstore::ObjectStore;
+
+        let serial = build_log(&spec);
+        let concurrent = build_log(&spec);
+        let want = serial_recover_backend(&serial, "img", spec.upto).expect("serial recovery");
+        let got = lsvd::recovery::recover_backend(&concurrent, "img", spec.upto)
+            .expect("concurrent recovery");
+        prop_assert_eq!(recovered_view(&got), recovered_view(&want));
+        prop_assert_eq!(concurrent.list("").unwrap(), serial.list("").unwrap());
+    }
+}
+
+// ---------------------------------------------------------------------
 // Host cache partitioning: the first-fit allocator never hands out
 // overlapping partitions, and the on-device table round-trips.
 // ---------------------------------------------------------------------

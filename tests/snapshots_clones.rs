@@ -152,6 +152,46 @@ fn clone_from_snapshot_is_a_writable_snapshot() {
 }
 
 #[test]
+fn snapshot_mounts_and_clones_never_delete_a_running_writers_objects() {
+    // With pipelined writeback, a running writer can have object N+2
+    // stored while N+1 is still in flight. Neither a snapshot mount nor a
+    // clone may treat N+2 as stranded.
+    use lsvd::types::{object_name, parse_object_seq};
+
+    let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
+    let mut writer =
+        Volume::create(store.clone(), new_cache(), "vol", 64 << 20, cfg()).expect("create");
+    fill(&mut writer, 1, 2);
+    writer.snapshot("s1").expect("snapshot");
+    writer.drain().expect("drain");
+    let n = store
+        .list("vol.")
+        .expect("list")
+        .iter()
+        .filter_map(|name| parse_object_seq("vol", name))
+        .max()
+        .expect("objects");
+    let ahead = object_name("vol", n + 2);
+    let body = store.get(&object_name("vol", n)).expect("get");
+    store.put(&ahead, body).expect("put N+2");
+
+    let snap = Volume::open_snapshot(store.clone(), new_cache(), "vol", "s1", cfg())
+        .expect("mount snapshot");
+    drop(snap);
+    assert!(
+        store.exists(&ahead).expect("head"),
+        "snapshot mount kept N+2"
+    );
+    Volume::clone_image(&store, "vol", Some("s1"), "from-snap").expect("clone snapshot");
+    Volume::clone_image(&store, "vol", None, "from-head").expect("clone head");
+    assert!(store.exists(&ahead).expect("head"), "clones kept N+2");
+
+    let mut clone = Volume::open(store.clone(), new_cache(), "from-head", cfg()).expect("open");
+    assert_eq!(read_tag(&mut clone, 1 << 20), 1, "clone sees the prefix");
+    drop(writer);
+}
+
+#[test]
 fn clone_gc_never_touches_the_base_image() {
     let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
     let mut base =
