@@ -763,7 +763,7 @@ fn bench_fleet(c: &mut Criterion) {
 
     for vols in [1usize, 16, 64] {
         let store = Arc::new(MemStore::new());
-        let registry = Arc::new(ExportRegistry::new(None));
+        let registry = Arc::new(ExportRegistry::new());
         for i in 0..vols {
             let cache = Arc::new(RamDisk::new(6 << 20));
             let vol = Volume::create(
@@ -814,7 +814,7 @@ fn bench_fleet(c: &mut Criterion) {
 
     for conns in [64usize, 512] {
         let store = Arc::new(MemStore::new());
-        let registry = Arc::new(ExportRegistry::new(None));
+        let registry = Arc::new(ExportRegistry::new());
         let cache = Arc::new(RamDisk::new(8 << 20));
         let vol = Volume::create(
             store,

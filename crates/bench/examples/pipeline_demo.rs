@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use blkdev::RamDisk;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
-use objstore::{FaultyStore, LatencyStore, MemStore, ObjectStore};
+use objstore::{ChaosStore, LatencyStore, MemStore, ObjectStore};
 
 const BATCH: u64 = 64 << 10;
 
@@ -87,7 +87,7 @@ fn main() {
     );
 
     println!("== a transient PUT failure requeues without reordering");
-    let faulty = Arc::new(FaultyStore::new(MemStore::new()));
+    let faulty = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(64 << 20));
     let mut vol = Volume::create(faulty.clone(), cache, "demo", 256 << 20, cfg(4, 4)).unwrap();
     faulty.fail_next_puts(1);

@@ -583,7 +583,7 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
             .into());
     }
 
-    let registry = Arc::new(ExportRegistry::new(None));
+    let registry = Arc::new(ExportRegistry::new());
     for image in images {
         let vol = open_volume(opts, bucket, image)?;
         registry

@@ -68,17 +68,21 @@ pub struct VolumeConfig {
     /// retry here — layer a `RetryStore` under the volume for that).
     pub gc_retry_attempts: u32,
     /// Writeback worker threads shipping sealed batches to the backend.
-    /// `0` keeps the fully serial path: every PUT happens inline on the
-    /// caller's thread (deterministic; used by most unit tests). With
-    /// `n > 0` threads, sealed batches are handed to a worker pool and the
-    /// foreground keeps accepting writes while PUTs are in flight (§3.1's
+    /// Every sealed batch takes the same path — seal, submit to the
+    /// [`WritebackPool`](crate::writeback::WritebackPool), harvest, apply
+    /// in sequence order — and this only picks its executor. `0` runs
+    /// each PUT inline on the caller's thread, one at a time, before the
+    /// call that issued it returns (deterministic; used by most unit
+    /// tests). With `n > 0` threads, PUTs run on a worker pool and the
+    /// foreground keeps accepting writes while they are in flight (§3.1's
     /// pipelined write path).
     pub writeback_threads: usize,
-    /// Bound on concurrently in-flight batch PUTs when pipelined
-    /// (`writeback_threads > 0`). Completions may arrive out of order; the
-    /// volume still applies them to the object map in strict sequence
-    /// order (the durable-frontier rule), so this only controls overlap,
-    /// never visibility. Must not exceed `max_pending_batches`.
+    /// Bound on concurrently in-flight batch PUTs when
+    /// `writeback_threads > 0` (the inline executor's window is always
+    /// 1). Completions may arrive out of order; the volume still applies
+    /// them to the object map in strict sequence order (the
+    /// durable-frontier rule), so this only controls overlap, never
+    /// visibility. Must not exceed `max_pending_batches`.
     pub max_inflight_puts: usize,
     /// When set, the volume wraps the provided store in a
     /// [`RetryStore`](objstore::RetryStore) with this policy and
@@ -134,9 +138,10 @@ impl Default for VolumeConfig {
             max_record_extents: 16,
             max_pending_batches: 8,
             gc_retry_attempts: 3,
-            // Serial by default: PUT failures surface synchronously on the
-            // writing thread, which the degraded-mode API contract (and
-            // its tests) relies on. Pipelining is opt-in.
+            // Inline executor by default: PUT failures surface
+            // synchronously on the writing thread, which the degraded-mode
+            // API contract (and its tests) relies on. Worker threads are
+            // opt-in.
             writeback_threads: 0,
             max_inflight_puts: 4,
             retry_policy: None,
@@ -159,20 +164,9 @@ impl VolumeConfig {
             // Unbudgeted steps: each cleaner invocation completes its
             // pass, preserving the one-shot semantics unit tests assert.
             gc_step_budget_bytes: 0,
-            // Serial writeback: unit tests rely on deterministic inline
+            // Inline executor: unit tests rely on deterministic inline
             // PUT ordering. Pipelined tests opt in explicitly.
             writeback_threads: 0,
-            ..Default::default()
-        }
-    }
-
-    /// The paper's pipelined write path: `threads` writeback workers and
-    /// up to `window` concurrently in-flight batch PUTs, layered on the
-    /// default configuration.
-    pub fn pipelined(threads: usize, window: usize) -> Self {
-        VolumeConfig {
-            writeback_threads: threads,
-            max_inflight_puts: window,
             ..Default::default()
         }
     }

@@ -3,9 +3,8 @@
 //! The paper's deployment model (§3.1) has one cache SSD and one backend
 //! shared by *many* virtual disks per host. This module provides the
 //! control plane for that node: an [`ExportRegistry`] maps export names to
-//! live [`SharedVolume`]s, all drawing from one shared
-//! [`WritebackPool`](crate::writeback::WritebackPool) (each volume on its
-//! own completion channel) and each holding a byte quota slice of the
+//! live [`SharedVolume`]s. Each volume keeps its own writeback executor
+//! (per its `writeback_threads`) and holds a byte quota slice of the
 //! node's read-cache budget (ECI-Cache-style partitioning, enforced by
 //! [`ReadPlane`](crate::read_plane::ReadPlane) admission).
 //!
@@ -33,7 +32,6 @@ use telemetry::{ServingRecorders, TelemetrySnapshot, TenantTelemetry};
 
 use crate::shared::SharedVolume;
 use crate::types::{LsvdError, Result};
-use crate::writeback::WritebackPool;
 
 /// Per-tenant QoS ceilings enforced by the serving plane's token buckets.
 /// `0` means unlimited on that axis.
@@ -133,14 +131,13 @@ impl Export {
 
 /// Callback that materializes a [`SharedVolume`] for a control-plane
 /// CREATE (`size = Some(bytes)`) or ATTACH (`size = None`) request. The
-/// node owner supplies it with the store/cache/pool wiring baked in.
+/// node owner supplies it with the store/cache wiring baked in.
 pub type Provisioner = Box<dyn Fn(&str, Option<u64>) -> Result<SharedVolume> + Send + Sync>;
 
 /// Named-export registry shared by the serving reactor, the control
 /// socket, and the metrics exporter.
 pub struct ExportRegistry {
     exports: RwLock<HashMap<String, Arc<Export>>>,
-    pool: Option<Arc<WritebackPool>>,
     /// Total read-cache byte budget split across exports by
     /// [`ExportRegistry::rebalance`]. `0` = no partitioning.
     cache_budget_bytes: AtomicU64,
@@ -149,23 +146,20 @@ pub struct ExportRegistry {
     notify: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
+impl Default for ExportRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ExportRegistry {
-    /// An empty registry. `pool` is the node's shared writeback pool;
-    /// volumes attached here should have been opened via
-    /// [`Volume::open_in_pool`](crate::volume::Volume::open_in_pool) on
-    /// the same pool (the registry does not enforce this).
-    pub fn new(pool: Option<Arc<WritebackPool>>) -> ExportRegistry {
+    /// An empty registry.
+    pub fn new() -> ExportRegistry {
         ExportRegistry {
             exports: RwLock::new(HashMap::new()),
-            pool,
             cache_budget_bytes: AtomicU64::new(0),
             notify: Mutex::new(None),
         }
-    }
-
-    /// The node's shared writeback pool, if pipelined.
-    pub fn pool(&self) -> Option<&Arc<WritebackPool>> {
-        self.pool.as_ref()
     }
 
     /// Installs the serving-plane notification hook (replaces any
@@ -553,7 +547,7 @@ mod tests {
 
     #[test]
     fn attach_detach_lifecycle() {
-        let reg = ExportRegistry::new(None);
+        let reg = ExportRegistry::new();
         assert!(reg.is_empty());
         reg.attach("a", mkvol("a"), QosLimits::default()).unwrap();
         reg.attach("b", mkvol("b"), QosLimits::default()).unwrap();
@@ -579,7 +573,7 @@ mod tests {
 
     #[test]
     fn detach_fences_jobs_and_shuts_volume_down() {
-        let reg = Arc::new(ExportRegistry::new(None));
+        let reg = Arc::new(ExportRegistry::new());
         let e = reg.attach("v", mkvol("v"), QosLimits::default()).unwrap();
         let vol = e.volume().clone();
         vol.write(0, &[7u8; 4096]).unwrap();
@@ -604,7 +598,7 @@ mod tests {
 
     #[test]
     fn notify_hook_fires_on_attach_and_detach() {
-        let reg = ExportRegistry::new(None);
+        let reg = ExportRegistry::new();
         let fired = Arc::new(AtomicU64::new(0));
         let fired2 = fired.clone();
         reg.set_notify(Box::new(move || {
@@ -642,7 +636,7 @@ mod tests {
 
     #[test]
     fn rebalance_applies_quotas_to_volumes() {
-        let reg = ExportRegistry::new(None);
+        let reg = ExportRegistry::new();
         reg.attach("x", mkvol("x"), QosLimits::default()).unwrap();
         reg.attach("y", mkvol("y"), QosLimits::default()).unwrap();
         reg.set_cache_budget_bytes(4 << 20);
@@ -658,7 +652,7 @@ mod tests {
 
     #[test]
     fn qos_limits_update_in_place() {
-        let reg = ExportRegistry::new(None);
+        let reg = ExportRegistry::new();
         let e = reg
             .attach(
                 "q",
@@ -680,7 +674,7 @@ mod tests {
 
     #[test]
     fn telemetry_aggregates_and_labels_tenants() {
-        let reg = ExportRegistry::new(None);
+        let reg = ExportRegistry::new();
         let a = reg.attach("a", mkvol("a"), QosLimits::default()).unwrap();
         let b = reg.attach("b", mkvol("b"), QosLimits::default()).unwrap();
         a.volume().write(0, &[1u8; 4096]).unwrap();
@@ -704,7 +698,7 @@ mod tests {
 
     #[test]
     fn control_socket_round_trip() {
-        let reg = Arc::new(ExportRegistry::new(None));
+        let reg = Arc::new(ExportRegistry::new());
         reg.attach("pre", mkvol("pre"), QosLimits::default())
             .unwrap();
         let prov: Provisioner = Box::new(|name, size| {

@@ -358,9 +358,9 @@ pub struct ReadPlane {
     /// reaches its allocation — ECI-Cache-style partitioning. Adjustable
     /// at runtime by the fleet rebalancer.
     cache_quota_sectors: AtomicU64,
-    /// Writeback pool handle for scatter-gather prefetch GETs; `None` in
-    /// serial mode.
-    pool: Option<Arc<WritebackPool>>,
+    /// Writeback pool for scatter-gather prefetch GETs (used only when it
+    /// has at least two workers).
+    pool: Arc<WritebackPool>,
     state: RwLock<ReadState>,
     hdr: Mutex<HdrCache>,
     inflight: Mutex<HashMap<ObjSeq, Arc<FetchSlot>>>,
@@ -386,7 +386,7 @@ impl ReadPlane {
         cfg: &VolumeConfig,
         rcache: ReadCache,
         objmap: ObjectMap,
-        pool: Option<Arc<WritebackPool>>,
+        pool: Arc<WritebackPool>,
         spans: Arc<SpanRing>,
     ) -> ReadPlane {
         ReadPlane {
@@ -968,7 +968,7 @@ impl ReadPlane {
     /// arrive with worker-computed CRCs folded into one window checksum
     /// (`Some`); the serial path leaves checksumming to the caller.
     fn fetch_ranged(&self, name: &str, offset: u64, len: u64) -> Result<(Bytes, Option<u32>)> {
-        let threads = self.pool.as_ref().map_or(0, |p| p.threads()) as u64;
+        let threads = self.pool.threads() as u64;
         if threads < 2 || len < 2 * SCATTER_CHUNK {
             return Ok((self.store.get_range(name, offset, len)?, None));
         }
@@ -981,12 +981,11 @@ impl ReadPlane {
             ranges.push((offset + off, l));
             off += l;
         }
-        let pool = self.pool.as_ref().expect("pipelined");
         self.counters.scatter_gets.fetch_add(1, Ordering::Relaxed);
         let mut buf = Vec::with_capacity(len as usize);
         if self.verify_get_crc {
             let mut crc: Option<u32> = None;
-            for p in pool.get_scatter_crc(name, &ranges) {
+            for p in self.pool.get_scatter_crc(name, &ranges) {
                 let (part, part_crc) = p?;
                 crc = Some(match crc {
                     None => part_crc,
@@ -1001,7 +1000,7 @@ impl ReadPlane {
             }
             Ok((Bytes::from(buf), crc))
         } else {
-            for p in pool.get_scatter(name, &ranges) {
+            for p in self.pool.get_scatter(name, &ranges) {
                 buf.extend_from_slice(&p?);
             }
             Ok((Bytes::from(buf), None))

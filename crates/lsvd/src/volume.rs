@@ -52,7 +52,7 @@ use crate::types::{
     Result, SECTOR,
 };
 use crate::wlog::{RecordInfo, WriteLog};
-use crate::writeback::{DurableFrontier, PoolChannel, WritebackPool};
+use crate::writeback::{DurableFrontier, WritebackPool};
 
 /// Cache-device superblock location and size (sectors).
 const CACHE_SB_SECTORS: u64 = 8;
@@ -73,12 +73,13 @@ const TRACE_RING_EVENTS: usize = 4096;
 const SPAN_RING_CAPACITY: usize = 8192;
 const SPAN_RING_SHARDS: usize = 8;
 
-/// Result of attempting to drain the pending-batch queue.
+/// Outcome of a pump (or a ship).
 enum FlushOutcome {
-    /// The queue is empty; cache and backend are synchronized.
+    /// No transient PUT failure was harvested. On the inline executor a
+    /// ship that ends `Drained` has emptied the queue.
     Drained,
-    /// A transient backend failure stopped the drain; the queue (and the
-    /// error that stalled it) are preserved.
+    /// A transient backend failure stopped the pump; the failed batch is
+    /// back in the queue, and the error that stalled it is carried here.
     Stalled(ObjError),
 }
 
@@ -269,12 +270,12 @@ pub struct Volume {
     /// `VolumeConfig::max_pending_batches`, past which writes that would
     /// seal another batch fail with [`LsvdError::Backpressure`].
     pending_puts: VecDeque<(ObjSeq, PutPayload)>,
-    /// Writeback pool handle; `None` runs the fully serial path
-    /// (`writeback_threads == 0`), where every PUT happens inline. The
-    /// channel routes this volume's PUT completions back to it even when
-    /// the underlying pool is shared by a whole fleet of volumes; the read
-    /// plane's miss fetches scatter-gather over the same pool.
-    pool: Option<PoolChannel>,
+    /// The PUT executor: `writeback_threads` workers, or the inline
+    /// executor (zero workers, window 1) that runs each PUT on the
+    /// submitting thread. Both drive the same seal → submit → harvest →
+    /// apply path. The read plane's miss fetches scatter-gather over the
+    /// same pool.
+    pool: Arc<WritebackPool>,
     /// Payloads handed to the pool and not yet completed, by sequence.
     inflight: BTreeMap<ObjSeq, PutPayload>,
     /// Payloads whose PUT completed *out of order*: durable in the backend
@@ -509,31 +510,6 @@ impl Volume {
         size_bytes: u64,
         cfg: VolumeConfig,
     ) -> Result<Volume> {
-        Self::create_with(store, dev, image, size_bytes, cfg, None)
-    }
-
-    /// Like [`Volume::create`], but the new volume joins `pool` (a fleet
-    /// node's shared writeback pool) on a private completion channel
-    /// instead of spawning its own workers.
-    pub fn create_in_pool(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        size_bytes: u64,
-        cfg: VolumeConfig,
-        pool: Arc<WritebackPool>,
-    ) -> Result<Volume> {
-        Self::create_with(store, dev, image, size_bytes, cfg, Some(pool))
-    }
-
-    fn create_with(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        size_bytes: u64,
-        cfg: VolumeConfig,
-        shared_pool: Option<Arc<WritebackPool>>,
-    ) -> Result<Volume> {
         cfg.validate();
         if size_bytes == 0 || !size_bytes.is_multiple_of(SECTOR) {
             return Err(LsvdError::InvalidAccess {
@@ -569,7 +545,6 @@ impl Volume {
             vec![],
             vec![],
             0,
-            shared_pool,
         )
     }
 
@@ -617,30 +592,6 @@ impl Volume {
         image: &str,
         cfg: VolumeConfig,
     ) -> Result<Volume> {
-        Self::open_with(store, dev, image, cfg, None)
-    }
-
-    /// Like [`Volume::open`], but the volume joins `pool` (a fleet node's
-    /// shared writeback pool) on a private completion channel instead of
-    /// spawning its own workers. The shared pool takes precedence over
-    /// `writeback_threads` — a fleet member is always pipelined.
-    pub fn open_in_pool(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        cfg: VolumeConfig,
-        pool: Arc<WritebackPool>,
-    ) -> Result<Volume> {
-        Self::open_with(store, dev, image, cfg, Some(pool))
-    }
-
-    fn open_with(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        cfg: VolumeConfig,
-        shared_pool: Option<Arc<WritebackPool>>,
-    ) -> Result<Volume> {
         cfg.validate();
         let stack = build_store_stack(store, &cfg);
         let rb = recovery::recover_backend(stack.store.as_ref(), image, None)?;
@@ -658,12 +609,10 @@ impl Volume {
                 // Restore the persisted read-cache map if present (§3.2);
                 // a cold cache is always safe.
                 let rcache = ReadCache::load(dev.clone(), c.rc_start, c.rc_sectors);
-                let pool = match shared_pool {
-                    Some(p) => Some(p),
-                    None => WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads)
-                        .map(Arc::new),
-                };
-                let chan = pool.clone().map(PoolChannel::new);
+                let pool = Arc::new(WritebackPool::spawn(
+                    stack.store.clone(),
+                    cfg.writeback_threads,
+                ));
                 let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
                 let plane = Arc::new(ReadPlane::new(
                     dev.clone(),
@@ -685,7 +634,7 @@ impl Volume {
                     plane,
                     batch: BatchBuilder::new(),
                     pending_puts: VecDeque::new(),
-                    pool: chan,
+                    pool,
                     inflight: BTreeMap::new(),
                     landed: BTreeMap::new(),
                     durable: DurableFrontier::new(rb.last_seq),
@@ -726,7 +675,6 @@ impl Volume {
                     rb.snapshots,
                     rb.deferred_deletes,
                     rb.ckpt_seq,
-                    shared_pool,
                 )
             }
         }
@@ -757,7 +705,6 @@ impl Volume {
             rb.snapshots,
             rb.deferred_deletes,
             rb.ckpt_seq,
-            None,
         )?;
         vol.read_only = true;
         Ok(vol)
@@ -775,7 +722,6 @@ impl Volume {
         snapshots: Vec<(String, ObjSeq)>,
         deferred_deletes: Vec<(ObjSeq, ObjSeq)>,
         last_ckpt_seq: ObjSeq,
-        shared_pool: Option<Arc<WritebackPool>>,
     ) -> Result<Volume> {
         let (wc_start, wc_sectors, rc_start, rc_sectors) = cache_layout(&dev, &cfg);
         let cache_sb = CacheSb {
@@ -792,11 +738,10 @@ impl Volume {
         let wlog = WriteLog::format(dev.clone(), wc_start, wc_sectors, frontier + 1)?;
         let rcache = ReadCache::new(dev.clone(), rc_start, rc_sectors);
         dev.flush()?;
-        let pool = match shared_pool {
-            Some(p) => Some(p),
-            None => WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads).map(Arc::new),
-        };
-        let chan = pool.clone().map(PoolChannel::new);
+        let pool = Arc::new(WritebackPool::spawn(
+            stack.store.clone(),
+            cfg.writeback_threads,
+        ));
         let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
         let plane = Arc::new(ReadPlane::new(
             dev.clone(),
@@ -818,7 +763,7 @@ impl Volume {
             plane,
             batch: BatchBuilder::new(),
             pending_puts: VecDeque::new(),
-            pool: chan,
+            pool,
             inflight: BTreeMap::new(),
             landed: BTreeMap::new(),
             durable: DurableFrontier::new(last_seq),
@@ -880,12 +825,11 @@ impl Volume {
         if !self.batch.is_empty() {
             self.put_batch()?;
         }
-        // Pipelined mode: settle the replayed tail before returning, so an
-        // open with a healthy backend ships it synchronously (matching the
-        // serial path). A stalling backend leaves it queued — degraded
-        // mode, same as serial.
-        while self.pool.is_some() && !self.writeback_idle() {
-            if let FlushOutcome::Stalled(_) = self.pump_pipeline(true)? {
+        // Settle the replayed tail before returning, so an open with a
+        // healthy backend ships it synchronously. A stalling backend
+        // leaves it queued — degraded mode.
+        while !self.inflight.is_empty() {
+            if let FlushOutcome::Stalled(_) = self.pump(true)? {
                 break;
             }
         }
@@ -954,11 +898,9 @@ impl Volume {
 
     fn write_chunk(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
         let sectors = bytes_to_sectors(data.len() as u64);
-        if self.pool.is_some() {
-            // Harvest any finished PUTs first so the backlog accounting
-            // below sees fresh state.
-            self.pump_pipeline(false)?;
-        }
+        // Harvest any finished PUTs first so the backlog accounting below
+        // sees fresh state.
+        self.pump(false)?;
         // Drive any in-progress cleaning pass one budgeted increment:
         // its relocation carriers share the PUT window with this write's
         // batches, so cleaning progresses without ever gating the
@@ -980,26 +922,20 @@ impl Volume {
         if self.writeback_backlog() >= self.cfg.max_pending_batches
             && self.batch.live_bytes() + data.len() as u64 >= self.cfg.batch_bytes
         {
-            let cleared = if self.pool.is_some() {
-                // A full window over a healthy backend is throttling, not
-                // failure: block until the durable prefix advances enough
-                // to admit another batch. Harvesting an out-of-order
-                // completion parks it in `landed` without shrinking the
-                // backlog, so one blocking pump is not always enough —
-                // keep pumping while the pipe is healthy and moving.
-                loop {
-                    if self.writeback_backlog() < self.cfg.max_pending_batches {
-                        break true;
-                    }
-                    if self.inflight.is_empty() {
-                        break false; // jammed: nothing left to wait for
-                    }
-                    if let FlushOutcome::Stalled(_) = self.pump_pipeline(true)? {
-                        break self.writeback_backlog() < self.cfg.max_pending_batches;
-                    }
+            // A full window over a healthy backend is throttling, not
+            // failure: ship the queue and block until the durable prefix
+            // advances enough to admit another batch. Harvesting an
+            // out-of-order completion parks it in `landed` without
+            // shrinking the backlog, so one ship is not always enough —
+            // keep shipping while the pipe is healthy and moving. A stall
+            // rejects the write.
+            let cleared = loop {
+                if self.writeback_backlog() < self.cfg.max_pending_batches {
+                    break true;
                 }
-            } else {
-                matches!(self.flush_pending()?, FlushOutcome::Drained)
+                if let FlushOutcome::Stalled(_) = self.ship(true)? {
+                    break false;
+                }
             };
             if !cleared {
                 self.stats.backpressure_rejections += 1;
@@ -1097,9 +1033,7 @@ impl Volume {
         if sectors == 0 {
             return Ok(());
         }
-        if self.pool.is_some() {
-            self.pump_pipeline(false)?;
-        }
+        self.pump(false)?;
         let (req, parent) = self.span_ctx;
         let span = if req != 0 {
             self.spans.begin(req, parent, Stage::Trim)
@@ -1197,23 +1131,13 @@ impl Volume {
 
     /// Forces the current batch to the backend even if not full.
     fn writeback_now(&mut self) -> Result<()> {
-        if self.pool.is_some() {
-            self.pump_pipeline(false)?;
-            if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
-                self.seal_into_queue();
-                self.submit_ready();
-            }
-            if !self.inflight.is_empty() {
-                // Block for at least one completion so the caller (the
-                // cache-full loop) can observe released log records.
-                self.pump_pipeline(true)?;
-            }
-            return Ok(());
+        self.put_batch()?;
+        if !self.inflight.is_empty() {
+            // Block for at least one completion so the caller (the
+            // cache-full loop) can observe released log records.
+            self.pump(true)?;
         }
-        if self.batch.is_empty() && self.pending_puts.is_empty() {
-            return Ok(());
-        }
-        self.put_batch()
+        Ok(())
     }
 
     /// Sealed batches not yet applied to the object map: queued, in
@@ -1261,68 +1185,86 @@ impl Volume {
         }
     }
 
-    /// Pipelined-mode pump: harvest PUT completions (blocking for at
-    /// least one when `block`), apply the newly contiguous durable prefix
-    /// in sequence order, requeue transient failures, and refill the
-    /// in-flight window. Serial mode is a no-op.
+    /// Harvests PUT completions (blocking for the first one when
+    /// `block`), applies the newly contiguous durable prefix in sequence
+    /// order, and refills the window after each harvest — until no
+    /// completion is ready. On the inline executor every submitted PUT has
+    /// already run, so a pump applies it before returning.
     ///
-    /// Returns `Stalled` when this pump observed a transient failure;
-    /// the failed batch is back in the queue, nothing lost or reordered.
-    fn pump_pipeline(&mut self, block: bool) -> Result<FlushOutcome> {
-        let completions = match &self.pool {
-            None => return Ok(FlushOutcome::Drained),
-            Some(pool) => {
-                if block {
-                    pool.wait_puts()
-                } else {
-                    pool.poll_puts()
-                }
-            }
-        };
+    /// A failed PUT goes back to the queue at its sequence position and
+    /// stops the pump without resubmitting: the next ship retries it.
+    /// Returns `Stalled` when this pump saw a transient failure. On a
+    /// permanent failure (or an error applying a landed object) every
+    /// other harvested completion is still accounted for, and then the
+    /// first error is returned.
+    fn pump(&mut self, block: bool) -> Result<FlushOutcome> {
+        let mut block = block;
         let mut stall = None;
-        for c in completions {
-            let seq = c.seq;
-            let sealed = self
-                .inflight
-                .remove(&seq)
-                .expect("completion for an unknown sequence");
-            match c.result {
-                Ok(()) => {
-                    self.put_stalled = false;
-                    self.trace(TraceEvent::PutDone { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    self.record_put_timing(seq, c.service);
-                    self.landed.insert(seq, sealed);
-                    // Only the gap-free prefix may touch metadata: apply
-                    // exactly the sequences the frontier releases, in
-                    // order. Anything beyond a gap stays in `landed`.
-                    for ready in self.durable.complete(seq) {
-                        let sealed = self.landed.remove(&ready).expect("ready batch landed");
-                        self.finish_put(ready, sealed)?;
-                    }
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.put_transient_failures += 1;
-                    self.put_stalled = true;
-                    self.trace(TraceEvent::PutRetry { seq: seq.into() });
-                    if let Some(entry) = self.tel.put_spans.get_mut(&seq) {
-                        entry.1 += 1;
-                    }
-                    // Requeue at its sequence position. FIFO visibility is
-                    // safe: nothing at or beyond this sequence can apply
-                    // until its PUT eventually lands.
-                    let pos = self.pending_puts.partition_point(|&(s, _)| s < seq);
-                    self.pending_puts.insert(pos, (seq, sealed));
-                    stall = Some(e);
-                }
-                Err(e) => {
-                    self.trace(TraceEvent::PutAbort { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    return Err(e.into());
-                }
+        let mut fatal = None;
+        loop {
+            let completions = if block {
+                self.pool.wait_puts()
+            } else {
+                self.pool.poll_puts()
+            };
+            block = false;
+            if completions.is_empty() {
+                break;
             }
+            for c in completions {
+                let seq = c.seq;
+                let payload = self
+                    .inflight
+                    .remove(&seq)
+                    .expect("completion for an unknown sequence");
+                match c.result {
+                    Ok(()) => {
+                        self.put_stalled = false;
+                        self.trace(TraceEvent::PutDone { seq: seq.into() });
+                        self.finish_put_span(seq);
+                        self.record_put_timing(seq, c.service);
+                        self.landed.insert(seq, payload);
+                        // Only the gap-free prefix may touch metadata:
+                        // apply exactly the sequences the frontier
+                        // releases, in order. Anything beyond a gap stays
+                        // in `landed`.
+                        for ready in self.durable.complete(seq) {
+                            let payload = self.landed.remove(&ready).expect("ready batch landed");
+                            if let Err(e) = self.finish_put(ready, payload) {
+                                fatal.get_or_insert(e);
+                            }
+                        }
+                        continue;
+                    }
+                    Err(e) if e.is_transient() => {
+                        self.stats.put_transient_failures += 1;
+                        self.put_stalled = true;
+                        self.trace(TraceEvent::PutRetry { seq: seq.into() });
+                        if let Some(entry) = self.tel.put_spans.get_mut(&seq) {
+                            entry.1 += 1;
+                        }
+                        stall = Some(e);
+                    }
+                    Err(e) => {
+                        self.trace(TraceEvent::PutAbort { seq: seq.into() });
+                        self.finish_put_span(seq);
+                        fatal.get_or_insert(e.into());
+                    }
+                }
+                // Requeue at its sequence position. FIFO visibility is
+                // safe: nothing at or beyond this sequence can apply
+                // until its PUT eventually lands.
+                let pos = self.pending_puts.partition_point(|&(s, _)| s < seq);
+                self.pending_puts.insert(pos, (seq, payload));
+            }
+            if stall.is_some() || fatal.is_some() {
+                break;
+            }
+            self.submit_ready();
         }
-        self.submit_ready();
+        if let Some(e) = fatal {
+            return Err(e);
+        }
         self.note_degraded_edge();
         Ok(match stall {
             Some(e) => FlushOutcome::Stalled(e),
@@ -1330,12 +1272,25 @@ impl Volume {
         })
     }
 
+    /// Ships the queue: submits up to the window, then pumps.
+    fn ship(&mut self, block: bool) -> Result<FlushOutcome> {
+        self.submit_ready();
+        self.pump(block)
+    }
+
+    /// The PUT window: `max_inflight_puts` over worker threads, 1 on the
+    /// inline executor (whose PUTs finish inside `submit_put`).
+    fn put_window(&self) -> usize {
+        if self.pool.threads() == 0 {
+            1
+        } else {
+            self.cfg.max_inflight_puts
+        }
+    }
+
     /// Moves queued batches onto the pool up to the in-flight window.
     fn submit_ready(&mut self) {
-        if self.pool.is_none() {
-            return;
-        }
-        while self.inflight.len() < self.cfg.max_inflight_puts && !self.pending_puts.is_empty() {
+        while self.inflight.len() < self.put_window() && !self.pending_puts.is_empty() {
             let (seq, payload) = self.pending_puts.pop_front().expect("checked nonempty");
             let name = self.resolve_name(seq);
             self.trace(TraceEvent::PutStart { seq: seq.into() });
@@ -1344,11 +1299,9 @@ impl Volume {
             if let Some(open) = self.spans.begin(0, 0, Stage::Put) {
                 self.tel.put_spans.entry(seq).or_insert((open, 0));
             }
-            self.pool
-                .as_ref()
-                .expect("pipelined")
-                .submit_put(seq, name, payload.object().clone());
+            let object = payload.object().clone();
             self.inflight.insert(seq, payload);
+            self.pool.submit_put(seq, name, object);
         }
     }
 
@@ -1379,78 +1332,21 @@ impl Volume {
             .instant(0, 0, Stage::BatchSeal, seq.into(), last_cache_seq);
     }
 
-    /// Ships queued batches oldest-first. A transient backend failure
-    /// stalls the queue (degraded mode) — the data stays in the cache log
-    /// and the queue, nothing is lost or reordered. Permanent failures
+    /// Ships the queue and the open batch. A transient backend failure
+    /// stalls the queue (degraded mode): the current batch is sealed
+    /// behind it if the backlog allows, so its cache records keep their
+    /// place in line, and the failure is absorbed — the data is durable in
+    /// the cache log and nothing is lost or reordered. Permanent failures
     /// propagate.
-    fn flush_pending(&mut self) -> Result<FlushOutcome> {
-        loop {
-            let Some((seq, obj)) = self
-                .pending_puts
-                .front()
-                .map(|(s, p)| (*s, p.object().clone()))
-            else {
-                self.note_degraded_edge();
-                return Ok(FlushOutcome::Drained);
-            };
-            self.trace(TraceEvent::PutStart { seq: seq.into() });
-            if let Some(open) = self.spans.begin(0, 0, Stage::Put) {
-                self.tel.put_spans.entry(seq).or_insert((open, 0));
-            }
-            let t0 = Instant::now();
-            match self.store.put(&self.resolve_name(seq), obj) {
-                Ok(()) => {
-                    self.trace(TraceEvent::PutDone { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    self.record_put_timing(seq, t0.elapsed());
-                    let (seq, sealed) = self.pending_puts.pop_front().expect("checked nonempty");
-                    self.finish_put(seq, sealed)?;
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.put_transient_failures += 1;
-                    self.trace(TraceEvent::PutRetry { seq: seq.into() });
-                    if let Some(entry) = self.tel.put_spans.get_mut(&seq) {
-                        entry.1 += 1;
-                    }
-                    self.note_degraded_edge();
-                    return Ok(FlushOutcome::Stalled(e));
-                }
-                Err(e) => {
-                    self.trace(TraceEvent::PutAbort { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
     fn put_batch(&mut self) -> Result<()> {
-        if self.pool.is_some() {
-            // Pipelined: harvest opportunistically, seal into the queue if
-            // the backlog allows, and keep the window full. Transient
-            // failures are absorbed here exactly like the serial path —
-            // the data is durable in the cache log.
-            self.pump_pipeline(false)?;
-            if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
-                self.seal_into_queue();
-                self.submit_ready();
+        let stalled = matches!(self.ship(false)?, FlushOutcome::Stalled(_));
+        if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
+            self.seal_into_queue();
+            if !stalled {
+                self.ship(false)?;
             }
-            return Ok(());
         }
-        if let FlushOutcome::Stalled(_) = self.flush_pending()? {
-            // Backend down. Seal the current batch into the queue (if it
-            // fits) so its cache records keep their place in line, and
-            // absorb the failure: the data is durable in the cache log.
-            if !self.batch.is_empty() && self.pending_puts.len() < self.cfg.max_pending_batches {
-                self.seal_into_queue();
-            }
-            return Ok(());
-        }
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        self.seal_into_queue();
-        self.flush_pending().map(|_| ())
+        Ok(())
     }
 
     /// Closes the open PUT span for `seq` (if tracing was on when it was
@@ -1464,11 +1360,6 @@ impl Volume {
     fn finish_put(&mut self, seq: ObjSeq, payload: PutPayload) -> Result<()> {
         debug_assert_eq!(seq, self.last_seq + 1, "applied out of prefix order");
         self.last_seq = seq;
-        if self.pool.is_none() {
-            // Serial PUTs complete in order; keep the frontier tracker in
-            // step so `durable_frontier()` is meaningful in both modes.
-            self.durable.advance_past(seq);
-        }
         self.trace(TraceEvent::FrontierAdvance { seq: seq.into() });
         self.spans
             .instant(0, 0, Stage::FrontierAdvance, seq.into(), 0);
@@ -1611,68 +1502,50 @@ impl Volume {
     /// Seals and ships everything buffered, so cache and backend are
     /// synchronized (used before migration, snapshots and shutdown).
     ///
-    /// Unlike the write path, `drain` does not absorb transient backend
-    /// failures: if the queue cannot empty, the error surfaces so the
-    /// caller knows the backend and cache are *not* synchronized. Queued
-    /// batches are kept — a later drain (or healed backend) ships them in
-    /// order.
+    /// The queue ships before the open batch seals; the queue bound
+    /// applies to the write path, not to an explicit drain. Unlike the
+    /// write path, `drain` does not absorb transient backend failures:
+    /// failures already in the pipe when it started (PUTs issued against a
+    /// backend that has since healed) are retried, but once a full window
+    /// of consecutive ships stalls with no frontier progress — one stall
+    /// on the inline executor — the error surfaces so the caller knows the
+    /// backend and cache are *not* synchronized. Queued batches are kept;
+    /// a later drain (or healed backend) ships them in order.
     pub fn drain(&mut self) -> Result<()> {
-        if self.pool.is_some() {
-            // Seal everything up front (the queue bound applies to the
-            // write path, not to an explicit drain), then pump until the
-            // durable prefix covers every batch. Failures that were
-            // already in the pipe when drain started (e.g. PUTs issued
-            // against a backend that has since healed) are retried; the
-            // error only surfaces once a full window of stalled pumps
-            // makes no frontier progress — the backend really is down.
-            if !self.batch.is_empty() {
-                self.seal_into_queue();
-            }
-            self.submit_ready();
-            let mut fruitless_stalls = 0;
-            while !self.writeback_idle() {
-                let before = self.durable.frontier();
-                match self.pump_pipeline(true)? {
-                    FlushOutcome::Stalled(e) => {
-                        if self.durable.frontier() == before {
-                            fruitless_stalls += 1;
-                            if fruitless_stalls > self.cfg.max_inflight_puts {
-                                return Err(LsvdError::Backend(e));
-                            }
-                        } else {
-                            fruitless_stalls = 0;
-                        }
+        let mut stalls = 0;
+        let mut stalled_at = None;
+        loop {
+            match self.ship(true)? {
+                FlushOutcome::Stalled(e) => {
+                    let at = self.durable.frontier();
+                    if stalled_at != Some(at) {
+                        stalled_at = Some(at);
+                        stalls = 0;
                     }
-                    FlushOutcome::Drained => {}
+                    stalls += 1;
+                    if stalls >= self.put_window() {
+                        return Err(LsvdError::Backend(e));
+                    }
+                }
+                FlushOutcome::Drained => {
+                    stalled_at = None;
+                    if !self.batch.is_empty() {
+                        self.seal_into_queue();
+                    } else if self.writeback_idle() {
+                        break;
+                    }
                 }
             }
-            debug_assert_eq!(self.wlog.live_records(), 0);
-            return Ok(());
-        }
-        loop {
-            if let FlushOutcome::Stalled(e) = self.flush_pending()? {
-                return Err(LsvdError::Backend(e));
-            }
-            if self.batch.is_empty() {
-                break;
-            }
-            self.seal_into_queue();
         }
         debug_assert_eq!(self.wlog.live_records(), 0);
         Ok(())
     }
 
-    /// Whether sealed batches are stuck awaiting a healthy backend.
-    ///
-    /// Serial mode: any queued batch means the last PUT attempt failed.
-    /// Pipelined mode: a non-empty backlog is normal (PUTs in flight), so
-    /// degraded additionally requires an unresolved transient failure.
+    /// Whether sealed batches are stuck awaiting a healthy backend: a
+    /// transient PUT failure is unresolved and the backlog is not empty.
+    /// A non-empty backlog alone is normal (PUTs in flight).
     pub fn is_degraded(&self) -> bool {
-        if self.pool.is_some() {
-            self.put_stalled && !self.writeback_idle()
-        } else {
-            !self.pending_puts.is_empty()
-        }
+        self.put_stalled && !self.writeback_idle()
     }
 
     /// The last object sequence inside the contiguous durable prefix —
@@ -1800,14 +1673,10 @@ impl Volume {
             let before = (self.durable.frontier(), self.gc_progress());
             self.gc_step_inner(true)?;
             if self.gc.is_some() {
-                // Carriers (or foreground batches ahead of them) still in
-                // flight: harvest completions so victims can retire.
-                let outcome = if self.pool.is_some() {
-                    self.pump_pipeline(!self.inflight.is_empty())?
-                } else {
-                    self.flush_pending()?
-                };
-                if let FlushOutcome::Stalled(e) = outcome {
+                // Carriers (or foreground batches ahead of them) still
+                // queued or in flight: ship and harvest so victims can
+                // retire.
+                if let FlushOutcome::Stalled(e) = self.ship(true)? {
                     last_stall = Some(e);
                 }
             }
@@ -1950,9 +1819,7 @@ impl Volume {
             }
             // A carrier needs a backlog slot, same as a foreground seal.
             if self.writeback_backlog() >= self.cfg.max_pending_batches {
-                if self.pool.is_some() {
-                    self.pump_pipeline(false)?;
-                }
+                self.pump(false)?;
                 if self.writeback_backlog() >= self.cfg.max_pending_batches {
                     break;
                 }
@@ -1976,15 +1843,10 @@ impl Volume {
                 }
             }
         }
-        // Ship what this step sealed without waiting for completion.
-        if self.pool.is_some() {
-            self.submit_ready();
-            self.pump_pipeline(false)?;
-        } else if !self.pending_puts.is_empty() {
-            // Serial: PUT inline. A transient failure leaves the carrier
-            // queued (degraded mode) exactly like a foreground batch.
-            self.flush_pending()?;
-        }
+        // Ship what this step sealed without waiting for completion. A
+        // transient failure leaves the carrier queued (degraded mode)
+        // exactly like a foreground batch.
+        self.ship(false)?;
         self.gc_maybe_finish_pass();
         Ok(())
     }
@@ -2394,16 +2256,8 @@ impl Volume {
         let p = self.plane.stats();
         let rc = { self.plane.read_state().rcache.stats() };
         let elapsed = self.tel.started.elapsed().as_secs_f64();
-        let window = if self.pool.is_some() {
-            self.cfg.max_inflight_puts as u64
-        } else {
-            0
-        };
-        let occupancy = if window > 0 {
-            self.inflight.len() as f64 / window as f64
-        } else {
-            0.0
-        };
+        let window = self.put_window() as u64;
+        let occupancy = self.inflight.len() as f64 / window as f64;
         let sealed_seq: u64 = self.next_obj_seq.saturating_sub(1).into();
         let frontier: u64 = self.durable.frontier().into();
         let backend_objects = stats.backend_puts + stats.gc_puts;

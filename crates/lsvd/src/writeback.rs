@@ -1,16 +1,18 @@
-//! Pipelined backend writeback: a worker pool and a durable-frontier
-//! tracker.
+//! Backend writeback: a PUT executor and a durable-frontier tracker.
 //!
 //! The paper's prototype overlaps batch PUTs with foreground I/O (§3.1,
 //! Fig. 1): writes are acknowledged from the SSD log while sealed batches
 //! ship to the object store in the background. This module provides the
 //! two pieces the [`Volume`](crate::volume::Volume) needs to do the same:
 //!
-//! - [`WritebackPool`] — a small fixed pool of worker threads that
-//!   executes batch PUTs (and scatter-gather prefetch GETs) against the
-//!   shared [`ObjectStore`]. The pool is pure transport: it never touches
-//!   volume metadata, so all map/checkpoint mutation stays on the
-//!   foreground thread.
+//! - [`WritebackPool`] — the executor for batch PUTs (and scatter-gather
+//!   prefetch GETs) against the shared [`ObjectStore`]. With `n > 0`
+//!   workers it runs them on a small fixed thread pool; with zero workers
+//!   it runs each PUT inline on the submitting thread and parks the
+//!   completion for the next harvest. Either way the volume drives it
+//!   through the same submit/harvest calls. The pool is pure transport:
+//!   it never touches volume metadata, so all map/checkpoint mutation
+//!   stays on the foreground thread.
 //! - [`DurableFrontier`] — tracks which object sequences have completed
 //!   their PUT and yields them back *in contiguous order*. PUTs issued
 //!   concurrently complete out of order, but the object map, the cache-log
@@ -19,7 +21,6 @@
 //!   that enforces this.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,10 +38,6 @@ type GetPart = objstore::Result<(Bytes, Option<u32>)>;
 /// A unit of work for the pool.
 enum Job {
     Put {
-        /// Completion channel: the volume that submitted this PUT. A pool
-        /// shared by a fleet of volumes routes each completion back to its
-        /// submitter instead of letting one volume harvest another's.
-        chan: u64,
         seq: ObjSeq,
         name: String,
         data: Bytes,
@@ -57,13 +54,40 @@ enum Job {
     },
 }
 
+impl Job {
+    /// Runs the store call. Called with no pool lock held.
+    fn run(self, store: &dyn ObjectStore) -> Done {
+        match self {
+            Job::Put { seq, name, data } => {
+                let start = Instant::now();
+                let result = store.put(&name, data);
+                Done::Put(PutCompletion {
+                    seq,
+                    result,
+                    service: start.elapsed(),
+                })
+            }
+            Job::Get {
+                token,
+                name,
+                offset,
+                len,
+                crc,
+            } => Done::Get {
+                token,
+                result: store.get_range(&name, offset, len).map(|b| {
+                    let c = crc.then(|| crate::crc::crc32c(&b));
+                    (b, c)
+                }),
+            },
+        }
+    }
+}
+
 /// A finished unit of work.
 enum Done {
-    Put(u64, PutCompletion),
-    Get {
-        token: u64,
-        result: objstore::Result<(Bytes, Option<u32>)>,
-    },
+    Put(PutCompletion),
+    Get { token: u64, result: GetPart },
 }
 
 /// One harvested batch-PUT completion, including how long the backend
@@ -81,18 +105,27 @@ pub struct PutCompletion {
 struct PoolState {
     queue: VecDeque<Job>,
     done: Vec<Done>,
-    /// PUTs currently executing on a worker, keyed by channel.
-    active_puts: std::collections::HashMap<u64, usize>,
+    /// PUTs currently executing on a worker.
+    active_puts: usize,
+    /// Next scatter-GET token.
+    next_token: u64,
     shutdown: bool,
 }
 
 impl PoolState {
-    fn puts_outstanding(&self, chan: u64) -> bool {
-        self.active_puts.get(&chan).copied().unwrap_or(0) > 0
-            || self
-                .queue
-                .iter()
-                .any(|j| matches!(j, Job::Put { chan: c, .. } if *c == chan))
+    fn puts_outstanding(&self) -> bool {
+        self.active_puts > 0 || self.queue.iter().any(|j| matches!(j, Job::Put { .. }))
+    }
+
+    fn take_puts(&mut self) -> Vec<PutCompletion> {
+        let mut out = Vec::new();
+        for d in std::mem::take(&mut self.done) {
+            match d {
+                Done::Put(done) => out.push(done),
+                other => self.done.push(other),
+            }
+        }
+        out
     }
 }
 
@@ -105,11 +138,18 @@ struct Shared {
     done_cv: Condvar,
 }
 
-/// A fixed pool of writeback workers over one shared object store.
+/// The writeback executor over one shared object store.
 ///
 /// Submission and harvesting are both non-blocking by default
 /// ([`WritebackPool::submit_put`] / [`WritebackPool::poll_puts`]);
 /// [`WritebackPool::wait_puts`] parks until at least one PUT completes.
+///
+/// A pool spawned with zero workers is the *inline* executor: `submit_put`
+/// runs the PUT on the calling thread before it returns and parks the
+/// completion, so the next `poll_puts` or `wait_puts` returns it at once
+/// and neither ever blocks. Scatter GETs likewise run one after another
+/// on the caller.
+///
 /// Dropping the pool discards queued-but-unstarted jobs, lets running
 /// jobs finish, and joins every worker — so an in-flight PUT either lands
 /// whole or not at all, exactly the crash model recovery's prefix rule
@@ -117,23 +157,19 @@ struct Shared {
 pub struct WritebackPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    next_token: AtomicU64,
-    next_chan: AtomicU64,
 }
 
 impl WritebackPool {
-    /// Spawns `threads` workers over `store`. Returns `None` when
-    /// `threads == 0` (serial mode: the caller PUTs inline).
-    pub fn spawn(store: Arc<dyn ObjectStore>, threads: usize) -> Option<WritebackPool> {
-        if threads == 0 {
-            return None;
-        }
+    /// Spawns `threads` workers over `store`; `0` gives the inline
+    /// executor, which runs every job on the submitting thread.
+    pub fn spawn(store: Arc<dyn ObjectStore>, threads: usize) -> WritebackPool {
         let shared = Arc::new(Shared {
             store,
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 done: Vec::new(),
-                active_puts: std::collections::HashMap::new(),
+                active_puts: 0,
+                next_token: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -148,78 +184,44 @@ impl WritebackPool {
                     .expect("spawn writeback worker")
             })
             .collect();
-        Some(WritebackPool {
-            shared,
-            threads,
-            next_token: AtomicU64::new(0),
-            next_chan: AtomicU64::new(1),
-        })
+        WritebackPool { shared, threads }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (`0` for the inline executor).
     pub fn threads(&self) -> usize {
         self.threads.len()
     }
 
-    /// Allocates a fresh completion channel id. Channel `0` is the
-    /// implicit single-volume channel used by the bare `submit_put` /
-    /// `poll_puts` / `wait_puts` convenience methods.
-    pub fn alloc_chan(&self) -> u64 {
-        self.next_chan.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Queues one batch PUT on the default channel. `data` is the sealed
-    /// object's shared buffer ([`Bytes`]), so no copy happens between
-    /// sealing and the wire.
+    /// Queues one batch PUT — or, on the inline executor, runs it now and
+    /// parks the completion. `data` is the sealed object's shared buffer
+    /// ([`Bytes`]), so no copy happens between sealing and the wire.
     pub fn submit_put(&self, seq: ObjSeq, name: String, data: Bytes) {
-        self.submit_put_chan(0, seq, name, data);
-    }
-
-    /// Queues one batch PUT whose completion will be routed to `chan`.
-    pub fn submit_put_chan(&self, chan: u64, seq: ObjSeq, name: String, data: Bytes) {
-        {
-            let mut st = self.shared.state.lock();
-            st.queue.push_back(Job::Put {
-                chan,
-                seq,
-                name,
-                data,
-            });
+        let job = Job::Put { seq, name, data };
+        if self.threads.is_empty() {
+            let done = job.run(self.shared.store.as_ref());
+            self.shared.state.lock().done.push(done);
+            return;
         }
+        self.shared.state.lock().queue.push_back(job);
         self.shared.work_cv.notify_one();
     }
 
-    /// Harvests every default-channel PUT completion available right now,
-    /// never blocking. Completions arrive in *finish* order, which may
-    /// differ from submission order.
+    /// Harvests every PUT completion available right now, never blocking.
+    /// Completions arrive in *finish* order, which may differ from
+    /// submission order.
     pub fn poll_puts(&self) -> Vec<PutCompletion> {
-        self.poll_puts_chan(0)
+        self.shared.state.lock().take_puts()
     }
 
-    /// Harvests every completion available on `chan` right now.
-    pub fn poll_puts_chan(&self, chan: u64) -> Vec<PutCompletion> {
-        let mut st = self.shared.state.lock();
-        take_puts(&mut st, chan)
-    }
-
-    /// Blocks until at least one default-channel PUT completes, then
-    /// harvests all available completions. Returns an empty vec
-    /// immediately if no PUT is queued or running (nothing to wait for).
+    /// Blocks until at least one PUT completes, then harvests all
+    /// available completions. Returns an empty vec immediately if no PUT
+    /// is queued or running (nothing to wait for).
     pub fn wait_puts(&self) -> Vec<PutCompletion> {
-        self.wait_puts_chan(0)
-    }
-
-    /// Blocks until at least one PUT on `chan` completes. Other channels'
-    /// completions are left untouched for their owners.
-    pub fn wait_puts_chan(&self, chan: u64) -> Vec<PutCompletion> {
         let mut st = self.shared.state.lock();
         loop {
-            let puts = take_puts(&mut st, chan);
-            if !puts.is_empty() {
+            let puts = st.take_puts();
+            if !puts.is_empty() || !st.puts_outstanding() {
                 return puts;
-            }
-            if !st.puts_outstanding(chan) {
-                return Vec::new();
             }
             self.shared.done_cv.wait(&mut st);
         }
@@ -251,33 +253,37 @@ impl WritebackPool {
     }
 
     fn scatter(&self, name: &str, ranges: &[(u64, u64)], crc: bool) -> Vec<GetPart> {
-        let n = ranges.len();
-        if n == 0 {
-            return Vec::new();
+        let job = |token: u64, (offset, len): (u64, u64)| Job::Get {
+            token,
+            name: name.to_string(),
+            offset,
+            len,
+            crc,
+        };
+        if self.threads.is_empty() {
+            return ranges
+                .iter()
+                .map(|&r| match job(0, r).run(self.shared.store.as_ref()) {
+                    Done::Get { result, .. } => result,
+                    Done::Put(_) => unreachable!("a GET job yields a GET result"),
+                })
+                .collect();
         }
-        let base = self.next_token.fetch_add(n as u64, Ordering::Relaxed);
-        {
-            let mut st = self.shared.state.lock();
-            for (i, &(offset, len)) in ranges.iter().enumerate() {
-                st.queue.push_back(Job::Get {
-                    token: base + i as u64,
-                    name: name.to_string(),
-                    offset,
-                    len,
-                    crc,
-                });
-            }
+        let n = ranges.len() as u64;
+        let mut st = self.shared.state.lock();
+        let base = st.next_token;
+        st.next_token += n;
+        for (i, &r) in ranges.iter().enumerate() {
+            st.queue.push_back(job(base + i as u64, r));
         }
         self.shared.work_cv.notify_all();
 
         let mut results: Vec<Option<GetPart>> = (0..n).map(|_| None).collect();
         let mut got = 0;
-        let mut st = self.shared.state.lock();
         while got < n {
-            let done = std::mem::take(&mut st.done);
-            for d in done {
+            for d in std::mem::take(&mut st.done) {
                 match d {
-                    Done::Get { token, result } if token >= base && token < base + n as u64 => {
+                    Done::Get { token, result } if (base..base + n).contains(&token) => {
                         results[(token - base) as usize] = Some(result);
                         got += 1;
                     }
@@ -312,76 +318,6 @@ impl Drop for WritebackPool {
     }
 }
 
-/// One volume's handle onto a (possibly shared) [`WritebackPool`]: a pool
-/// reference plus a private completion channel. A fleet node hosts many
-/// volumes over one pool; each volume submits and harvests through its
-/// own channel so completions never cross tenants, while scatter GETs
-/// (already token-routed) share the workers freely.
-#[derive(Clone)]
-pub struct PoolChannel {
-    pool: Arc<WritebackPool>,
-    chan: u64,
-}
-
-impl PoolChannel {
-    /// Wraps `pool` with a freshly allocated private channel.
-    pub fn new(pool: Arc<WritebackPool>) -> PoolChannel {
-        let chan = pool.alloc_chan();
-        PoolChannel { pool, chan }
-    }
-
-    /// The underlying shared pool (for scatter GETs and sizing).
-    pub fn pool(&self) -> &Arc<WritebackPool> {
-        &self.pool
-    }
-
-    /// Number of worker threads in the underlying pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Queues one batch PUT on this channel.
-    pub fn submit_put(&self, seq: ObjSeq, name: String, data: Bytes) {
-        self.pool.submit_put_chan(self.chan, seq, name, data);
-    }
-
-    /// Harvests every completion available on this channel, non-blocking.
-    pub fn poll_puts(&self) -> Vec<PutCompletion> {
-        self.pool.poll_puts_chan(self.chan)
-    }
-
-    /// Blocks until at least one PUT on this channel completes (empty vec
-    /// immediately if none queued or running).
-    pub fn wait_puts(&self) -> Vec<PutCompletion> {
-        self.pool.wait_puts_chan(self.chan)
-    }
-
-    /// Fetches several ranges of one object concurrently (shared lane).
-    pub fn get_scatter(&self, name: &str, ranges: &[(u64, u64)]) -> Vec<objstore::Result<Bytes>> {
-        self.pool.get_scatter(name, ranges)
-    }
-
-    /// Scatter GET with worker-side CRC (shared lane).
-    pub fn get_scatter_crc(
-        &self,
-        name: &str,
-        ranges: &[(u64, u64)],
-    ) -> Vec<objstore::Result<(Bytes, u32)>> {
-        self.pool.get_scatter_crc(name, ranges)
-    }
-}
-
-fn take_puts(st: &mut PoolState, chan: u64) -> Vec<PutCompletion> {
-    let mut out = Vec::new();
-    for d in std::mem::take(&mut st.done) {
-        match d {
-            Done::Put(c, done) if c == chan => out.push(done),
-            other => st.done.push(other),
-        }
-    }
-    out
-}
-
 fn worker(shared: Arc<Shared>) {
     loop {
         let job = {
@@ -391,59 +327,19 @@ fn worker(shared: Arc<Shared>) {
                     return;
                 }
                 if let Some(j) = st.queue.pop_front() {
-                    if let Job::Put { chan, .. } = &j {
-                        *st.active_puts.entry(*chan).or_insert(0) += 1;
+                    if let Job::Put { .. } = j {
+                        st.active_puts += 1;
                     }
                     break j;
                 }
                 shared.work_cv.wait(&mut st);
             }
         };
-        // Run the store call without any lock held.
-        let (done, put_chan) = match job {
-            Job::Put {
-                chan,
-                seq,
-                name,
-                data,
-            } => {
-                let start = Instant::now();
-                let result = shared.store.put(&name, data);
-                (
-                    Done::Put(
-                        chan,
-                        PutCompletion {
-                            seq,
-                            result,
-                            service: start.elapsed(),
-                        },
-                    ),
-                    Some(chan),
-                )
-            }
-            Job::Get {
-                token,
-                name,
-                offset,
-                len,
-                crc,
-            } => (
-                Done::Get {
-                    token,
-                    result: shared.store.get_range(&name, offset, len).map(|b| {
-                        let c = crc.then(|| crate::crc::crc32c(&b));
-                        (b, c)
-                    }),
-                },
-                None,
-            ),
-        };
+        let done = job.run(shared.store.as_ref());
         {
             let mut st = shared.state.lock();
-            if let Some(chan) = put_chan {
-                if let Some(n) = st.active_puts.get_mut(&chan) {
-                    *n -= 1;
-                }
+            if let Done::Put(_) = done {
+                st.active_puts -= 1;
             }
             st.done.push(done);
         }
@@ -499,17 +395,6 @@ impl DurableFrontier {
         }
         ready
     }
-
-    /// Jumps the prefix forward past `seq` — used when the foreground
-    /// thread itself PUTs objects inline (GC relocation objects), which is
-    /// only legal while no pipelined PUT is outstanding.
-    pub fn advance_past(&mut self, seq: ObjSeq) {
-        debug_assert!(
-            self.done.is_empty(),
-            "cannot jump the frontier over stashed completions"
-        );
-        self.next = self.next.max(seq + 1);
-    }
 }
 
 #[cfg(test)]
@@ -528,8 +413,6 @@ mod tests {
         assert_eq!(f.frontier(), 3);
         assert_eq!(f.gap_count(), 0);
         assert_eq!(f.complete(4), vec![4]);
-        f.advance_past(9);
-        assert_eq!(f.complete(10), vec![10]);
     }
 
     #[test]
@@ -579,7 +462,7 @@ mod tests {
     #[test]
     fn pool_puts_complete_and_poll_harvests() {
         let store = Arc::new(MemStore::new());
-        let pool = WritebackPool::spawn(store.clone(), 3).unwrap();
+        let pool = WritebackPool::spawn(store.clone(), 3);
         for seq in 1..=8u32 {
             pool.submit_put(seq, format!("o.{seq}"), Bytes::from(vec![seq as u8; 64]));
         }
@@ -597,39 +480,65 @@ mod tests {
         assert!(pool.wait_puts().is_empty());
     }
 
+    /// A store that records the thread each PUT runs on.
+    struct ThreadLog {
+        inner: MemStore,
+        put_threads: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl ObjectStore for ThreadLog {
+        fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+            self.put_threads.lock().push(std::thread::current().id());
+            self.inner.put(name, data)
+        }
+        fn get(&self, name: &str) -> objstore::Result<Bytes> {
+            self.inner.get(name)
+        }
+        fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+            self.inner.get_range(name, offset, len)
+        }
+        fn head(&self, name: &str) -> objstore::Result<u64> {
+            self.inner.head(name)
+        }
+        fn delete(&self, name: &str) -> objstore::Result<()> {
+            self.inner.delete(name)
+        }
+        fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+    }
+
     #[test]
-    fn pool_channels_isolate_completions() {
-        let store = Arc::new(MemStore::new());
-        let pool = Arc::new(WritebackPool::spawn(store.clone(), 2).unwrap());
-        let a = PoolChannel::new(pool.clone());
-        let b = PoolChannel::new(pool.clone());
-        for seq in 1..=4u32 {
-            a.submit_put(seq, format!("a.{seq}"), Bytes::from(vec![1u8; 32]));
-            b.submit_put(seq, format!("b.{seq}"), Bytes::from(vec![2u8; 32]));
-        }
-        let mut a_seen = Vec::new();
-        while a_seen.len() < 4 {
-            for c in a.wait_puts() {
-                c.result.unwrap();
-                a_seen.push(c.seq);
-            }
-        }
-        a_seen.sort_unstable();
-        assert_eq!(a_seen, vec![1, 2, 3, 4]);
-        // Channel B's completions were never visible to A; B harvests all
-        // four of its own.
-        let mut b_seen = Vec::new();
-        while b_seen.len() < 4 {
-            for c in b.wait_puts() {
-                c.result.unwrap();
-                b_seen.push(c.seq);
-            }
-        }
-        b_seen.sort_unstable();
-        assert_eq!(b_seen, vec![1, 2, 3, 4]);
-        assert_eq!(store.object_count(), 8);
-        // The legacy chan-0 convenience sees neither.
+    fn inline_pool_runs_puts_on_the_submitter_and_parks_completions() {
+        let store = Arc::new(ThreadLog {
+            inner: MemStore::new(),
+            put_threads: Mutex::new(Vec::new()),
+        });
+        let pool = WritebackPool::spawn(store.clone(), 0);
+        assert_eq!(pool.threads(), 0);
+        // Nothing parked: neither harvest blocks.
         assert!(pool.wait_puts().is_empty());
+        assert!(pool.poll_puts().is_empty());
+
+        pool.submit_put(1, "o.1".into(), Bytes::from_static(b"one"));
+        // The PUT already ran, on this thread, before submit returned.
+        assert!(store.inner.exists("o.1").unwrap());
+        assert_eq!(*store.put_threads.lock(), vec![std::thread::current().id()]);
+        // Its completion is parked for the next harvest.
+        let done = pool.wait_puts();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].seq, 1);
+        assert!(done[0].result.is_ok());
+        assert!(pool.wait_puts().is_empty(), "harvested exactly once");
+
+        pool.submit_put(2, "o.2".into(), Bytes::from_static(b"two"));
+        let done = pool.poll_puts();
+        assert_eq!(done.iter().map(|c| c.seq).collect::<Vec<_>>(), vec![2]);
+
+        // Scatter GETs run inline too, in range order.
+        let parts = pool.get_scatter("o.2", &[(0, 1), (1, 2)]);
+        assert_eq!(parts[0].as_ref().unwrap().as_ref(), b"t");
+        assert_eq!(parts[1].as_ref().unwrap().as_ref(), b"wo");
     }
 
     #[test]
@@ -637,7 +546,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let body: Vec<u8> = (0..=255u8).cycle().take(1 << 16).collect();
         store.put("obj", Bytes::from(body.clone())).unwrap();
-        let pool = WritebackPool::spawn(store, 4).unwrap();
+        let pool = WritebackPool::spawn(store, 4);
         let ranges: Vec<(u64, u64)> = (0..4).map(|i| (i * 16384, 16384)).collect();
         let parts = pool.get_scatter("obj", &ranges);
         let mut joined = Vec::new();
@@ -658,7 +567,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let body: Vec<u8> = (0..=255u8).cycle().take(1 << 15).collect();
         store.put("obj", Bytes::from(body.clone())).unwrap();
-        let pool = WritebackPool::spawn(store, 3).unwrap();
+        let pool = WritebackPool::spawn(store, 3);
         let ranges: Vec<(u64, u64)> = (0..4).map(|i| (i * 8192, 8192)).collect();
         let parts = pool.get_scatter_crc("obj", &ranges);
         let mut folded: Option<u32> = None;

@@ -433,7 +433,7 @@ mod tests {
     use objstore::MemStore;
 
     fn registry_with(names: &[&str]) -> (Arc<ExportRegistry>, Vec<Arc<Export>>) {
-        let reg = Arc::new(ExportRegistry::new(None));
+        let reg = Arc::new(ExportRegistry::new());
         let mut exports = Vec::new();
         for name in names {
             let store = Arc::new(MemStore::new());

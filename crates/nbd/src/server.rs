@@ -160,7 +160,7 @@ pub fn serve(
     volume: SharedVolume,
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
-    let registry = Arc::new(ExportRegistry::new(None));
+    let registry = Arc::new(ExportRegistry::new());
     registry
         .attach(export, volume, QosLimits::default())
         .map_err(|e| io::Error::other(e.to_string()))?;
@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn fleet_routes_by_export_name_and_lists() {
-        let registry = Arc::new(ExportRegistry::new(None));
+        let registry = Arc::new(ExportRegistry::new());
         registry
             .attach("alpha", shared_volume(16), QosLimits::default())
             .unwrap();
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn detach_drains_connected_clients() {
-        let registry = Arc::new(ExportRegistry::new(None));
+        let registry = Arc::new(ExportRegistry::new());
         registry
             .attach("going", shared_volume(16), QosLimits::default())
             .unwrap();

@@ -1,8 +1,11 @@
 //! A deterministic, schedule-driven fault-injecting object store.
 //!
-//! [`ChaosStore`] generalises [`FaultyStore`](crate::FaultyStore): beyond
-//! the one-shot "fail the next N ops" counters, it runs a seeded
-//! [`ChaosSchedule`] that injects per-operation failure probabilities,
+//! The crash-recovery experiments (§3.3, Table 4) need backend states that
+//! only arise from failures: *stranded* objects (sequence 99, 100 and 102
+//! present but 101 lost in flight), failed PUTs, and flaky reads.
+//! [`ChaosStore`] provides them. Beyond black holes and the one-shot
+//! "fail the next N ops" counters, it runs a seeded [`ChaosSchedule`]
+//! that injects per-operation failure probabilities,
 //! timed outage windows that heal on their own, corrupted GET payloads,
 //! and simulated per-operation latency. Every decision is drawn from a
 //! [`SmallRng`] seeded from the schedule, so a fixed seed reproduces the
@@ -123,10 +126,12 @@ impl OpKind {
 
 /// A fault-injecting wrapper driven by a seeded [`ChaosSchedule`].
 ///
-/// Also preserves the legacy [`FaultyStore`](crate::FaultyStore) surface —
-/// `black_hole` and the armed `fail_next_*` counters — so it can stand in
-/// anywhere the simpler wrapper is used. Armed counters fire before the
-/// probabilistic schedule and inject transient faults.
+/// Also offers small deterministic controls — `black_hole` and the armed
+/// `fail_next_*` counters — for tests that need one exact fault. Armed
+/// counters fire before the probabilistic schedule and inject transient
+/// faults. Every operation (HEAD, DELETE and LIST included) routes
+/// through the fault machinery, so recovery's LIST/HEAD passes can be
+/// failure-tested too.
 pub struct ChaosStore<S> {
     inner: S,
     schedule: Mutex<ChaosSchedule>,
@@ -508,6 +513,65 @@ mod tests {
         s.fail_next_lists(1);
         assert!(s.list("").is_err());
         assert!(s.delete("a").is_ok());
+    }
+
+    #[test]
+    fn black_hole_swallows_put() {
+        let s = ChaosStore::new(MemStore::new());
+        s.black_hole("vol.101");
+        s.put("vol.100", Bytes::from_static(b"a")).unwrap();
+        s.put("vol.101", Bytes::from_static(b"b")).unwrap();
+        s.put("vol.102", Bytes::from_static(b"c")).unwrap();
+        assert!(s.exists("vol.100").unwrap());
+        assert!(!s.exists("vol.101").unwrap(), "black-holed PUT must vanish");
+        assert!(s.exists("vol.102").unwrap());
+        assert_eq!(s.puts_attempted(), 3);
+        assert_eq!(s.puts_dropped(), 1);
+    }
+
+    #[test]
+    fn fail_next_gets_counts_down() {
+        let s = ChaosStore::new(MemStore::new());
+        s.put("a", Bytes::from_static(b"xy")).unwrap();
+        s.fail_next_gets(1);
+        assert!(s.get("a").is_err());
+        assert_eq!(s.get("a").unwrap().as_ref(), b"xy");
+        assert_eq!(s.get_range("a", 1, 1).unwrap().as_ref(), b"y");
+    }
+
+    #[test]
+    fn injected_faults_are_classified_transient() {
+        let s = ChaosStore::new(MemStore::new());
+        s.fail_next_puts(1);
+        let err = s.put("a", Bytes::new()).unwrap_err();
+        assert!(err.is_transient(), "armed faults model retryable failures");
+    }
+
+    #[test]
+    fn metadata_ops_route_through_fault_injection() {
+        let s = ChaosStore::new(MemStore::new());
+        s.put("p.1", Bytes::from_static(b"z")).unwrap();
+        s.fail_next_heads(1);
+        assert!(s.head("p.1").is_err());
+        assert_eq!(s.head("p.1").unwrap(), 1);
+        s.fail_next_lists(1);
+        assert!(s.list("p.").is_err());
+        assert_eq!(s.list("p.").unwrap(), vec!["p.1"]);
+        s.fail_next_deletes(1);
+        assert!(s.delete("p.1").is_err());
+        assert!(s.exists("p.1").unwrap(), "failed delete must not delete");
+        s.delete("p.1").unwrap();
+        assert!(!s.exists("p.1").unwrap());
+    }
+
+    #[test]
+    fn passthrough_ops_unaffected() {
+        let s = ChaosStore::new(MemStore::new());
+        s.put("p.1", Bytes::from_static(b"z")).unwrap();
+        assert_eq!(s.head("p.1").unwrap(), 1);
+        assert_eq!(s.list("p.").unwrap(), vec!["p.1"]);
+        s.delete("p.1").unwrap();
+        assert!(!s.exists("p.1").unwrap());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! - **Functional stores** hold real object bytes behind the
 //!   [`ObjectStore`] trait: [`MemStore`] (RAM), [`DirStore`] (one file per
-//!   object in a host directory), and [`FaultyStore`] (a fault-injecting
+//!   object in a host directory), and [`ChaosStore`] (a fault-injecting
 //!   wrapper used by the crash-recovery tests to create "stranded object"
 //!   states).
 //! - **Simulated backends** ([`pool::BackendPool`], [`link::LinkModel`])
@@ -18,7 +18,6 @@ pub mod cache;
 pub mod chaos;
 pub mod cut;
 pub mod dir;
-pub mod faulty;
 pub mod latency;
 pub mod link;
 pub mod mem;
@@ -30,7 +29,6 @@ pub use cache::CachingStore;
 pub use chaos::{ChaosSchedule, ChaosStore, OutageWindow};
 pub use cut::{CutHandle, CutStore};
 pub use dir::DirStore;
-pub use faulty::FaultyStore;
 pub use latency::LatencyStore;
 pub use mem::MemStore;
 pub use metrics::{MetricsHandle, MetricsStore};
@@ -87,8 +85,8 @@ pub enum ObjError {
         /// What check failed.
         detail: String,
     },
-    /// A fault injected by [`FaultyStore`] or [`ChaosStore`], carrying the
-    /// class the injector intended.
+    /// A fault injected by [`ChaosStore`], carrying the class the
+    /// injector intended.
     Injected {
         /// Whether the injected fault models a retryable failure.
         class: FaultClass,

@@ -167,7 +167,7 @@ impl<S: ObjectStore> ObjectStore for MetricsStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultyStore, MemStore};
+    use crate::{ChaosStore, MemStore};
 
     #[test]
     fn meters_ops_and_bytes() {
@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert_eq!(s.transient_errors, 0);
 
-        let inner = FaultyStore::new(MemStore::new());
+        let inner = ChaosStore::new(MemStore::new());
         inner.fail_next_puts(1);
         let flaky = MetricsStore::new(inner);
         let h = flaky.handle();

@@ -218,11 +218,11 @@ impl<S: ObjectStore> ObjectStore for RetryStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChaosSchedule, ChaosStore, FaultyStore, MemStore, ObjError};
+    use crate::{ChaosSchedule, ChaosStore, MemStore, ObjError};
 
     #[test]
     fn transient_failures_are_retried_to_success() {
-        let faulty = FaultyStore::new(MemStore::new());
+        let faulty = ChaosStore::new(MemStore::new());
         faulty.fail_next_puts(2);
         let s = RetryStore::new(faulty);
         s.put("a", Bytes::from_static(b"x")).unwrap();
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn gives_up_after_max_attempts() {
-        let faulty = FaultyStore::new(MemStore::new());
+        let faulty = ChaosStore::new(MemStore::new());
         faulty.fail_next_puts(100);
         let s = RetryStore::with_policy(
             faulty,
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn backoff_schedule_is_deterministic_for_fixed_seed() {
         let run = |seed: u64| -> Vec<u64> {
-            let faulty = FaultyStore::new(MemStore::new());
+            let faulty = ChaosStore::new(MemStore::new());
             let s = RetryStore::with_policy(faulty, RetryPolicy::seeded(seed));
             let mut marks = Vec::new();
             for i in 0..10 {
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_within_cap() {
-        let faulty = FaultyStore::new(MemStore::new());
+        let faulty = ChaosStore::new(MemStore::new());
         faulty.fail_next_puts(3);
         let policy = RetryPolicy {
             max_attempts: 4,

@@ -74,9 +74,10 @@ pub struct WritebackTelemetry {
     pub inflight: u64,
     /// Batches landed out of order, awaiting the durable frontier.
     pub landed_gapped: u64,
-    /// Configured in-flight window (0 = serial writeback).
+    /// In-flight PUT window: `max_inflight_puts` over worker threads, 1
+    /// for the inline executor (`writeback_threads = 0`).
     pub window: u64,
-    /// `inflight / window` at snapshot time (0 when serial).
+    /// `inflight / window` at snapshot time.
     pub occupancy: f64,
     /// Highest object sequence sealed so far (0 if none).
     pub sealed_seq: u64,
@@ -1134,7 +1135,7 @@ impl TelemetrySnapshot {
         );
         w.gauge(
             "lsvd_wb_window",
-            "Configured in-flight PUT window (0 = serial writeback).",
+            "In-flight PUT window (1 = inline writeback on the caller).",
             self.writeback.window as f64,
         );
         w.gauge(

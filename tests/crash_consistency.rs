@@ -14,7 +14,7 @@ use blkdev::{BlockDevice, RamDisk};
 use lsvd::config::VolumeConfig;
 use lsvd::verify::{History, Verdict, VBLOCK};
 use lsvd::volume::Volume;
-use objstore::{FaultyStore, LatencyStore, MemStore, ObjectStore};
+use objstore::{ChaosStore, LatencyStore, MemStore, ObjectStore};
 use rand::Rng;
 use sim::rng::rng_from_seed;
 
@@ -261,7 +261,7 @@ fn pipelined_gap_in_the_stream_is_cut_and_strays_deleted() {
     // but never landed (black-holed), while later concurrent PUTs did —
     // a real gap in the object stream. After cache loss, recovery must
     // cut at the gap and delete the stranded later objects.
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(24 << 20));
     let cfg = VolumeConfig {
         checkpoint_interval: 100_000, // no checkpoints past creation

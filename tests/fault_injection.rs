@@ -14,7 +14,7 @@ use bytes::Bytes;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
 use lsvd::LsvdError;
-use objstore::{FaultyStore, MemStore, ObjectStore};
+use objstore::{ChaosStore, MemStore, ObjectStore};
 
 fn cfg() -> VolumeConfig {
     VolumeConfig {
@@ -26,7 +26,7 @@ fn cfg() -> VolumeConfig {
 
 #[test]
 fn transient_put_failure_degrades_without_data_loss() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(16 << 20));
     let mut vol =
         Volume::create(store.clone(), cache.clone(), "vol", 32 << 20, cfg()).expect("create");
@@ -70,7 +70,7 @@ fn transient_put_failure_degrades_without_data_loss() {
 
 #[test]
 fn backpressure_past_the_pending_watermark() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(16 << 20));
     let tight = VolumeConfig {
         max_pending_batches: 2,
@@ -126,7 +126,7 @@ fn backpressure_past_the_pending_watermark() {
 #[test]
 fn ordering_holds_across_put_failures() {
     // A failed PUT must not let a LATER batch jump ahead of it.
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(16 << 20));
     // No periodic checkpoints: this test cuts the object stream, which is
     // only a legal backend state for objects past the last checkpoint.
@@ -186,7 +186,7 @@ fn ordering_holds_across_put_failures() {
 
 #[test]
 fn read_errors_propagate_without_poisoning_state() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(16 << 20));
     let mut vol = Volume::create(store.clone(), cache, "vol", 32 << 20, cfg()).expect("create");
     let data = vec![9u8; 256 << 10];
@@ -269,7 +269,7 @@ fn black_holed_upload_with_crash_is_survivable() {
     // records on the ack). Nothing can recover the vanished object's
     // writes, but recovery must still produce a consistent earlier prefix
     // and delete the stranded later objects.
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(16 << 20));
     let nockpt = VolumeConfig {
         checkpoint_interval: 100_000,

@@ -40,7 +40,7 @@ struct FleetRig {
 
 fn fleet_rig(n_vols: usize, vol_bytes: u64, cache_bytes: u64) -> FleetRig {
     let store = Arc::new(MemStore::new());
-    let registry = Arc::new(ExportRegistry::new(None));
+    let registry = Arc::new(ExportRegistry::new());
     let mut caches = Vec::new();
     for i in 0..n_vols {
         let name = format!("vol{i}");

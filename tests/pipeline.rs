@@ -1,8 +1,10 @@
-//! Integration: the pipelined writeback path (§3.1-style overlap).
+//! Integration: the writeback path (§3.1-style overlap).
 //!
-//! With `writeback_threads > 0`, sealed batches drain through a worker
-//! pool with a bounded window of concurrent PUTs while the foreground
-//! keeps accepting writes. These tests pin the contract:
+//! Sealed batches drain through the writeback pool: with
+//! `writeback_threads > 0`, a worker pool with a bounded window of
+//! concurrent PUTs while the foreground keeps accepting writes; with `0`,
+//! the inline executor, which runs each PUT on the caller. These tests pin
+//! the contract:
 //!
 //! - overlap actually hides backend PUT latency (the ≥2× acceptance
 //!   demo, against a store that really sleeps);
@@ -11,16 +13,22 @@
 //! - transient PUT failures requeue without reordering the stream and
 //!   without losing acknowledged data;
 //! - backpressure counts queued *and* in-flight batches;
+//! - a permanently failed PUT stays tracked, so a later drain lands it;
+//! - the inline executor runs one PUT at a time on the caller and applies
+//!   it before the write that sealed it returns;
 //! - large prefetches scatter across the same pool.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use blkdev::RamDisk;
+use bytes::Bytes;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
 use lsvd::LsvdError;
-use objstore::{FaultyStore, LatencyStore, MemStore, ObjectStore};
+use objstore::{ChaosStore, LatencyStore, MemStore, ObjError, ObjectStore};
 
 const BATCH: u64 = 64 << 10;
 
@@ -124,7 +132,7 @@ fn durable_frontier_trails_inflight_puts_and_catches_up() {
 
 #[test]
 fn transient_failure_requeues_without_reordering() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(64 << 20));
     let mut vol =
         Volume::create(store.clone(), cache, "vol", 256 << 20, pipeline_cfg(4, 4)).expect("create");
@@ -163,7 +171,7 @@ fn transient_failure_requeues_without_reordering() {
 
 #[test]
 fn backpressure_counts_queued_and_inflight() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(64 << 20));
     let tight = VolumeConfig {
         max_pending_batches: 3,
@@ -211,6 +219,206 @@ fn backpressure_counts_queued_and_inflight() {
         vol.read(i * BATCH, &mut buf).expect("read");
         assert_eq!(buf, data, "accepted write {i} intact");
     }
+}
+
+/// Fails the first PUT of one object with a permanent error. With a
+/// `gate`, that PUT first waits at the barrier, so the writer decides when
+/// it fails.
+struct FailOncePermanently {
+    inner: MemStore,
+    name: &'static str,
+    armed: AtomicBool,
+    gate: Option<Arc<Barrier>>,
+}
+
+impl ObjectStore for FailOncePermanently {
+    fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+        if name == self.name && self.armed.swap(false, Ordering::SeqCst) {
+            if let Some(gate) = &self.gate {
+                gate.wait();
+            }
+            return Err(ObjError::Io(std::io::Error::new(
+                std::io::ErrorKind::PermissionDenied,
+                "denied",
+            )));
+        }
+        self.inner.put(name, data)
+    }
+    fn get(&self, name: &str) -> objstore::Result<Bytes> {
+        self.inner.get(name)
+    }
+    fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+        self.inner.get_range(name, offset, len)
+    }
+    fn head(&self, name: &str) -> objstore::Result<u64> {
+        self.inner.head(name)
+    }
+    fn delete(&self, name: &str) -> objstore::Result<()> {
+        self.inner.delete(name)
+    }
+    fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+}
+
+/// Three batch writes over a store that fails object 2's first PUT
+/// permanently. Some call must return the error, no call may hang, a
+/// later drain must land objects 1–3 in order, and a reopen with a fresh
+/// cache must read every batch back. On worker threads, object 2's PUT
+/// fails only once the third write has returned, so object 3 is in the
+/// pipe behind the failure.
+fn permanent_put_failure_stays_tracked(threads: usize) {
+    let gate = (threads > 0).then(|| Arc::new(Barrier::new(2)));
+    let store = Arc::new(FailOncePermanently {
+        inner: MemStore::new(),
+        name: "vol.00000002",
+        armed: AtomicBool::new(true),
+        gate: gate.clone(),
+    });
+    let cfg = pipeline_cfg(threads, 2);
+    let mut vol = Volume::create(
+        store.clone(),
+        Arc::new(RamDisk::new(64 << 20)),
+        "vol",
+        256 << 20,
+        cfg.clone(),
+    )
+    .expect("create");
+    let data: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; BATCH as usize]).collect();
+    let written = data.clone();
+
+    // Watchdog: the calls run on their own thread, so a hang fails this
+    // test with a timeout instead of stalling the suite.
+    let (tx, rx) = mpsc::channel();
+    let writer = std::thread::spawn(move || {
+        let mut errors = Vec::new();
+        for (i, d) in written.iter().enumerate() {
+            if let Err(e) = vol.write(i as u64 * BATCH, d) {
+                errors.push(e);
+            }
+        }
+        if let Some(gate) = gate {
+            gate.wait();
+        }
+        if let Err(e) = vol.drain() {
+            errors.push(e);
+        }
+        let settled = vol
+            .drain()
+            .map(|()| (vol.last_object_seq(), vol.durable_frontier()));
+        let _ = tx.send((errors, settled));
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(30));
+    assert!(
+        !matches!(outcome, Err(mpsc::RecvTimeoutError::Timeout)),
+        "threads={threads}: a call hung after a permanent PUT failure"
+    );
+    writer.join().expect("the writing thread panicked");
+    let (errors, settled) = outcome.expect("the writing thread reported");
+
+    assert_eq!(errors.len(), 1, "threads={threads}: {errors:?}");
+    match &errors[0] {
+        LsvdError::Backend(e) => assert!(!e.is_transient(), "threads={threads}: {e}"),
+        e => panic!("threads={threads}: expected the backend error, got {e}"),
+    }
+    assert_eq!(
+        settled.expect("a later drain lands the failed batch"),
+        (3, 3),
+        "threads={threads}: objects 1-3 applied in order"
+    );
+    let mut stored = store.inner.list("vol.0").unwrap();
+    stored.sort();
+    assert_eq!(
+        stored,
+        ["vol.00000001", "vol.00000002", "vol.00000003"],
+        "threads={threads}"
+    );
+
+    let mut vol =
+        Volume::open(store, Arc::new(RamDisk::new(64 << 20)), "vol", cfg).expect("reopen");
+    let mut buf = vec![0u8; BATCH as usize];
+    for (i, d) in data.iter().enumerate() {
+        vol.read(i as u64 * BATCH, &mut buf).expect("read");
+        assert_eq!(
+            &buf, d,
+            "threads={threads}: batch {i} recovered from backend"
+        );
+    }
+}
+
+#[test]
+fn permanent_put_failure_stays_tracked_inline() {
+    permanent_put_failure_stays_tracked(0);
+}
+
+#[test]
+fn permanent_put_failure_stays_tracked_pipelined() {
+    permanent_put_failure_stays_tracked(2);
+}
+
+/// Records the thread of every PUT and the peak number running at once.
+#[derive(Default)]
+struct PutProbe {
+    inner: MemStore,
+    threads: Mutex<Vec<ThreadId>>,
+    active: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl ObjectStore for PutProbe {
+    fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+        let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        let r = self.inner.put(name, data);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        r
+    }
+    fn get(&self, name: &str) -> objstore::Result<Bytes> {
+        self.inner.get(name)
+    }
+    fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+        self.inner.get_range(name, offset, len)
+    }
+    fn head(&self, name: &str) -> objstore::Result<u64> {
+        self.inner.head(name)
+    }
+    fn delete(&self, name: &str) -> objstore::Result<()> {
+        self.inner.delete(name)
+    }
+    fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+}
+
+#[test]
+fn inline_executor_puts_on_the_caller_one_at_a_time() {
+    let store = Arc::new(PutProbe::default());
+    let cache = Arc::new(RamDisk::new(64 << 20));
+    let mut vol =
+        Volume::create(store.clone(), cache, "vol", 256 << 20, pipeline_cfg(0, 4)).expect("create");
+    assert_eq!(vol.telemetry().writeback.window, 1);
+    let data = vec![9u8; BATCH as usize];
+    for i in 1..=6u64 {
+        vol.write((i - 1) * BATCH, &data).expect("write");
+        // The write that sealed batch `i` has already PUT and applied it.
+        let st = vol.stats();
+        assert_eq!(st.backend_puts, i);
+        assert_eq!(st.inflight_puts, 0);
+        assert_eq!(vol.durable_frontier() as u64, i);
+    }
+    vol.drain().expect("drain");
+    let me = std::thread::current().id();
+    let threads = store.threads.lock().unwrap();
+    assert!(threads.len() >= 6, "{} PUTs", threads.len());
+    assert!(
+        threads.iter().all(|t| *t == me),
+        "every PUT runs on the test thread"
+    );
+    assert_eq!(store.peak.load(Ordering::SeqCst), 1, "one PUT at a time");
 }
 
 #[test]

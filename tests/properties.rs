@@ -582,9 +582,9 @@ proptest! {
         use lsvd::config::VolumeConfig;
         use lsvd::verify::{History, Verdict, VBLOCK};
         use lsvd::volume::Volume;
-        use objstore::{FaultyStore, MemStore, ObjectStore};
+        use objstore::{ChaosStore, MemStore, ObjectStore};
 
-        let store = Arc::new(FaultyStore::new(MemStore::new()));
+        let store = Arc::new(ChaosStore::new(MemStore::new()));
         let cache = Arc::new(RamDisk::new(8 << 20));
         let cfg = VolumeConfig::small_for_tests(); // 64 KiB batches
         let vol_bytes = (fail_before.len() as u64 + 1) * (64 << 10);
