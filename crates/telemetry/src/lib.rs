@@ -20,7 +20,11 @@
 //!   objects/s, pipeline occupancy, frontier lag, GC dead-space ratio),
 //!   serialized to JSON ([`TelemetrySnapshot::to_json`]) and
 //!   Prometheus-style text ([`TelemetrySnapshot::to_prometheus`]) with no
-//!   external dependencies.
+//!   external dependencies. Each metric is one row of a single table in
+//!   [`snapshot`] (name, type, fleet merge rule, Prometheus kind and
+//!   family, HELP text), from which the section structs, the JSON codec,
+//!   the fleet merge ([`TelemetrySnapshot::absorb`]), the exposition and
+//!   the report ([`TelemetrySnapshot::report`]) are all generated.
 //!
 //! The crate deliberately depends on nothing (not even the workspace's
 //! vendored stubs) so that any layer — `objstore` middleware, the volume,
