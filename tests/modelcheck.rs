@@ -86,3 +86,34 @@ fn serial_reproducer_lines_replay_deterministically() {
         assert_eq!(a.total_events, b.total_events);
     }
 }
+
+/// Regression: the cleaner used to advance its victim cursor before the
+/// piece was read, so a transient GET failure during this schedule's
+/// outage skipped a live piece, and the victim was retired and deleted
+/// while still mapped (`mapped object missing` after recovery). Crash at
+/// every edge of the schedule, with the cache kept and with it lost.
+#[test]
+fn gc_read_failure_skips_no_live_piece_at_any_crash_edge() {
+    let base = McCase::parse("seed=4 profile=trim-race faults=outage mode=serial").unwrap();
+    let profile = run_case(&base).unwrap_or_else(|f| panic!("{f}"));
+    let mut failures = Vec::new();
+    for &(edge, _) in &profile.events {
+        for lose_cache in [false, true] {
+            let case = McCase {
+                crash_event: Some(edge),
+                lose_cache,
+                ..base.clone()
+            };
+            if let Err(f) = run_case(&case) {
+                failures.push(f.to_string());
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {} crash states failed:\n{}",
+        failures.len(),
+        2 * profile.events.len(),
+        failures.join("\n")
+    );
+}
