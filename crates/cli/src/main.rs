@@ -50,8 +50,8 @@
 //!          --oneshot          serve one connection, then shut down cleanly
 //!          --metrics-addr <a> serve /metrics, /snapshot and /trace over HTTP;
 //!                             also enables request-span tracing
-//!          --blackbox-dir <d> arm the flight recorder: dump the span/event
-//!                             black box into <d> on terminal errors,
+//!          --blackbox-dir <d> arm the flight recorder: dump every export's
+//!                             span ring into <d> on terminal errors,
 //!                             connection aborts and panics
 //!          --control-addr <a> serve: bind the fleet control socket there;
 //!                             export commands: the node to talk to
@@ -600,9 +600,8 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
             e.volume().span_ring().set_enabled(true);
         }
     }
-    // The flight recorder watches one span ring; on a multi-export node
-    // that is the first export by name (crash context for the whole
-    // process still lands in the dump via the panic hook).
+    // The flight recorder dumps every export's span ring, edges
+    // included; the fingerprint names the first export.
     let recorder = match &opts.blackbox_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("blackbox dir {dir}: {e}"))?;
@@ -619,16 +618,12 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
                     )
                 })
                 .map_err(|e| format!("fingerprint: {e}"))?;
-            let rec =
-                telemetry::FlightRecorder::new(sv.span_ring(), fingerprint, dir.clone(), 1024, 512);
-            // Mirror every export's trace events into the black box and
-            // catch panics anywhere in the process.
-            for e in &exports {
-                let mirror = rec.clone();
-                e.volume()
-                    .with_volume(move |v| v.set_trace_hook(Box::new(move |r| mirror.note_event(r))))
-                    .map_err(|e| format!("trace hook: {e}"))?;
-            }
+            let rings = exports
+                .iter()
+                .map(|e| (e.name().to_string(), e.volume().span_ring()))
+                .collect();
+            let rec = telemetry::FlightRecorder::new(rings, fingerprint, dir.clone(), 1024);
+            // Catch panics anywhere in the process.
             rec.install_panic_hook();
             println!("flight recorder armed, dumping to {dir}");
             Some(rec)

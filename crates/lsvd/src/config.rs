@@ -54,9 +54,6 @@ pub struct VolumeConfig {
     /// live pieces, trading a little write amplification for a smaller
     /// extent map (the §4.6 defragmentation experiment; 0 disables).
     pub defrag_hole_bytes: u64,
-    /// Maximum extents in one cache log record; writes with more fragments
-    /// are split across records.
-    pub max_record_extents: usize,
     /// Degraded-mode dirty watermark: how many sealed batches may queue
     /// locally while the backend fails transiently. Past this limit,
     /// writes that would seal another batch fail with
@@ -135,7 +132,6 @@ impl Default for VolumeConfig {
             gc_compact_max_extent_bytes: 64 << 10,
             checkpoint_interval: 64,
             defrag_hole_bytes: 0,
-            max_record_extents: 16,
             max_pending_batches: 8,
             gc_retry_attempts: 3,
             // Inline executor by default: PUT failures surface
@@ -207,7 +203,6 @@ impl VolumeConfig {
                 "bad compaction fragment ceiling"
             );
         }
-        assert!(self.max_record_extents >= 1, "bad record extent limit");
         assert!(self.max_pending_batches >= 1, "bad pending batch limit");
         assert!(self.gc_retry_attempts >= 1, "bad GC retry attempts");
         assert!(self.hdr_cache_entries >= 1, "bad header cache capacity");

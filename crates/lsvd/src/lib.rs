@@ -84,6 +84,7 @@ pub mod writeback;
 pub use types::{LsvdError, Result};
 
 // Telemetry vocabulary re-exported so volume users can consume
-// `Volume::telemetry()` and `Volume::drain_trace()` without naming the
-// `telemetry` crate themselves.
-pub use telemetry::{TelemetrySnapshot, TraceEvent, TraceRecord};
+// `Volume::telemetry()`, the span ring (`Volume::span_ring()`) and the
+// edge hook (`Volume::set_edge_hook`) without naming the `telemetry`
+// crate themselves.
+pub use telemetry::{Span, Stage, TelemetrySnapshot};

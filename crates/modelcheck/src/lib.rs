@@ -9,18 +9,18 @@
 //!    consumes the same op stream (stamped writes, trims, flushes,
 //!    drains) and tracks which ops the volume acknowledged;
 //! 2. the **explorer** ([`explore`]) generates randomized op streams per
-//!    [`Profile`] and runs each through a real [`Volume`] whose trace
-//!    ring carries a synchronous hook — the crash controller — that can
-//!    kill the volume at *any* [`TraceEvent`] edge (batch seal, PUT
-//!    start/done/retry, frontier advance, checkpoint, trim, GC pass,
-//!    degraded-mode flips), crossed with cache loss on/off, `ChaosStore`
-//!    fault schedules and serial-vs-pipelined writeback;
+//!    [`Profile`] and runs each through a real [`Volume`] whose edge
+//!    hook — the crash controller — can kill the volume at *any*
+//!    lifecycle edge of its span ring (batch seal, PUT
+//!    start/done/retry, frontier advance, checkpoint, trim, GC pass and
+//!    relocation, degraded-mode flips), crossed with cache loss on/off,
+//!    `ChaosStore` fault schedules and serial-vs-pipelined writeback;
 //! 3. the **checker** ([`run_case`]) recovers the crashed volume and
 //!    asserts every acked op is visible, every unacked op is fully
 //!    visible or fully absent (the acked-prefix rule), trims stay
 //!    trimmed, and a second recovery pass is a byte-identical no-op.
 //!
-//! The crash itself is a panic: the trace hook calls
+//! The crash itself is a panic: the edge hook calls
 //! [`std::panic::panic_any`] with a [`CrashSignal`] payload at the
 //! chosen edge, which unwinds through the volume mid-operation with no
 //! cleanup code running (drop of the writeback pool joins workers, whose
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use blkdev::RamDisk;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
-use lsvd::{LsvdError, TraceEvent};
+use lsvd::LsvdError;
 use objstore::{
     ChaosSchedule, ChaosStore, CutHandle, CutStore, MemStore, ObjectStore, OutageWindow,
     RetryPolicy, RetryStore,
@@ -69,7 +69,7 @@ const OPS_PER_RUN: usize = 48;
 /// Bound on backpressure retries before an op counts as rejected.
 const MAX_SPINS: u32 = 10_000;
 
-/// Panic payload the crash controller throws at the chosen trace edge.
+/// Panic payload the crash controller throws at the chosen edge.
 /// Anything else unwinding out of a run is a real bug.
 pub struct CrashSignal;
 
@@ -198,7 +198,7 @@ pub struct McCase {
     pub pipelined: bool,
     /// Discard the cache device before recovery (total SSD loss).
     pub lose_cache: bool,
-    /// Trace-record id to crash at; `None` runs the stream to the end
+    /// Edge ordinal to crash at; `None` runs the stream to the end
     /// (the volume is still dropped without shutdown).
     pub crash_event: Option<u64>,
 }
@@ -287,15 +287,15 @@ impl McCase {
 /// A verified run's summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
-    /// Trace events observed (after hook install) before crash or end.
+    /// Edges observed (after hook install) before crash or end.
     pub total_events: u64,
     /// Whether the crash controller fired.
     pub crashed: bool,
-    /// Rendered event at the crash edge, when one fired.
+    /// Rendered edge at the crash, when one fired.
     pub crash_edge: Option<String>,
     /// The accepted prefix cut (op index) of the recovered image.
     pub cut: u64,
-    /// `(id, kind)` of every trace event, for edge selection.
+    /// `(ordinal, kind)` of every edge, for edge selection.
     pub events: Vec<(u64, &'static str)>,
 }
 
@@ -560,7 +560,7 @@ fn mc_cfg(pipelined: bool) -> VolumeConfig {
         verify_get_crc: true,
         // Half-a-batch cleaner budget: a GcStep (or a checkpoint-site
         // kick) leaves its pass resumable mid-flight, so crash edges —
-        // including the in-pass `gc-relocate` carrier seals — land while
+        // including the in-pass `gc_relocate` carrier seals — land while
         // victims are half relocated.
         gc_step_budget_bytes: 8 << 10,
         // Compaction on: relocation carriers also rewrite cold
@@ -568,25 +568,6 @@ fn mc_cfg(pipelined: bool) -> VolumeConfig {
         // oracle must survive.
         gc_compact_min_run: 2,
         ..VolumeConfig::small_for_tests()
-    }
-}
-
-fn kind_tag(event: &TraceEvent) -> &'static str {
-    match event {
-        TraceEvent::BatchSeal { .. } => "seal",
-        TraceEvent::PutStart { .. } => "put-start",
-        TraceEvent::PutDone { .. } => "put-done",
-        TraceEvent::PutRetry { .. } => "put-retry",
-        TraceEvent::PutAbort { .. } => "put-abort",
-        TraceEvent::FrontierAdvance { .. } => "frontier-advance",
-        TraceEvent::Checkpoint { .. } => "checkpoint",
-        TraceEvent::GcPass { .. } => "gc-pass",
-        TraceEvent::GcRelocate { .. } => "gc-relocate",
-        TraceEvent::DegradedEnter => "degraded-enter",
-        TraceEvent::DegradedExit => "degraded-exit",
-        TraceEvent::Trim { .. } => "trim",
-        TraceEvent::ConnOpen { .. } => "conn-open",
-        TraceEvent::ConnClose { .. } => "conn-close",
     }
 }
 
@@ -695,7 +676,7 @@ pub fn run_case(case: &McCase) -> Result<RunReport, McFailure> {
     )
     .map_err(|e| fail(case, None, format!("create: {e}")))?;
 
-    // The crash controller: counts trace records, and at the chosen one
+    // The crash controller: lists the edges, and at the chosen one
     // severs the backend and kills the volume by panicking mid-operation.
     let edge: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let events: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -704,10 +685,11 @@ pub fn run_case(case: &McCase) -> Result<RunReport, McFailure> {
         let edge = edge.clone();
         let events = events.clone();
         let crash_at = case.crash_event;
-        vol.set_trace_hook(Box::new(move |rec| {
-            events.lock().push((rec.id, kind_tag(&rec.event)));
-            if Some(rec.id) == crash_at {
-                *edge.lock() = Some(rec.event.to_string());
+        vol.set_edge_hook(Box::new(move |ordinal, span| {
+            let kind = span.stage.name();
+            events.lock().push((ordinal, kind));
+            if Some(ordinal) == crash_at {
+                *edge.lock() = Some(format!("{kind} a={} b={}", span.arg_a, span.arg_b));
                 cut.sever();
                 panic::panic_any(CrashSignal);
             }
@@ -914,7 +896,7 @@ fn pick_edges(events: &[(u64, &'static str)], want: usize) -> Vec<u64> {
 }
 
 /// Sweeps the state space: for every schedule (seed × profile × faults ×
-/// writeback mode), one full profiling run enumerates the trace edges,
+/// writeback mode), one full profiling run enumerates the edges,
 /// then sampled edges are re-run with a crash injected, crossed with
 /// cache loss on/off. Every state is oracle-checked; failures carry
 /// one-line reproducers.
@@ -1042,14 +1024,14 @@ mod tests {
         let case = McCase::parse("seed=5 profile=overwrite-heavy faults=none").unwrap();
         let report = run_case(&case).unwrap_or_else(|f| panic!("{f}"));
         assert!(!report.crashed);
-        assert!(report.total_events > 0, "a run must cross trace edges");
+        assert!(report.total_events > 0, "a run must cross edges");
         assert!(report.cut > 0);
     }
 
     #[test]
     fn gc_interleaved_schedule_crosses_in_pass_edges() {
         // The gc-interleaved profile must actually put crash candidates
-        // *inside* an in-flight cleaning pass: `gc-relocate` fires at
+        // *inside* an in-flight cleaning pass: `gc_relocate` fires at
         // carrier seal, before the pass completes, so its presence in
         // the profiled edge list means sampled crashes land mid-pass.
         let case = McCase::parse("seed=1 profile=gc-interleaved faults=none").unwrap();
@@ -1057,14 +1039,14 @@ mod tests {
         let relocates = report
             .events
             .iter()
-            .filter(|(_, k)| *k == "gc-relocate")
+            .filter(|(_, k)| *k == "gc_relocate")
             .count();
         assert!(
             relocates > 0,
-            "no gc-relocate edges in a gc-interleaved schedule"
+            "no gc_relocate edges in a gc-interleaved schedule"
         );
         assert!(
-            report.events.iter().any(|(_, k)| *k == "gc-pass"),
+            report.events.iter().any(|(_, k)| *k == "gc_pass"),
             "no pass ever completed"
         );
     }

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lsvd::fleet::{Export, ExportRegistry};
-use telemetry::{FlightRecorder, OpenSpan, SpanRing, Stage, TraceEvent};
+use telemetry::{FlightRecorder, OpenSpan, SpanRing, Stage};
 
 use crate::proto::*;
 use crate::sched::{FleetScheduler, Job};
@@ -364,8 +364,8 @@ impl Reactor {
             }
             self.route_completions();
         }
-        // Close leftovers first (their ConnClose notes land in the
-        // queues), then release the workers to drain everything.
+        // Close leftovers first, then release the workers to drain
+        // everything.
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             if let Some(c) = self.conns.remove(&id) {
@@ -662,17 +662,11 @@ impl Reactor {
                         c.push_out(encode_option_reply(OPT_GO, REP_INFO, &info));
                         c.push_out(encode_option_reply(OPT_GO, REP_ACK, b"".as_slice()));
                         export.recorders().conn_opened();
-                        // Noting the event takes the volume mutex, which
-                        // could stall every tenant if done here; a worker
-                        // does it via the ordered lane (so it still lands
-                        // before the connection's first request).
-                        self.sched.push(Job::conn_event(
-                            c.id,
-                            export.clone(),
-                            export.volume().span_ring(),
-                            TraceEvent::ConnOpen { conn: c.id },
-                        ));
-                        c.spans = Some(export.volume().span_ring());
+                        // Edges take the ring's short edge lock, never
+                        // the volume mutex, so the reactor records them.
+                        let spans = export.volume().span_ring();
+                        spans.edge(None, Stage::ConnOpen, c.id, 0);
+                        c.spans = Some(spans);
                         c.export = Some(export);
                         c.phase = Phase::Transmission;
                     }
@@ -755,15 +749,9 @@ impl Reactor {
         let _ = c.stream.shutdown(Shutdown::Both);
         if let Some(e) = &c.export {
             e.recorders().conn_closed();
-            // Volume-mutex work belongs on a worker, not the reactor; the
-            // ordered lane keeps this after the connection's own requests
-            // and after its `ConnOpen`.
-            self.sched.push(Job::conn_event(
-                c.id,
-                e.clone(),
-                e.volume().span_ring(),
-                TraceEvent::ConnClose { conn: c.id },
-            ));
+        }
+        if let Some(spans) = &c.spans {
+            spans.edge(None, Stage::ConnClose, c.id, 0);
         }
     }
 

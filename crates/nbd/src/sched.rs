@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use lsvd::fleet::Export;
 use std::sync::Arc;
-use telemetry::{SpanRing, TraceEvent};
+use telemetry::SpanRing;
 
 use crate::proto::{Request, CMD_READ};
 
@@ -58,14 +58,6 @@ pub(crate) struct Job {
     pub parent_span: u64,
     /// A throttle wait has been counted for this job already.
     throttle_counted: bool,
-    /// Internal connection-lifecycle trace event: the job only notes this
-    /// on the volume (which may block on the volume mutex — exactly why it
-    /// runs on a worker, never the reactor thread) and posts no reply. It
-    /// rides the ordered lane so a connection's `ConnOpen` always lands
-    /// before its requests and its `ConnClose`, and it bypasses QoS and
-    /// fairness accounting — lifecycle noise must not spend a tenant's
-    /// tokens or delay its real mutations behind a token refill.
-    pub note: Option<TraceEvent>,
 }
 
 impl Job {
@@ -89,43 +81,11 @@ impl Job {
             req_id,
             parent_span,
             throttle_counted: false,
-            note: None,
         }
-    }
-
-    /// An internal connection-lifecycle note (see [`Job::note`]).
-    pub(crate) fn conn_event(
-        conn: u64,
-        export: Arc<Export>,
-        spans: Arc<SpanRing>,
-        event: TraceEvent,
-    ) -> Job {
-        Job {
-            conn,
-            req: Request {
-                flags: 0,
-                cmd: 0,
-                cookie: 0,
-                offset: 0,
-                length: 0,
-            },
-            data: Vec::new(),
-            export,
-            spans,
-            enqueued: Instant::now(),
-            req_id: 0,
-            parent_span: 0,
-            throttle_counted: false,
-            note: Some(event),
-        }
-    }
-
-    pub(crate) fn is_internal(&self) -> bool {
-        self.note.is_some()
     }
 
     fn is_mutation(&self) -> bool {
-        self.is_internal() || self.req.cmd != CMD_READ
+        self.req.cmd != CMD_READ
     }
 
     /// Byte cost charged to fairness and QoS accounting. Zero-length
@@ -374,16 +334,14 @@ impl FleetScheduler {
                     t.reads.front_mut()
                 };
                 let Some(job) = job else { continue };
-                let internal = job.is_internal();
-                if t.deficit < 0 && !internal {
+                if t.deficit < 0 {
                     // Spent this round; recharged between passes.
                     continue;
                 }
                 let cost = job.cost();
-                // Fenced exports, server drain, and internal lifecycle
-                // notes bypass QoS: teardown and tracing must not wait
-                // for token refills.
-                if !stop && !internal && !t.export.is_fenced() {
+                // Fenced exports and server drain bypass QoS: teardown
+                // must not wait for token refills.
+                if !stop && !t.export.is_fenced() {
                     if let Err(wait) = t.bucket.admit(t.export.qos(), cost, now) {
                         if !job.throttle_counted {
                             job.throttle_counted = true;
@@ -393,9 +351,7 @@ impl FleetScheduler {
                         continue;
                     }
                 }
-                if !internal {
-                    t.deficit -= cost as i64;
-                }
+                t.deficit -= cost as i64;
                 let job = if from_ordered {
                     t.ordered_active = true;
                     t.ordered.pop_front().unwrap()

@@ -239,12 +239,8 @@ fn worker_loop(
 ) {
     while let Some(picked) = sched.pop() {
         let export = picked.job.export.clone();
-        let internal = picked.job.is_internal();
         execute(picked.job, shared, recorder.as_ref());
-        if !internal {
-            // Internal lifecycle notes never went through `job_begin`.
-            export.job_done();
-        }
+        export.job_done();
         if picked.ordered {
             sched.ordered_done(export.name());
         }
@@ -264,13 +260,6 @@ fn errno_of(e: &LsvdError) -> u32 {
 fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRecorder>>) {
     let rec = job.export.recorders();
     let volume = job.export.volume();
-    if let Some(event) = job.note {
-        // Connection-lifecycle note: may block on the volume mutex, which
-        // is why it runs here and not on the reactor thread. No reply, no
-        // per-request accounting; a shut-down volume just drops it.
-        let _ = volume.with_volume(|v| v.note_serving_event(event));
-        return;
-    }
     rec.queue_wait
         .record_ns(job.enqueued.elapsed().as_nanos() as u64);
     let fua = job.req.flags & CMD_FLAG_FUA != 0;

@@ -12,7 +12,7 @@
 //! A mutation that already entered the inner store before the sever lands
 //! whole (an in-flight PUT on the wire completes or not — it is never
 //! torn); one that arrives after the sever vanishes entirely. The
-//! crash-state model checker severs the cut from its trace-edge hook, so
+//! crash-state model checker severs the cut from its edge hook, so
 //! the backend freezes at the exact event where the simulated crash
 //! happened.
 
@@ -31,7 +31,7 @@ pub struct CutStore<S> {
 }
 
 /// Clonable controller for a [`CutStore`], usable from any thread (the
-/// model checker severs from inside a trace hook).
+/// model checker severs from inside an edge hook).
 #[derive(Clone)]
 pub struct CutHandle {
     severed: Arc<AtomicBool>,

@@ -1,83 +1,56 @@
 //! Crash flight recorder: a fixed-size black box dumped on the way down.
 //!
-//! Aviation-style: the recorder continuously mirrors the newest trace
-//! events (via the volume's synchronous trace hook) next to the span
-//! ring and a config fingerprint, all bounded, all lock-cheap. When the
-//! process hits a terminal path — an `LsvdError` that will error a
-//! client request, an NBD connection dying mid-frame, or a panic (via
-//! [`FlightRecorder::install_panic_hook`]) — [`FlightRecorder::dump`]
-//! writes everything to a timestamped JSON file that survives the
-//! process. `lsvdctl blackbox <file>` ([`render_blackbox`]) pretty-
-//! prints it for the post-mortem.
+//! Aviation-style: the recorder holds every export's span ring and a
+//! config fingerprint. Each ring already keeps its volume's newest
+//! lifecycle edges and request spans, bounded and lock-cheap, so the
+//! recorder mirrors nothing. When the process hits a terminal path — an
+//! `LsvdError` that will error a client request, an NBD connection dying
+//! mid-frame, or a panic (via [`FlightRecorder::install_panic_hook`]) —
+//! [`FlightRecorder::dump`] writes the newest spans of every ring to a
+//! timestamped JSON file that survives the process. `lsvdctl blackbox
+//! <file>` ([`render_blackbox`]) pretty-prints it for the post-mortem.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
 use crate::span::{Span, SpanRing, Stage};
-use crate::trace::TraceRecord;
 
 /// Schema tag written into every blackbox file.
-pub const BLACKBOX_SCHEMA: &str = "lsvd-blackbox-v1";
+pub const BLACKBOX_SCHEMA: &str = "lsvd-blackbox-v2";
 
-/// The black box. Shared (`Arc`) between the serving plane, the
-/// volume's trace hook and the process panic hook.
+/// The black box. Shared (`Arc`) between the serving plane and the
+/// process panic hook.
+#[derive(Debug)]
 pub struct FlightRecorder {
-    spans: Arc<SpanRing>,
-    events: Mutex<VecDeque<TraceRecord>>,
-    event_cap: usize,
+    rings: Vec<(String, Arc<SpanRing>)>,
     span_limit: usize,
     config: String,
     dir: PathBuf,
     dumps: AtomicU64,
 }
 
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("dir", &self.dir)
-            .field("event_cap", &self.event_cap)
-            .field("span_limit", &self.span_limit)
-            .field("dumps", &self.dumps.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
 impl FlightRecorder {
-    /// Creates a recorder keeping the last `event_cap` trace events and
-    /// dumping at most `span_limit` of the newest spans, writing files
-    /// into `dir`. `config` is an opaque fingerprint (volume config +
+    /// Creates a recorder over named span rings (one per export),
+    /// dumping at most `span_limit` of each ring's newest spans into
+    /// files in `dir`. `config` is an opaque fingerprint (volume config +
     /// identity) echoed verbatim into every dump.
     pub fn new(
-        spans: Arc<SpanRing>,
+        rings: Vec<(String, Arc<SpanRing>)>,
         config: String,
         dir: impl Into<PathBuf>,
-        event_cap: usize,
         span_limit: usize,
     ) -> Arc<FlightRecorder> {
         Arc::new(FlightRecorder {
-            spans,
-            events: Mutex::new(VecDeque::with_capacity(event_cap.max(1))),
-            event_cap: event_cap.max(1),
+            rings,
             span_limit: span_limit.max(1),
             config,
             dir: dir.into(),
             dumps: AtomicU64::new(0),
         })
-    }
-
-    /// Mirrors one trace event into the box (called from the volume's
-    /// trace hook, on the emitting thread).
-    pub fn note_event(&self, rec: &TraceRecord) {
-        let mut buf = self.events.lock().unwrap();
-        if buf.len() == self.event_cap {
-            buf.pop_front();
-        }
-        buf.push_back(*rec);
     }
 
     /// Number of dumps written so far.
@@ -104,38 +77,29 @@ impl FlightRecorder {
             .dir
             .join(format!("lsvd-blackbox-{unix_ms}-{n}-{slug}.json"));
 
-        let events: Vec<Json> = self
-            .events
-            .lock()
-            .unwrap()
+        let rings = self
+            .rings
             .iter()
-            .map(|r| {
+            .map(|(name, ring)| {
+                let mut spans = ring.snapshot();
+                spans.drain(..spans.len().saturating_sub(self.span_limit));
+                let dropped = ring.dropped() + ring.edges_dropped();
                 Json::Obj(vec![
-                    ("id".into(), Json::Num(r.id as f64)),
-                    ("real_us".into(), Json::Num(r.real_us as f64)),
-                    ("virt".into(), Json::Num(r.virt as f64)),
-                    ("event".into(), Json::Str(r.event.to_string())),
+                    ("name".into(), Json::Str(name.clone())),
+                    ("dropped".into(), Json::Num(dropped as f64)),
+                    (
+                        "spans".into(),
+                        Json::Arr(spans.iter().map(span_to_json).collect()),
+                    ),
                 ])
             })
             .collect();
-        let mut spans = self.spans.snapshot();
-        if spans.len() > self.span_limit {
-            let cut = spans.len() - self.span_limit;
-            spans.drain(..cut);
-        }
-        let spans: Vec<Json> = spans.iter().map(span_to_json).collect();
-
         let doc = Json::Obj(vec![
             ("schema".into(), Json::Str(BLACKBOX_SCHEMA.into())),
             ("reason".into(), Json::Str(reason.into())),
             ("unix_ms".into(), Json::Num(unix_ms as f64)),
             ("config".into(), Json::Str(self.config.clone())),
-            (
-                "spans_dropped".into(),
-                Json::Num(self.spans.dropped() as f64),
-            ),
-            ("events".into(), Json::Arr(events)),
-            ("spans".into(), Json::Arr(spans)),
+            ("rings".into(), Json::Arr(rings)),
         ]);
         let tmp = path.with_extension("json.tmp");
         std::fs::create_dir_all(&self.dir)?;
@@ -178,9 +142,23 @@ fn span_to_json(s: &Span) -> Json {
     ])
 }
 
+fn span_from_json(s: &Json) -> Option<Span> {
+    Some(Span {
+        id: s.get("id")?.as_u64()?,
+        parent: s.get("parent")?.as_u64()?,
+        req: s.get("req")?.as_u64()?,
+        stage: Stage::parse(s.get("stage")?.as_str()?)?,
+        t_start_us: s.get("t_start_us")?.as_u64()?,
+        t_end_us: s.get("t_end_us")?.as_u64()?,
+        virt: s.get("virt")?.as_u64()?,
+        arg_a: s.get("a")?.as_u64()?,
+        arg_b: s.get("b")?.as_u64()?,
+    })
+}
+
 /// Parses a blackbox file's text and renders the human post-mortem view:
-/// header (reason, time, config), the trace-event tail, and the final
-/// spans grouped per request in causal order.
+/// header (reason, time, config), then each ring's final spans, the
+/// lifecycle edges first and then each request's hops, in causal order.
 pub fn render_blackbox(text: &str) -> Result<String, String> {
     let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
     match doc.get("schema").and_then(|s| s.as_str()) {
@@ -195,73 +173,47 @@ pub fn render_blackbox(text: &str) -> Result<String, String> {
     let _ = writeln!(out, "blackbox: {reason}");
     let _ = writeln!(out, "captured: unix_ms {unix_ms}");
     let _ = writeln!(out, "config:   {config}");
-    if let Some(dropped) = doc.get("spans_dropped").and_then(|v| v.as_u64()) {
+
+    for ring in doc.get("rings").and_then(|r| r.as_array()).unwrap_or(&[]) {
+        let name = ring.get("name").and_then(|n| n.as_str()).unwrap_or("?");
+        let spans = ring.get("spans").and_then(|s| s.as_array()).unwrap_or(&[]);
+        let mut parsed: Vec<Span> = spans.iter().filter_map(span_from_json).collect();
+        if parsed.len() != spans.len() {
+            return Err(format!("ring {name}: malformed span entry"));
+        }
+        let _ = writeln!(out, "\n== ring {name}: final spans ({}) ==", spans.len());
+        let dropped = ring.get("dropped").and_then(|v| v.as_u64()).unwrap_or(0);
         if dropped > 0 {
             let _ = writeln!(
                 out,
                 "warning:  {dropped} earlier spans were dropped on wrap"
             );
         }
-    }
-
-    let events = doc.get("events").and_then(|e| e.as_array()).unwrap_or(&[]);
-    let _ = writeln!(out, "\n== trace tail ({} events) ==", events.len());
-    for e in events {
-        let _ = writeln!(
-            out,
-            "#{:06} t={:>10}us v={:>8} {}",
-            e.get("id").and_then(|v| v.as_u64()).unwrap_or(0),
-            e.get("real_us").and_then(|v| v.as_u64()).unwrap_or(0),
-            e.get("virt").and_then(|v| v.as_u64()).unwrap_or(0),
-            e.get("event").and_then(|v| v.as_str()).unwrap_or("?"),
-        );
-    }
-
-    let spans = doc.get("spans").and_then(|s| s.as_array()).unwrap_or(&[]);
-    let _ = writeln!(out, "\n== final spans ({} spans) ==", spans.len());
-    // Group per request (req 0 = the writeback pipeline), causal order
-    // within each group.
-    let mut parsed: Vec<Span> = spans
-        .iter()
-        .filter_map(|s| {
-            Some(Span {
-                id: s.get("id")?.as_u64()?,
-                parent: s.get("parent")?.as_u64()?,
-                req: s.get("req")?.as_u64()?,
-                stage: Stage::parse(s.get("stage")?.as_str()?)?,
-                t_start_us: s.get("t_start_us")?.as_u64()?,
-                t_end_us: s.get("t_end_us")?.as_u64()?,
-                virt: s.get("virt")?.as_u64()?,
-                arg_a: s.get("a")?.as_u64()?,
-                arg_b: s.get("b")?.as_u64()?,
-            })
-        })
-        .collect();
-    if parsed.len() != spans.len() {
-        return Err("malformed span entry".to_string());
-    }
-    parsed.sort_by_key(|s| (s.req, s.t_start_us, s.id));
-    let mut cur_req = u64::MAX;
-    for s in &parsed {
-        if s.req != cur_req {
-            cur_req = s.req;
-            if s.req == 0 {
-                let _ = writeln!(out, "-- writeback pipeline --");
-            } else {
-                let _ = writeln!(out, "-- request {} --", s.req);
+        // Group per request (req 0 = lifecycle edges), causal order
+        // within each group.
+        parsed.sort_by_key(|s| (s.req, s.t_start_us, s.id));
+        let mut cur_req = u64::MAX;
+        for s in &parsed {
+            if s.req != cur_req {
+                cur_req = s.req;
+                if s.req == 0 {
+                    let _ = writeln!(out, "-- lifecycle edges --");
+                } else {
+                    let _ = writeln!(out, "-- request {} --", s.req);
+                }
             }
+            let _ = writeln!(
+                out,
+                "  {:>16} [{:>10}us..{:>10}us] span={} parent={} a={} b={}",
+                s.stage.name(),
+                s.t_start_us,
+                s.t_end_us,
+                s.id,
+                s.parent,
+                s.arg_a,
+                s.arg_b,
+            );
         }
-        let _ = writeln!(
-            out,
-            "  {:>16} [{:>10}us..{:>10}us] span={} parent={} a={} b={}",
-            s.stage.name(),
-            s.t_start_us,
-            s.t_end_us,
-            s.id,
-            s.parent,
-            s.arg_a,
-            s.arg_b,
-        );
     }
     Ok(out)
 }
@@ -269,7 +221,6 @@ pub fn render_blackbox(text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
     use std::path::Path;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -278,24 +229,23 @@ mod tests {
         dir
     }
 
+    /// Two export rings: `disk0` with 12 PUT-done edges and then one
+    /// traced write, `disk1` with a single seal edge.
     fn rig(dir: &Path) -> Arc<FlightRecorder> {
-        let spans = Arc::new(SpanRing::new(64, 2));
-        spans.set_enabled(true);
-        let req = spans.mint_request();
-        let open = spans.begin(req, 0, Stage::Decode).unwrap();
-        let decode = spans.finish(open, 1, 4096);
-        spans.instant(req, decode, Stage::WlogAppend, 5, 4096);
-        spans.instant(0, 0, Stage::BatchSeal, 2, 5);
-        let rec = FlightRecorder::new(spans, "cfg: test".to_string(), dir, 8, 32);
+        let disk0 = Arc::new(SpanRing::new(64, 2));
+        disk0.set_enabled(true);
         for seq in 0..12u64 {
-            rec.note_event(&TraceRecord {
-                id: seq,
-                real_us: seq * 10,
-                virt: seq,
-                event: TraceEvent::PutDone { seq },
-            });
+            disk0.edge(None, Stage::PutDone, seq, 0);
         }
-        rec
+        let req = disk0.mint_request();
+        let open = disk0.begin(req, 0, Stage::Decode).unwrap();
+        let decode = disk0.finish(open, 1, 4096);
+        let open = disk0.begin(req, decode, Stage::WlogAppend).unwrap();
+        disk0.finish(open, 5, 4096);
+        let disk1 = Arc::new(SpanRing::new(64, 2));
+        disk1.edge(None, Stage::BatchSeal, 2, 5);
+        let rings = vec![("disk0".to_string(), disk0), ("disk1".to_string(), disk1)];
+        FlightRecorder::new(rings, "cfg: test".to_string(), dir, 8)
     }
 
     #[test]
@@ -315,17 +265,23 @@ mod tests {
             doc.get("schema").and_then(|s| s.as_str()),
             Some(BLACKBOX_SCHEMA)
         );
-        // Event mirror is bounded at 8: ids 4..=11 survive.
-        let events = doc.get("events").and_then(|e| e.as_array()).unwrap();
-        assert_eq!(events.len(), 8);
-        assert_eq!(events[0].get("id").and_then(|v| v.as_u64()), Some(4));
+        // Each ring is bounded at 8 spans: disk0 keeps its newest six
+        // edges (seq 6..=11) and the two request spans.
+        let rings = doc.get("rings").and_then(|r| r.as_array()).unwrap();
+        assert_eq!(rings.len(), 2);
+        let spans = rings[0].get("spans").and_then(|s| s.as_array()).unwrap();
+        assert_eq!(spans.len(), 8);
+        assert_eq!(spans[0].get("a").and_then(|v| v.as_u64()), Some(6));
 
         let rendered = render_blackbox(&text).expect("render");
         assert!(rendered.contains("conn abort"), "{rendered}");
         assert!(rendered.contains("cfg: test"), "{rendered}");
-        assert!(rendered.contains("put-done seq=11"), "{rendered}");
+        assert!(rendered.contains("== ring disk0"), "{rendered}");
+        assert!(rendered.contains("== ring disk1"), "{rendered}");
+        assert!(rendered.contains("put_done"), "{rendered}");
+        assert!(rendered.contains("batch_seal"), "{rendered}");
         assert!(rendered.contains("wlog_append"), "{rendered}");
-        assert!(rendered.contains("writeback pipeline"), "{rendered}");
+        assert!(rendered.contains("lifecycle edges"), "{rendered}");
         assert!(rendered.contains("-- request 1 --"), "{rendered}");
         assert_eq!(rec.dumps(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -335,6 +291,7 @@ mod tests {
     fn render_rejects_foreign_documents() {
         assert!(render_blackbox("not json at all").is_err());
         assert!(render_blackbox("{\"schema\":\"something-else\"}").is_err());
+        assert!(render_blackbox("{\"schema\":\"lsvd-blackbox-v1\"}").is_err());
         assert!(render_blackbox("{}").is_err());
     }
 

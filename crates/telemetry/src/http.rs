@@ -209,7 +209,8 @@ mod tests {
         let spans = Arc::new(SpanRing::new(64, 2));
         spans.set_enabled(true);
         let req = spans.mint_request();
-        spans.instant(req, 0, Stage::Read, 0, 4096);
+        let open = spans.begin(req, 0, Stage::Read).unwrap();
+        spans.finish(open, 0, 4096);
         let snap: SnapshotFn = Box::new(|| Some(TelemetrySnapshot::default()));
         let mut srv = MetricsServer::start("127.0.0.1:0", snap, spans).unwrap();
         let addr = srv.addr();

@@ -12,9 +12,11 @@
 //!   (promoted from the simulation plane) and its shared, lock-cheap
 //!   recorder form, used for client ops, object-store ops and writeback
 //!   PUT queue-wait/service splits;
-//! - [`TraceRing`] — a fixed-capacity ring of typed I/O events
-//!   ([`TraceEvent`]) with monotonic event ids and per-event virtual/real
-//!   timestamps, drainable by tests and dumpable on error;
+//! - [`SpanRing`] — the one event model: typed [`Span`]s, one
+//!   vocabulary ([`Stage`]) for request hops and pipeline lifecycle edges
+//!   (seal, PUT, frontier advance, checkpoint, GC, trim, connections),
+//!   which feeds the crash hook, the tests, `/trace` ([`http`]) and the
+//!   crash black box ([`blackbox`]);
 //! - [`TelemetrySnapshot`] — the aggregate exporter: every recorder plus
 //!   derived paper-figure observables (write amplification, backend
 //!   objects/s, pipeline occupancy, frontier lag, GC dead-space ratio),
@@ -38,7 +40,6 @@ pub mod serving;
 pub mod sketch;
 pub mod snapshot;
 pub mod span;
-pub mod trace;
 
 pub use blackbox::{render_blackbox, FlightRecorder, BLACKBOX_SCHEMA};
 pub use http::{MetricsServer, SnapshotFn};
@@ -51,5 +52,4 @@ pub use snapshot::{
     ReadPlaneTelemetry, RetryTelemetry, ServingTelemetry, SpaceTelemetry, SpanTelemetry,
     TelemetrySnapshot, TenantTelemetry, TraceTelemetry, WritebackTelemetry, SCHEMA,
 };
-pub use span::{OpenSpan, Span, SpanRing, Stage};
-pub use trace::{TraceEvent, TraceHook, TraceRecord, TraceRing};
+pub use span::{OpenSpan, Span, SpanRing, Stage, EDGE_CAPACITY};

@@ -612,17 +612,17 @@ metric_table! {
             "Requests that stalled on a QoS token bucket.";
     }
 
-    /// Trace-ring occupancy.
+    /// Lifecycle-edge occupancy of the span ring.
     trace:
-    /// Trace-ring occupancy counters.
+    /// Lifecycle-edge counters: the span ring's edge buffer.
     pub struct TraceTelemetry {
-        /// Events ever pushed.
+        /// Edges ever recorded.
         events: u64, sum, counter lsvd_trace_events_total
             "Trace events ever pushed into the ring.";
-        /// Events evicted to make room.
+        /// Edges evicted to make room.
         dropped: u64, sum, counter lsvd_trace_dropped_total
             "Trace events evicted from the ring on wrap.";
-        /// Ring capacity.
+        /// Edge-buffer capacity.
         capacity: u64, sum, gauge lsvd_trace_capacity "Trace ring capacity.";
     }
 

@@ -1,44 +1,58 @@
-//! Request-scoped spans: the causality layer on top of the counter and
-//! latency telemetry.
+//! Spans: the one event vocabulary of the stack.
 //!
-//! A [`RequestId`] is minted once per client command — at NBD decode in
-//! the serving plane, or at `SharedVolume` entry for direct callers —
-//! and carried through every hop the request touches: scheduler
-//! dispatch, read-plane single-flight, wlog append, batch seal, PUT,
-//! frontier advance. Each hop records a [`Span`] (parent id, stage,
-//! start/end on the ring's real clock plus the request-count virtual
-//! clock) into a lock-sharded [`SpanRing`], so hot paths on different
-//! threads never contend on one mutex.
+//! A [`Span`] is one recorded hop: its stage, parent id, start/end on the
+//! ring's real clock, the request-count virtual clock, and two
+//! stage-specific arguments. Two kinds share the vocabulary and the ring:
 //!
-//! Spans with `req != 0` belong to a client request; spans with
-//! `req == 0` are pipeline-scoped (seal / PUT / frontier advance, which
-//! amortize many requests into one backend object). The two are joined
-//! by data, not by parent pointers: a wlog-append span records the cache
-//! sequence it appended (`arg_a`), and a seal span records the object
-//! sequence (`arg_a`) plus the last cache sequence it covers (`arg_b`),
-//! so `wlog.arg_a <= seal.arg_b` finds the object that made a write
-//! durable.
+//! - **Request spans** (`req != 0`). A request id is minted once per
+//!   client command — at NBD decode in the serving plane, or at
+//!   `SharedVolume` entry for direct callers — and carried through every
+//!   hop the request touches: scheduler dispatch, read-plane
+//!   single-flight, wlog append, flush, trim. They are recorded only
+//!   while tracing is enabled, into lock-sharded buffers, so hot paths on
+//!   different threads never contend on one mutex.
+//! - **Lifecycle edges** ([`SpanRing::edge`]): batch seal, PUT start /
+//!   done / retry / abort, frontier advance, checkpoint, GC pass and
+//!   relocation, degraded enter / exit, trim, connection open / close.
+//!   They are recorded whether or not tracing is on, into one ordered
+//!   buffer with its own counters, and each gets a 0-based ordinal: the
+//!   volume's edge hook (the model checker's crash controller) sees every
+//!   edge with it. Edges are pipeline-scoped (`req == 0`), except a traced
+//!   trim, whose request span is also its edge.
+//!
+//! Requests and the pipeline are joined by data, not by parent pointers:
+//! a wlog-append span records the cache sequence it appended (`arg_a`),
+//! and a seal edge records the object sequence (`arg_a`) plus the last
+//! cache sequence it covers (`arg_b`), so `wlog.arg_a <= seal.arg_b` finds
+//! the object that made a write durable; the object sequence then links
+//! seal → PUT → frontier advance.
 //!
 //! [`SpanRing::to_chrome_trace`] renders the ring as Chrome
 //! `trace_event` JSON (`ph: "X"` complete events) loadable in
 //! `about:tracing` or Perfetto: request spans share `pid 1` with
-//! `tid = req` (one connected track per request), pipeline spans share
-//! `pid 2` with `tid = object seq`.
+//! `tid = req` (one connected track per request), edges share `pid 2`
+//! with `tid = arg_a` (the object sequence for pipeline edges).
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// The pipeline hop a [`Span`] measures.
+/// Capacity of a ring's lifecycle-edge buffer: a full chaos sweep's
+/// seal/PUT/frontier history fits without drops.
+pub const EDGE_CAPACITY: usize = 4096;
+
+/// The hop a [`Span`] measures. Request stages carry a request id;
+/// lifecycle edges (from [`Stage::BatchSeal`] on, plus a traced
+/// [`Stage::Trim`]) are recorded by [`SpanRing::edge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// NBD command decode (header + payload off the socket).
     /// `arg_a` = NBD command code, `arg_b` = payload/range length.
     Decode,
     /// Scheduler dispatch: dequeue from a lane through volume completion.
-    /// `arg_a` = lane (0 ordered, 1 concurrent), `arg_b` = connection id.
+    /// `arg_a` = NBD error, `arg_b` = connection id.
     Dispatch,
     /// A read served by the read plane. `arg_a` = first LBA,
     /// `arg_b` = bytes.
@@ -53,19 +67,70 @@ pub enum Stage {
     WlogAppend,
     /// Client flush (write-log commit barrier).
     Flush,
-    /// Client trim. `arg_a` = first LBA, `arg_b` = sectors.
+    /// Edge: a discard punched the map. `arg_a` = first LBA,
+    /// `arg_b` = sectors.
     Trim,
-    /// Batch seal into an immutable object image. `arg_a` = object seq,
-    /// `arg_b` = last cache sequence covered.
+    /// Edge: a write-log batch was sealed into an immutable object image.
+    /// `arg_a` = object seq, `arg_b` = last cache sequence covered.
     BatchSeal,
-    /// Backend PUT lifetime (submit through terminal completion).
-    /// `arg_a` = object seq, `arg_b` = retries.
-    Put,
-    /// Durable frontier advance past an object. `arg_a` = object seq.
+    /// Edge: a PUT was handed to the writeback pool. `arg_a` = object seq.
+    PutStart,
+    /// Edge: a PUT completed successfully. `arg_a` = object seq.
+    PutDone,
+    /// Edge: a PUT failed transiently and was requeued.
+    /// `arg_a` = object seq.
+    PutRetry,
+    /// Edge: a PUT failed permanently. `arg_a` = object seq.
+    PutAbort,
+    /// Edge: the durable frontier advanced through an object (every
+    /// object at or below it is durable). `arg_a` = object seq.
     FrontierAdvance,
+    /// Edge: a checkpoint was written. `arg_a` = last object seq covered.
+    Checkpoint,
+    /// Edge: a garbage-collection pass completed.
+    /// `arg_a` = backend objects collected.
+    GcPass,
+    /// Edge: the cleaner sealed a relocation carrier, mid-pass (the
+    /// frontier has not passed it yet). `arg_a` = object seq,
+    /// `arg_b` = object bytes.
+    GcRelocate,
+    /// Edge: the volume entered degraded (backpressure) mode.
+    DegradedEnter,
+    /// Edge: the volume left degraded mode.
+    DegradedExit,
+    /// Edge: a serving-plane connection finished its handshake.
+    /// `arg_a` = connection id.
+    ConnOpen,
+    /// Edge: a serving-plane connection closed. `arg_a` = connection id.
+    ConnClose,
 }
 
 impl Stage {
+    /// Every stage, in declaration order.
+    pub const ALL: [Stage; 21] = [
+        Stage::Decode,
+        Stage::Dispatch,
+        Stage::Read,
+        Stage::FetchLead,
+        Stage::FetchJoin,
+        Stage::WlogAppend,
+        Stage::Flush,
+        Stage::Trim,
+        Stage::BatchSeal,
+        Stage::PutStart,
+        Stage::PutDone,
+        Stage::PutRetry,
+        Stage::PutAbort,
+        Stage::FrontierAdvance,
+        Stage::Checkpoint,
+        Stage::GcPass,
+        Stage::GcRelocate,
+        Stage::DegradedEnter,
+        Stage::DegradedExit,
+        Stage::ConnOpen,
+        Stage::ConnClose,
+    ];
+
     /// Stable lower-case name used in exports and the blackbox format.
     pub fn name(self) -> &'static str {
         match self {
@@ -78,27 +143,24 @@ impl Stage {
             Stage::Flush => "flush",
             Stage::Trim => "trim",
             Stage::BatchSeal => "batch_seal",
-            Stage::Put => "put",
+            Stage::PutStart => "put_start",
+            Stage::PutDone => "put_done",
+            Stage::PutRetry => "put_retry",
+            Stage::PutAbort => "put_abort",
             Stage::FrontierAdvance => "frontier_advance",
+            Stage::Checkpoint => "checkpoint",
+            Stage::GcPass => "gc_pass",
+            Stage::GcRelocate => "gc_relocate",
+            Stage::DegradedEnter => "degraded_enter",
+            Stage::DegradedExit => "degraded_exit",
+            Stage::ConnOpen => "conn_open",
+            Stage::ConnClose => "conn_close",
         }
     }
 
     /// Parses the name emitted by [`Stage::name`].
     pub fn parse(s: &str) -> Option<Stage> {
-        Some(match s {
-            "decode" => Stage::Decode,
-            "dispatch" => Stage::Dispatch,
-            "read" => Stage::Read,
-            "fetch_lead" => Stage::FetchLead,
-            "fetch_join" => Stage::FetchJoin,
-            "wlog_append" => Stage::WlogAppend,
-            "flush" => Stage::Flush,
-            "trim" => Stage::Trim,
-            "batch_seal" => Stage::BatchSeal,
-            "put" => Stage::Put,
-            "frontier_advance" => Stage::FrontierAdvance,
-            _ => return None,
-        })
+        Stage::ALL.into_iter().find(|stage| stage.name() == s)
     }
 }
 
@@ -108,15 +170,15 @@ impl fmt::Display for Stage {
     }
 }
 
-/// One recorded hop of one request (or of one pipeline object when
-/// `req == 0`).
+/// One recorded hop of one request, or one lifecycle edge when
+/// `req == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Ring-unique span id (never 0).
     pub id: u64,
     /// Parent span id within the same request, or 0 for a root span.
     pub parent: u64,
-    /// The request this span serves, or 0 for pipeline-scoped spans.
+    /// The request this span serves, or 0 for pipeline-scoped edges.
     pub req: u64,
     /// Which hop this is.
     pub stage: Stage,
@@ -153,15 +215,15 @@ impl fmt::Display for Span {
 }
 
 /// An open span: the start-side half captured by [`SpanRing::begin`],
-/// finished (and recorded) by [`SpanRing::finish`]. `Copy`, so it can be
-/// stashed in maps across threads (e.g. PUT submit → completion).
+/// closed (and recorded) by [`SpanRing::finish`] or, for a traced trim,
+/// by [`SpanRing::edge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenSpan {
     /// The span id the finished record will carry.
     pub id: u64,
     /// Parent span id.
     pub parent: u64,
-    /// Owning request id (0 = pipeline-scoped).
+    /// Owning request id.
     pub req: u64,
     /// Which hop this is.
     pub stage: Stage,
@@ -171,15 +233,56 @@ pub struct OpenSpan {
     pub virt: u64,
 }
 
-/// Lock-sharded fixed-capacity span ring.
+impl OpenSpan {
+    fn close(self, t_end_us: u64, arg_a: u64, arg_b: u64) -> Span {
+        Span {
+            id: self.id,
+            parent: self.parent,
+            req: self.req,
+            stage: self.stage,
+            t_start_us: self.t_start_us,
+            t_end_us,
+            virt: self.virt,
+            arg_a,
+            arg_b,
+        }
+    }
+}
+
+/// The lifecycle-edge buffer and its counters.
+#[derive(Default)]
+struct Edges {
+    buf: VecDeque<Span>,
+    recorded: u64,
+    dropped: u64,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("span ring lock poisoned")
+}
+
+/// Appends `span`, evicting the oldest entry when `buf` holds `cap`;
+/// returns whether one was evicted.
+fn push_bounded(buf: &mut VecDeque<Span>, cap: usize, span: Span) -> bool {
+    let evict = buf.len() == cap;
+    if evict {
+        buf.pop_front();
+    }
+    buf.push_back(span);
+    evict
+}
+
+/// A volume's one span ring: lock-sharded request spans plus the
+/// lifecycle-edge buffer.
 ///
-/// `record` takes exactly one shard mutex (chosen by span id), so
-/// concurrent NBD workers, the dispatcher, and writeback completions
-/// never serialize on the ring. When a shard is full its oldest span is
-/// dropped and counted; [`SpanRing::dropped`] makes the loss visible.
+/// Recording a request span takes exactly one shard mutex (chosen by span
+/// id), so concurrent NBD workers, the dispatcher and the read plane never
+/// serialize on the ring. Recording an edge takes the edge buffer's
+/// mutex. When a buffer is full its oldest span is dropped and counted.
 pub struct SpanRing {
     shards: Vec<Mutex<VecDeque<Span>>>,
     shard_cap: usize,
+    edges: Mutex<Edges>,
     start: Instant,
     next_id: AtomicU64,
     next_req: AtomicU64,
@@ -195,6 +298,7 @@ impl fmt::Debug for SpanRing {
             .field("shard_cap", &self.shard_cap)
             .field("recorded", &self.recorded())
             .field("dropped", &self.dropped())
+            .field("edges", &self.edges_recorded())
             .field("enabled", &self.enabled())
             .finish()
     }
@@ -202,7 +306,8 @@ impl fmt::Debug for SpanRing {
 
 impl SpanRing {
     /// Creates a ring of `shards` shards holding at most `capacity`
-    /// spans in total (each shard gets `capacity / shards`, minimum 1).
+    /// request spans in total (each shard gets `capacity / shards`,
+    /// minimum 1), plus [`EDGE_CAPACITY`] lifecycle edges.
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let shard_cap = (capacity / shards).max(1);
@@ -211,33 +316,34 @@ impl SpanRing {
                 .map(|_| Mutex::new(VecDeque::with_capacity(shard_cap)))
                 .collect(),
             shard_cap,
+            edges: Mutex::default(),
             start: Instant::now(),
             next_id: AtomicU64::new(1),
             next_req: AtomicU64::new(1),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            // Off by default: tracing is opt-in (CLI flags, tests,
+            // Off by default: request tracing is opt-in (CLI flags, tests,
             // benches), and a disabled ring costs one relaxed load per
             // instrumentation site.
             enabled: AtomicBool::new(false),
         }
     }
 
-    /// Whether spans are being recorded. Checked (one relaxed load) at
-    /// the top of every instrumentation site, so disabling tracing
-    /// reduces it to a branch.
+    /// Whether request spans are being recorded. Checked (one relaxed
+    /// load) at the top of every instrumentation site, so disabling
+    /// tracing reduces it to a branch. Edges ignore it.
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off. Already-buffered spans are kept.
+    /// Turns request tracing on or off. Already-buffered spans are kept.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Mints a fresh [`RequestId`]-style id (never 0) and advances the
-    /// virtual clock. Returns 0 when tracing is disabled, which every
-    /// downstream site treats as "don't record".
+    /// Mints a fresh request id (never 0) and advances the virtual
+    /// clock. Returns 0 when tracing is disabled, which every downstream
+    /// site treats as "don't record".
     pub fn mint_request(&self) -> u64 {
         if !self.enabled() {
             return 0;
@@ -255,10 +361,8 @@ impl SpanRing {
         self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 
-    /// Opens a span at the current clock. Returns `None` when tracing is
-    /// disabled or the hop serves no request (`req == 0` for a
-    /// request-scoped stage is the caller's "not traced" sentinel —
-    /// pipeline stages pass `req = 0` deliberately and always record).
+    /// Opens a request span at the current clock. Returns `None` when
+    /// tracing is disabled.
     pub fn begin(&self, req: u64, parent: u64, stage: Stage) -> Option<OpenSpan> {
         if !self.enabled() {
             return None;
@@ -273,86 +377,110 @@ impl SpanRing {
         })
     }
 
-    /// Closes `open` at the current clock and records it. Returns the
-    /// span id (usable as a parent for child hops).
+    /// Closes `open` at the current clock and records it into its shard.
+    /// Returns the span id (usable as a parent for child hops).
     pub fn finish(&self, open: OpenSpan, arg_a: u64, arg_b: u64) -> u64 {
-        let span = Span {
-            id: open.id,
-            parent: open.parent,
-            req: open.req,
-            stage: open.stage,
-            t_start_us: open.t_start_us,
-            t_end_us: self.now_us(),
-            virt: open.virt,
-            arg_a,
-            arg_b,
-        };
-        self.record(span);
+        let span = open.close(self.now_us(), arg_a, arg_b);
+        let shard = &self.shards[(span.id as usize) % self.shards.len()];
+        if push_bounded(&mut lock(shard), self.shard_cap, span) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        self.recorded.fetch_add(1, Ordering::Relaxed);
         open.id
     }
 
-    /// Records an instantaneous span (start == end == now).
-    pub fn instant(&self, req: u64, parent: u64, stage: Stage, arg_a: u64, arg_b: u64) -> u64 {
-        match self.begin(req, parent, stage) {
-            Some(open) => self.finish(open, arg_a, arg_b),
-            None => 0,
+    /// Records a lifecycle edge, whether or not tracing is on, and
+    /// returns its 0-based ordinal with the recorded span. A traced hop
+    /// that is itself an edge (a trim) passes its open span, so one
+    /// record is both; otherwise the edge is instantaneous and
+    /// pipeline-scoped. Ordinals count edges only; span ids are shared
+    /// with request spans.
+    pub fn edge(
+        &self,
+        open: Option<OpenSpan>,
+        stage: Stage,
+        arg_a: u64,
+        arg_b: u64,
+    ) -> (u64, Span) {
+        let mut edges = lock(&self.edges);
+        let now = self.now_us();
+        let span = match open {
+            Some(open) => Span {
+                stage,
+                ..open.close(now, arg_a, arg_b)
+            },
+            None => Span {
+                id: self.next_id.fetch_add(1, Ordering::Relaxed),
+                parent: 0,
+                req: 0,
+                stage,
+                t_start_us: now,
+                t_end_us: now,
+                virt: self.virt(),
+                arg_a,
+                arg_b,
+            },
+        };
+        let ordinal = edges.recorded;
+        edges.recorded += 1;
+        if push_bounded(&mut edges.buf, EDGE_CAPACITY, span) {
+            edges.dropped += 1;
         }
+        (ordinal, span)
     }
 
-    /// Records a fully-built span into its shard.
-    pub fn record(&self, span: Span) {
-        let shard = &self.shards[(span.id as usize) % self.shards.len()];
-        let mut buf = shard.lock().unwrap();
-        if buf.len() == self.shard_cap {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(span);
-        drop(buf);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// All buffered spans, merged across shards, ordered by start time
-    /// (ties broken by id). Does not consume the ring.
+    /// All buffered spans, edges included, ordered by start time (ties
+    /// broken by id). Does not consume the ring.
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().unwrap().iter().copied());
-        }
-        out.sort_by_key(|s| (s.t_start_us, s.id));
-        out
+        self.gather(|buf, out| out.extend(buf.iter().copied()))
     }
 
     /// Removes and returns all buffered spans, ordered as
-    /// [`SpanRing::snapshot`].
+    /// [`SpanRing::snapshot`]. Counters and ordinals keep counting.
     pub fn drain(&self) -> Vec<Span> {
+        self.gather(|buf, out| out.extend(buf.drain(..)))
+    }
+
+    fn gather(&self, take: impl Fn(&mut VecDeque<Span>, &mut Vec<Span>)) -> Vec<Span> {
         let mut out = Vec::new();
+        take(&mut lock(&self.edges).buf, &mut out);
         for shard in &self.shards {
-            out.extend(shard.lock().unwrap().drain(..));
+            take(&mut lock(shard), &mut out);
         }
         out.sort_by_key(|s| (s.t_start_us, s.id));
         out
     }
 
-    /// Total spans ever recorded (buffered + dropped).
+    /// Total request spans ever recorded (buffered + dropped).
     pub fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Spans evicted to make room.
+    /// Request spans evicted to make room.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Total ring capacity across all shards.
+    /// Request-span capacity across all shards.
     pub fn capacity(&self) -> usize {
         self.shard_cap * self.shards.len()
     }
 
+    /// Total lifecycle edges ever recorded (buffered + dropped): the
+    /// next edge's ordinal.
+    pub fn edges_recorded(&self) -> u64 {
+        lock(&self.edges).recorded
+    }
+
+    /// Lifecycle edges evicted to make room.
+    pub fn edges_dropped(&self) -> u64 {
+        lock(&self.edges).dropped
+    }
+
     /// Renders the newest `limit` spans (0 = all buffered) as Chrome
     /// `trace_event` JSON: one `ph: "X"` complete event per span, request
-    /// tracks on pid 1 (`tid = req`), pipeline tracks on pid 2
-    /// (`tid = object seq`). Loadable in `about:tracing` and Perfetto.
+    /// tracks on pid 1 (`tid = req`), edges on pid 2 (`tid = arg_a`).
+    /// Loadable in `about:tracing` and Perfetto.
     pub fn to_chrome_trace(&self, limit: usize) -> String {
         let mut spans = self.snapshot();
         if limit > 0 && spans.len() > limit {
@@ -428,7 +556,6 @@ mod tests {
         assert!(!ring.enabled(), "rings start disabled");
         assert_eq!(ring.mint_request(), 0);
         assert!(ring.begin(1, 0, Stage::Read).is_none());
-        assert_eq!(ring.instant(0, 0, Stage::FrontierAdvance, 1, 0), 0);
         assert!(ring.snapshot().is_empty());
         ring.set_enabled(true);
         assert_ne!(ring.mint_request(), 0);
@@ -439,12 +566,64 @@ mod tests {
         let ring = SpanRing::new(8, 2); // 4 per shard
         ring.set_enabled(true);
         for _ in 0..20 {
-            ring.instant(0, 0, Stage::Put, 1, 0);
+            let open = ring.begin(1, 0, Stage::Read).unwrap();
+            ring.finish(open, 1, 0);
         }
         assert_eq!(ring.snapshot().len(), 8);
         assert_eq!(ring.dropped(), 12);
         assert_eq!(ring.recorded(), 20);
         assert_eq!(ring.capacity(), 8);
+    }
+
+    #[test]
+    fn edge_ordinals_are_monotonic_and_order_preserved() {
+        // Tracing stays off: edges record regardless, and are not
+        // request spans.
+        let ring = SpanRing::new(64, 4);
+        for seq in 0..5u64 {
+            let (ordinal, span) = ring.edge(None, Stage::PutStart, seq, 0);
+            assert_eq!(ordinal, seq);
+            assert_eq!((span.req, span.t_start_us), (0, span.t_end_us));
+        }
+        let spans = ring.drain();
+        assert_eq!(spans.len(), 5);
+        for (i, s) in spans.iter().enumerate() {
+            assert_eq!((s.stage, s.arg_a), (Stage::PutStart, i as u64));
+        }
+        assert!(spans.windows(2).all(|w| w[0].id < w[1].id));
+        assert!(ring.snapshot().is_empty());
+        assert_eq!((ring.edges_recorded(), ring.recorded()), (5, 0));
+        assert_eq!(ring.edge(None, Stage::DegradedEnter, 0, 0).0, 5);
+    }
+
+    #[test]
+    fn full_edge_buffer_drops_oldest_and_counts_every_ordinal() {
+        let ring = SpanRing::new(64, 4);
+        let total = EDGE_CAPACITY as u64 + 7;
+        let ordinals: Vec<u64> = (0..total)
+            .map(|seq| ring.edge(None, Stage::PutDone, seq, 0).0)
+            .collect();
+        // Every edge got its ordinal, even those the buffer dropped.
+        assert_eq!(ordinals, (0..total).collect::<Vec<_>>());
+        assert_eq!(ring.edges_recorded(), total);
+        assert_eq!(ring.edges_dropped(), 7);
+        let spans = ring.snapshot();
+        assert_eq!(spans.len(), EDGE_CAPACITY);
+        assert_eq!(spans[0].arg_a, 7);
+        assert_eq!(spans[EDGE_CAPACITY - 1].arg_a, total - 1);
+    }
+
+    #[test]
+    fn a_traced_edge_is_its_request_span() {
+        let ring = SpanRing::new(64, 4);
+        ring.set_enabled(true);
+        let req = ring.mint_request();
+        let open = ring.begin(req, 9, Stage::Trim).unwrap();
+        let (ordinal, span) = ring.edge(Some(open), Stage::Trim, 16, 8);
+        assert_eq!(ordinal, 0);
+        assert_eq!((span.id, span.req, span.parent), (open.id, req, 9));
+        assert_eq!(ring.snapshot(), vec![span]);
+        assert_eq!(ring.recorded(), 0, "edges are not request spans");
     }
 
     #[test]
@@ -483,8 +662,9 @@ mod tests {
         let req = ring.mint_request();
         let open = ring.begin(req, 0, Stage::Decode).unwrap();
         let id = ring.finish(open, 1, 512);
-        ring.instant(req, id, Stage::WlogAppend, 7, 512);
-        ring.instant(0, 0, Stage::BatchSeal, 3, 7);
+        let open = ring.begin(req, id, Stage::WlogAppend).unwrap();
+        ring.finish(open, 7, 512);
+        ring.edge(None, Stage::BatchSeal, 3, 7);
         let json = crate::json::Json::parse(&ring.to_chrome_trace(0)).expect("parse");
         let events = json.get("traceEvents").and_then(|e| e.as_array()).unwrap();
         // 2 metadata + 3 spans.
@@ -498,7 +678,7 @@ mod tests {
             assert!(e.get("ts").is_some() && e.get("dur").is_some());
             assert!(e.get("pid").is_some() && e.get("tid").is_some());
         }
-        // Pipeline span rides pid 2 with tid = object seq.
+        // Pipeline edge rides pid 2 with tid = object seq.
         let seal = xs
             .iter()
             .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("batch_seal"))
@@ -514,19 +694,7 @@ mod tests {
 
     #[test]
     fn stage_names_round_trip() {
-        for stage in [
-            Stage::Decode,
-            Stage::Dispatch,
-            Stage::Read,
-            Stage::FetchLead,
-            Stage::FetchJoin,
-            Stage::WlogAppend,
-            Stage::Flush,
-            Stage::Trim,
-            Stage::BatchSeal,
-            Stage::Put,
-            Stage::FrontierAdvance,
-        ] {
+        for stage in Stage::ALL {
             assert_eq!(Stage::parse(stage.name()), Some(stage));
         }
         assert_eq!(Stage::parse("nope"), None);

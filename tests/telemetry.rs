@@ -1,24 +1,26 @@
-//! End-to-end telemetry: the trace ring, latency recorders, pipeline
-//! gauges and snapshot exporters observed through the public
-//! `Volume::telemetry()` / `Volume::drain_trace()` API.
+//! End-to-end telemetry: the span ring's lifecycle edges, latency
+//! recorders, pipeline gauges and snapshot exporters observed through the
+//! public `Volume::telemetry()` / `Volume::span_ring()` API.
 //!
 //! The centrepiece is a 3-thread pipelined chaos sweep: random transient
 //! backend faults (absorbed by a config-built `RetryStore`) plus an
-//! outage window, with the trace ring drained continuously. Afterwards
+//! outage window, with the span ring drained continuously. Afterwards
 //! every PUT retry must pair with a terminal done/abort, the durable
 //! frontier must advance monotonically, and each durable batch must show
 //! the causal seal → PUT start → PUT done → frontier-advance chain.
-//! Trims must trace before the frontier advance that makes them durable,
-//! and serving-plane connections must pair every ConnOpen with a later
-//! ConnClose.
+//! Trims must be recorded before the frontier advance that makes them
+//! durable, and serving-plane connections must pair every `conn_open`
+//! with a later `conn_close`. The edge hook sees every edge, even after
+//! the ring wraps, and a hook that panics leaves its edge behind.
 
-use std::sync::Arc;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use blkdev::RamDisk;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
-use lsvd::{LsvdError, TraceEvent, TraceRecord};
+use lsvd::{LsvdError, Span, Stage};
 use objstore::{
     ChaosSchedule, ChaosStore, LatencyStore, MemStore, ObjectStore, OutageWindow, RetryPolicy,
 };
@@ -37,8 +39,8 @@ fn pipelined_cfg() -> VolumeConfig {
     }
 }
 
-/// Per-seq event ids extracted from a trace: first seal, first PUT
-/// start, last PUT done, frontier advance.
+/// Per-seq edge span ids: first seal, first PUT start, last PUT done,
+/// frontier advance.
 #[derive(Default, Clone, Copy)]
 struct SeqTrace {
     seal: Option<u64>,
@@ -49,27 +51,28 @@ struct SeqTrace {
     aborted: bool,
 }
 
-fn index_by_seq(records: &[TraceRecord]) -> std::collections::BTreeMap<u64, SeqTrace> {
+fn index_by_seq(spans: &[Span]) -> std::collections::BTreeMap<u64, SeqTrace> {
     let mut map: std::collections::BTreeMap<u64, SeqTrace> = Default::default();
-    for r in records {
-        match r.event {
-            TraceEvent::BatchSeal { seq, .. } => {
-                map.entry(seq).or_default().seal.get_or_insert(r.id);
+    for s in spans {
+        let seq = s.arg_a;
+        match s.stage {
+            Stage::BatchSeal => {
+                map.entry(seq).or_default().seal.get_or_insert(s.id);
             }
-            TraceEvent::PutStart { seq } => {
-                map.entry(seq).or_default().first_start.get_or_insert(r.id);
+            Stage::PutStart => {
+                map.entry(seq).or_default().first_start.get_or_insert(s.id);
             }
-            TraceEvent::PutDone { seq } => {
-                map.entry(seq).or_default().last_done = Some(r.id);
+            Stage::PutDone => {
+                map.entry(seq).or_default().last_done = Some(s.id);
             }
-            TraceEvent::PutRetry { seq } => {
+            Stage::PutRetry => {
                 map.entry(seq).or_default().retries += 1;
             }
-            TraceEvent::PutAbort { seq } => {
+            Stage::PutAbort => {
                 map.entry(seq).or_default().aborted = true;
             }
-            TraceEvent::FrontierAdvance { seq } => {
-                map.entry(seq).or_default().advance = Some(r.id);
+            Stage::FrontierAdvance => {
+                map.entry(seq).or_default().advance = Some(s.id);
             }
             _ => {}
         }
@@ -77,31 +80,28 @@ fn index_by_seq(records: &[TraceRecord]) -> std::collections::BTreeMap<u64, SeqT
     map
 }
 
-/// Trim-before-frontier: a trim is traced at discard time and rides the
-/// *next* sealed object. So for every `Trim` record, the first `BatchSeal`
-/// after it is its carrier, and the carrier's `FrontierAdvance` must come
-/// later still — a trim can never trace after the frontier that made it
-/// durable. Call only on traces of fully drained volumes.
-fn assert_trims_precede_their_frontier(trace: &[TraceRecord], ctx: &str) {
+/// Trim-before-frontier: a trim edge is recorded at discard time and the
+/// trim rides the *next* sealed object. So for every `trim` edge, the
+/// first `batch_seal` after it is its carrier, and the carrier's
+/// `frontier_advance` must come later still — a trim can never be
+/// recorded after the frontier that made it durable. Call only on edges
+/// of fully drained volumes.
+fn assert_trims_precede_their_frontier(trace: &[Span], ctx: &str) {
     let advances: std::collections::BTreeMap<u64, u64> = trace
         .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::FrontierAdvance { seq } => Some((seq, r.id)),
-            _ => None,
-        })
+        .filter(|s| s.stage == Stage::FrontierAdvance)
+        .map(|s| (s.arg_a, s.id))
         .collect();
     let mut trims = 0u64;
     for (i, r) in trace.iter().enumerate() {
-        let TraceEvent::Trim { .. } = r.event else {
+        if r.stage != Stage::Trim {
             continue;
-        };
+        }
         trims += 1;
         let (carrier, seal_id) = trace[i + 1..]
             .iter()
-            .find_map(|s| match s.event {
-                TraceEvent::BatchSeal { seq, .. } => Some((seq, s.id)),
-                _ => None,
-            })
+            .find(|s| s.stage == Stage::BatchSeal)
+            .map(|s| (s.arg_a, s.id))
             .unwrap_or_else(|| panic!("{ctx}: trim at id {} was never sealed into a batch", r.id));
         let adv = advances
             .get(&carrier)
@@ -116,7 +116,7 @@ fn assert_trims_precede_their_frontier(trace: &[TraceRecord], ctx: &str) {
     }
     assert!(
         trims > 0,
-        "{ctx}: workload issued trims but none were traced"
+        "{ctx}: workload issued trims but none were recorded"
     );
 }
 
@@ -144,9 +144,10 @@ fn pipelined_chaos_sweep_trace_is_causal() {
         };
         let cache = Arc::new(RamDisk::new(4 << 20));
         let mut vol = Volume::create(chaos.clone(), cache, "t", VOL_BYTES, cfg).expect("create");
+        let ring = vol.span_ring();
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut trace: Vec<TraceRecord> = Vec::new();
+        let mut trace: Vec<Span> = Vec::new();
         let blocks = VOL_BYTES / BATCH;
         for step in 0..70u32 {
             let b = rng.gen_range(0..blocks);
@@ -163,7 +164,7 @@ fn pipelined_chaos_sweep_trace_is_causal() {
                 }
             }
             if step % 9 == 4 {
-                // Discards ride the trace too; verified causal below.
+                // Discards are edges too; verified causal below.
                 let t = rng.gen_range(0..blocks);
                 let mut spins = 0u32;
                 loop {
@@ -177,11 +178,11 @@ fn pipelined_chaos_sweep_trace_is_causal() {
                     }
                 }
             }
-            trace.append(&mut vol.drain_trace());
+            trace.append(&mut ring.drain());
         }
         chaos.heal();
         vol.drain().expect("drain after heal");
-        trace.append(&mut vol.drain_trace());
+        trace.append(&mut ring.drain());
 
         // Ids are monotonic and nothing was dropped (we drained every step).
         assert!(trace.windows(2).all(|w| w[0].id < w[1].id), "seed {seed}");
@@ -191,17 +192,15 @@ fn pipelined_chaos_sweep_trace_is_causal() {
         // The frontier advances monotonically, one sequence at a time.
         let advances: Vec<u64> = trace
             .iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::FrontierAdvance { seq } => Some(seq),
-                _ => None,
-            })
+            .filter(|s| s.stage == Stage::FrontierAdvance)
+            .map(|s| s.arg_a)
             .collect();
         assert!(!advances.is_empty(), "seed {seed}: nothing became durable");
         for w in advances.windows(2) {
             assert_eq!(w[1], w[0] + 1, "seed {seed}: frontier skipped a batch");
         }
 
-        // Trims trace before the frontier advance that covers them.
+        // Trims are recorded before the frontier advance that covers them.
         assert_trims_precede_their_frontier(&trace, &format!("seed {seed}"));
 
         // Causal chain per durable batch, and retry/terminal pairing.
@@ -434,7 +433,8 @@ fn serial_mode_trace_is_causal_too() {
     }
     vol.drain().expect("drain");
 
-    let trace = vol.drain_trace();
+    let ring = vol.span_ring();
+    let trace = ring.drain();
     assert_trims_precede_their_frontier(&trace, "serial");
     let by_seq = index_by_seq(&trace);
     assert!(!by_seq.is_empty());
@@ -451,7 +451,7 @@ fn serial_mode_trace_is_causal_too() {
         assert_eq!(t.retries, 0);
     }
     // Draining consumed the ring; ids keep counting monotonically after.
-    assert!(vol.drain_trace().is_empty());
+    assert!(ring.drain().is_empty());
     let before = vol.telemetry().trace.events;
     vol.write(0, &data).expect("write");
     assert!(vol.telemetry().trace.events >= before);
@@ -459,9 +459,9 @@ fn serial_mode_trace_is_causal_too() {
 
 #[test]
 fn serving_connections_pair_open_and_close_in_the_trace() {
-    // Three sequential NBD client sessions against one server: the trace
-    // must show three distinct connection ids, each ConnOpen paired with
-    // exactly one later ConnClose.
+    // Three sequential NBD client sessions against one server: the ring
+    // must show three distinct connection ids, each `conn_open` paired
+    // with exactly one later `conn_close`.
     let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
     let cache = Arc::new(RamDisk::new(4 << 20));
     let vol = Volume::create(
@@ -488,20 +488,21 @@ fn serving_connections_pair_open_and_close_in_the_trace() {
         c.flush().expect("flush");
         c.disconnect().expect("disconnect");
     }
-    handle.stop(); // joins connection threads: all ConnClose events traced
+    handle.stop(); // joins the reactor: every `conn_close` is recorded
 
-    let trace = sv.with_volume(|v| v.drain_trace()).expect("trace");
+    let trace = sv.span_ring().drain();
     let mut opens = std::collections::BTreeMap::new();
     let mut closes = std::collections::BTreeMap::new();
     for r in &trace {
-        match r.event {
-            TraceEvent::ConnOpen { conn } => {
+        let conn = r.arg_a;
+        match r.stage {
+            Stage::ConnOpen => {
                 assert!(
                     opens.insert(conn, r.id).is_none(),
                     "conn {conn} opened twice"
                 );
             }
-            TraceEvent::ConnClose { conn } => {
+            Stage::ConnClose => {
                 assert!(
                     closes.insert(conn, r.id).is_none(),
                     "conn {conn} closed twice"
@@ -510,7 +511,7 @@ fn serving_connections_pair_open_and_close_in_the_trace() {
             _ => {}
         }
     }
-    assert_eq!(opens.len(), 3, "one ConnOpen per client session");
+    assert_eq!(opens.len(), 3, "one conn_open per client session");
     assert_eq!(
         opens.keys().collect::<Vec<_>>(),
         closes.keys().collect::<Vec<_>>(),
@@ -519,8 +520,91 @@ fn serving_connections_pair_open_and_close_in_the_trace() {
     for (conn, open_id) in &opens {
         assert!(
             *open_id < closes[conn],
-            "conn {conn}: ConnClose traced before ConnOpen"
+            "conn {conn}: conn_close recorded before conn_open"
         );
     }
     sv.shutdown().expect("shutdown");
+}
+
+#[test]
+fn edge_hook_sees_every_edge_even_after_the_ring_wraps() {
+    let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
+    let cache = Arc::new(RamDisk::new(4 << 20));
+    let cfg = VolumeConfig {
+        batch_bytes: 4096,
+        ..VolumeConfig::small_for_tests()
+    };
+    let mut vol = Volume::create(store, cache, "t", VOL_BYTES, cfg).expect("create");
+    let ring = vol.span_ring();
+    let first = ring.edges_recorded();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = seen.clone();
+    vol.set_edge_hook(Box::new(move |ordinal, _| {
+        sink.lock().unwrap().push(ordinal)
+    }));
+
+    // One-block batches: every write crosses several edges, so the edge
+    // buffer wraps after about a thousand of them.
+    let data = vec![5u8; 4096];
+    let blocks = VOL_BYTES / 4096;
+    let mut i = 0u64;
+    while ring.edges_dropped() < 100 {
+        vol.write((i % blocks) * 4096, &data).expect("write");
+        i += 1;
+        assert!(i < 100_000, "edge buffer never wrapped");
+    }
+
+    let total = ring.edges_recorded();
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(
+        seen,
+        (first..total).collect::<Vec<_>>(),
+        "hook missed an edge"
+    );
+    let snap = vol.telemetry();
+    assert_eq!(snap.trace.events, total);
+    assert_eq!(snap.trace.dropped, total - telemetry::EDGE_CAPACITY as u64);
+    assert_eq!(ring.snapshot().len(), telemetry::EDGE_CAPACITY);
+}
+
+#[test]
+fn a_panicking_edge_hook_leaves_its_edge_in_the_ring() {
+    let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
+    let cache = Arc::new(RamDisk::new(4 << 20));
+    let mut vol = Volume::create(
+        store,
+        cache,
+        "t",
+        VOL_BYTES,
+        VolumeConfig::small_for_tests(),
+    )
+    .expect("create");
+    let ring = vol.span_ring();
+    let crash_at = ring.edges_recorded() + 2;
+    let crashed: Arc<Mutex<Option<Span>>> = Arc::new(Mutex::new(None));
+    let slot = crashed.clone();
+    vol.set_edge_hook(Box::new(move |ordinal, span| {
+        if ordinal == crash_at {
+            *slot.lock().unwrap() = Some(*span);
+            panic!("injected crash edge");
+        }
+    }));
+    let data = vec![1u8; BATCH as usize];
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        for i in 0..8u64 {
+            vol.write(i * BATCH, &data).expect("write");
+        }
+    }));
+    assert!(outcome.is_err(), "a hook panic unwinds through the volume");
+
+    // The crash edge is the ring's last: recorded before the hook ran.
+    let crashed = crashed.lock().unwrap().expect("hook fired");
+    assert_eq!(ring.edges_recorded(), crash_at + 1);
+    assert_eq!(ring.snapshot().last(), Some(&crashed));
+    // No ring lock was poisoned: the ring still records and reads.
+    ring.edge(None, Stage::ConnOpen, 7, 0);
+    assert_eq!(
+        ring.snapshot().last().map(|s| s.stage),
+        Some(Stage::ConnOpen)
+    );
 }
