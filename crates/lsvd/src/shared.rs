@@ -64,8 +64,9 @@ impl SharedVolume {
         }
     }
 
-    /// The volume's request-span ring: serving planes mint request ids
-    /// from it, exporters snapshot/drain it — no volume lock either way.
+    /// The volume's span ring: serving planes mint request ids and record
+    /// connection edges in it, exporters snapshot/drain it — no volume
+    /// lock either way.
     pub fn span_ring(&self) -> Arc<SpanRing> {
         self.spans.clone()
     }
