@@ -14,6 +14,12 @@
 //! - **mutations** (write placements, trims, writeback apply, GC) take the
 //!   *exclusive* lock for the short map-update critical sections only,
 //!   never across device or network I/O;
+//! - **a read runs in two phases.** The *local* phase resolves it under
+//!   one shared guard and serves hits and holes; a read with pieces left
+//!   on the backend becomes a [`PendingRead`] that owns its buffer. Its
+//!   *backend* phase ([`PendingRead::finish`]) may run on any thread, so
+//!   the serving plane parks it on a fetch thread instead of holding a
+//!   worker for a GET. [`ReadPlane::read_into`] runs both phases inline;
 //! - **miss fetches** run with no lock held at all. Concurrent misses on
 //!   the same backend object are *single-flighted*: the first reader
 //!   issues the ranged GET, later readers park on the in-flight fetch and
@@ -47,7 +53,7 @@ use blkdev::BlockDevice;
 use bytes::Bytes;
 use objstore::ObjectStore;
 use parking_lot::{Condvar, Mutex, RwLock};
-use telemetry::{LatencyRecorder, SpanRing, Stage};
+use telemetry::{LatencyRecorder, OpenSpan, SpanRing, Stage};
 
 use crate::config::VolumeConfig;
 use crate::crc::{crc32c, crc32c_combine};
@@ -330,12 +336,64 @@ struct MissPiece {
     loc: ObjLoc,
 }
 
-/// Decrements the read-concurrency gauge on scope exit.
-struct GaugeGuard<'a>(&'a AtomicU64);
+/// What a read's local phase leaves for its backend phase.
+struct Misses {
+    /// First sector of the read; buffer offsets count from here.
+    base: Lba,
+    /// The next resolved piece to fetch, with its attempt number.
+    next: Option<(MissPiece, u32)>,
+    /// `(start, len, attempt)` subranges to re-resolve after that fetch.
+    work: Vec<(Lba, u64, u32)>,
+    /// The read is part of a detected scan: bypass read-cache admission.
+    bypass: bool,
+    req: u64,
+    /// Parent of the fetch hops: the read span's id (0 = untraced).
+    parent: u64,
+    /// The read span, open until the read ends.
+    span: Option<OpenSpan>,
+    t0: Instant,
+}
 
-impl Drop for GaugeGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+/// How a read left its local phase.
+pub enum ReadStart {
+    /// Served entirely from local state (caches, holes).
+    Done(Bytes),
+    /// Pieces still live on the backend.
+    Pending(PendingRead),
+}
+
+impl ReadStart {
+    /// The read's bytes, running any backend phase on this thread.
+    pub fn finish(self) -> Result<Bytes> {
+        match self {
+            ReadStart::Done(data) => Ok(data),
+            ReadStart::Pending(read) => read.finish(),
+        }
+    }
+}
+
+/// A read past its local phase: hits and holes are in its buffer, and
+/// the pieces mapped to backend objects are still to fetch. It owns
+/// everything it needs, so any thread may finish it — the serving plane
+/// hands it to a fetch thread rather than wait on a GET with a worker.
+pub struct PendingRead {
+    plane: Arc<ReadPlane>,
+    buf: Vec<u8>,
+    misses: Misses,
+}
+
+impl PendingRead {
+    /// Runs the backend phase on this thread: single-flight fetches,
+    /// window admission, re-resolution and the GC-race retry. Returns
+    /// the whole read's bytes.
+    pub fn finish(self) -> Result<Bytes> {
+        let PendingRead {
+            plane,
+            mut buf,
+            misses,
+        } = self;
+        plane.fetch_misses(misses, &mut buf)?;
+        Ok(Bytes::from(buf))
     }
 }
 
@@ -490,39 +548,80 @@ impl ReadPlane {
         Ok((offset / SECTOR, len / SECTOR))
     }
 
-    /// Reads into `buf` from byte `offset`: write-back cache, then read
-    /// cache, then backend; unwritten ranges read as zeros (Figure 1).
-    /// Hits run entirely under the shared lock; fetches run with no lock.
-    pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_into_traced(offset, buf, 0, 0)
+    /// Reads into `buf` from byte `offset` on behalf of request `req` (0 =
+    /// untraced): write-back cache, then read cache, then backend;
+    /// unwritten ranges read as zeros (Figure 1). Runs the local phase,
+    /// then the backend phase inline on this thread. Records a `read` span
+    /// covering the whole operation, with any single-flight
+    /// `fetch_lead`/`fetch_join` hops parented under it.
+    pub fn read_into(&self, offset: u64, buf: &mut [u8], req: u64, parent: u64) -> Result<()> {
+        match self.serve_local(offset, buf, req, parent)? {
+            None => Ok(()),
+            Some(misses) => self.fetch_misses(misses, buf),
+        }
     }
 
-    /// [`ReadPlane::read_into`] on behalf of request `req` (0 = untraced):
-    /// records a `read` span covering the whole operation, with any
-    /// single-flight `fetch_lead`/`fetch_join` hops parented under it.
-    pub fn read_into_traced(
+    /// Starts a read of `len` bytes at `offset` into a fresh buffer on
+    /// behalf of request `req` (0 = untraced). Runs the local phase now:
+    /// hits and holes are served under the shared guard. A read that
+    /// still has pieces on the backend comes back as a [`PendingRead`],
+    /// so the caller chooses the thread that waits for its GETs.
+    pub fn start_read(
+        self: &Arc<Self>,
+        offset: u64,
+        len: usize,
+        req: u64,
+        parent: u64,
+    ) -> Result<ReadStart> {
+        let mut buf = vec![0u8; len];
+        Ok(match self.serve_local(offset, &mut buf, req, parent)? {
+            None => ReadStart::Done(Bytes::from(buf)),
+            Some(misses) => ReadStart::Pending(PendingRead {
+                plane: self.clone(),
+                buf,
+                misses,
+            }),
+        })
+    }
+
+    /// The local phase of a read: opens its span, checks the access,
+    /// counts the read, notes it with the scan detector, and serves hits
+    /// and holes into `buf` under one shared guard. Returns `None` once
+    /// the read has ended, or the backend pieces still to fetch.
+    fn serve_local(
         &self,
         offset: u64,
         buf: &mut [u8],
         req: u64,
         parent: u64,
-    ) -> Result<()> {
+    ) -> Result<Option<Misses>> {
         let span = if req != 0 {
             self.spans.begin(req, parent, Stage::Read)
         } else {
             None
         };
-        let res = self.read_into_ctx(offset, buf, req, span.map_or(0, |s| s.id));
+        let res = self.resolve_read(offset, buf, req, span.map_or(0, |s| s.id));
+        if let Ok(Some(misses)) = res {
+            return Ok(Some(Misses { span, ..misses }));
+        }
         if let Some(open) = span {
             self.spans.finish(open, offset / SECTOR, buf.len() as u64);
         }
         res
     }
 
-    fn read_into_ctx(&self, offset: u64, buf: &mut [u8], req: u64, parent: u64) -> Result<()> {
+    /// The counted part of the local phase (see [`ReadPlane::serve_local`]):
+    /// a hit ends here, with its hit count, latency and gauge slot.
+    fn resolve_read(
+        &self,
+        offset: u64,
+        buf: &mut [u8],
+        req: u64,
+        parent: u64,
+    ) -> Result<Option<Misses>> {
         let (lba, sectors) = self.check_access(offset, buf.len())?;
         if buf.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -536,38 +635,63 @@ impl ReadPlane {
         self.counters
             .peak_concurrent_readers
             .fetch_max(cur, Ordering::Relaxed);
-        let _gauge = GaugeGuard(&self.counters.concurrent_readers);
         let run = self.streams.lock().note(lba, sectors);
         let bypass = self.scan_bypass_sectors > 0 && run >= self.scan_bypass_sectors;
 
         let t0 = Instant::now();
-        // Worklist of `(start, len, attempt)` subranges still to serve.
-        // Every range is first resolved under a shared guard (hits served,
-        // holes zeroed); residual backend pieces are fetched lock-free one
-        // at a time, re-resolving the rest afterwards so one fetch's
-        // prefetch window serves its neighbours from the cache.
-        let mut fetched_any = false;
-        let mut work: Vec<(Lba, u64, u32)> = vec![(lba, sectors, 1)];
-        while let Some((s, l, attempt)) = work.pop() {
-            let misses = {
-                let st = self.read_state();
-                self.serve_under_guard(&st, lba, s, l, buf)?
-            };
-            let Some((first, rest)) = misses.split_first() else {
-                continue;
-            };
-            fetched_any = true;
-            // Re-resolve the trailing pieces after this fetch lands.
-            for m in rest.iter().rev() {
-                work.push((m.start, m.len, 1));
-            }
-            match self.fetch_piece(first, bypass, req, parent) {
+        let mut work = Vec::new();
+        let next = self.resolve_range(lba, lba, sectors, 1, buf, &mut work);
+        if let Ok(Some(next)) = next {
+            return Ok(Some(Misses {
+                base: lba,
+                next: Some(next),
+                work,
+                bypass,
+                req,
+                parent,
+                span: None,
+                t0,
+            }));
+        }
+        self.end_read(&self.counters.hit_reads, next.is_ok(), t0);
+        next.map(|_| None)
+    }
+
+    /// The backend phase of a read: fetches its backend pieces, then ends
+    /// the read.
+    fn fetch_misses(&self, mut misses: Misses, buf: &mut [u8]) -> Result<()> {
+        let res = self.fetch_pieces(&mut misses, buf);
+        self.end_read(&self.counters.miss_reads, res.is_ok(), misses.t0);
+        if let Some(open) = misses.span {
+            self.spans.finish(open, misses.base, buf.len() as u64);
+        }
+        res
+    }
+
+    /// Ends a counted read: on success its hit or miss count and its
+    /// latency, either way its slot in the concurrency gauge.
+    fn end_read(&self, outcome: &AtomicU64, ok: bool, t0: Instant) {
+        if ok {
+            outcome.fetch_add(1, Ordering::Relaxed);
+            self.read_lat.observe(t0.elapsed());
+        }
+        self.counters
+            .concurrent_readers
+            .fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Fetches backend pieces one at a time, single-flighted, re-resolving
+    /// the rest under a fresh shared guard after each fetch so one
+    /// prefetch window serves its neighbours from the cache.
+    fn fetch_pieces(&self, m: &mut Misses, buf: &mut [u8]) -> Result<()> {
+        while let Some((piece, attempt)) = m.next.take() {
+            match self.fetch_piece(&piece, m.bypass, m.req, m.parent) {
                 Ok(data) => {
-                    let b = ((first.start - lba) * SECTOR) as usize;
-                    let e = b + (first.len * SECTOR) as usize;
-                    buf[b..e].copy_from_slice(&data[..(first.len * SECTOR) as usize]);
+                    let b = ((piece.start - m.base) * SECTOR) as usize;
+                    let e = b + (piece.len * SECTOR) as usize;
+                    buf[b..e].copy_from_slice(&data[..(piece.len * SECTOR) as usize]);
                 }
-                Err(e) if attempt < FETCH_ATTEMPTS && self.piece_moved(first) => {
+                Err(_) if attempt < FETCH_ATTEMPTS && self.piece_moved(&piece) => {
                     // Lost a race with GC relocation: the mapping we
                     // resolved points elsewhere now (or back into a cache).
                     // Re-resolve under a fresh guard; the relocated data
@@ -575,43 +699,45 @@ impl ReadPlane {
                     // propagates instead — the data path does not retry
                     // transient backend errors (layer a `RetryStore` for
                     // that).
-                    let _ = e;
-                    work.push((first.start, first.len, attempt + 1));
+                    m.work.push((piece.start, piece.len, attempt + 1));
                 }
                 Err(e) => return Err(e),
             }
+            while m.next.is_none() {
+                let Some((s, l, attempt)) = m.work.pop() else {
+                    break;
+                };
+                m.next = self.resolve_range(m.base, s, l, attempt, buf, &mut m.work)?;
+            }
         }
-        if fetched_any {
-            self.counters.miss_reads.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.hit_reads.fetch_add(1, Ordering::Relaxed);
-        }
-        self.read_lat.observe(t0.elapsed());
         Ok(())
     }
 
-    /// Reads `len` bytes at `offset` into a freshly allocated [`Bytes`].
-    /// The serving plane hands this buffer straight to the socket writer:
-    /// one allocation, no intermediate `copy_from_slice` into a caller
-    /// buffer.
-    pub fn read_bytes(&self, offset: u64, len: usize) -> Result<Bytes> {
-        let mut buf = vec![0u8; len];
-        self.read_into(offset, &mut buf)?;
-        Ok(Bytes::from(buf))
-    }
-
-    /// [`ReadPlane::read_bytes`] on behalf of request `req` (0 =
-    /// untraced).
-    pub fn read_bytes_traced(
+    /// Resolves `[start, start+len)` of the read based at `base` under a
+    /// shared guard, serving hits and holes into `buf`. Returns the first
+    /// backend piece, tagged with `attempt`, and queues the rest on `work`
+    /// to re-resolve once that piece's fetch lands.
+    fn resolve_range(
         &self,
-        offset: u64,
-        len: usize,
-        req: u64,
-        parent: u64,
-    ) -> Result<Bytes> {
-        let mut buf = vec![0u8; len];
-        self.read_into_traced(offset, &mut buf, req, parent)?;
-        Ok(Bytes::from(buf))
+        base: Lba,
+        start: Lba,
+        len: u64,
+        attempt: u32,
+        buf: &mut [u8],
+        work: &mut Vec<(Lba, u64, u32)>,
+    ) -> Result<Option<(MissPiece, u32)>> {
+        let misses = {
+            let st = self.read_state();
+            self.serve_under_guard(&st, base, start, len, buf)?
+        };
+        let mut misses = misses.into_iter();
+        let Some(first) = misses.next() else {
+            return Ok(None);
+        };
+        for m in misses.rev() {
+            work.push((m.start, m.len, 1));
+        }
+        Ok(Some((first, attempt)))
     }
 
     /// Serves `[start, start+len)` of the read based at `base` from local
@@ -1084,6 +1210,37 @@ mod tests {
         // One more evicts the least-recently-touched (the first).
         t.note(900_000, 8);
         assert_eq!(t.note(8, 8), 8, "first stream was evicted, run restarts");
+    }
+
+    #[test]
+    fn a_deferred_read_notes_its_range_once() {
+        let mut vol = crate::volume::Volume::create(
+            Arc::new(objstore::MemStore::new()),
+            Arc::new(blkdev::RamDisk::new(16 << 20)),
+            "vol",
+            16 << 20,
+            VolumeConfig::small_for_tests(),
+        )
+        .unwrap();
+        vol.write(8 * SECTOR, &[1u8; 4096]).unwrap();
+        vol.drain().unwrap();
+        let plane = vol.read_plane();
+        let ReadStart::Pending(read) = plane.start_read(8 * SECTOR, 4096, 0, 0).unwrap() else {
+            panic!("a drained block was served locally");
+        };
+        let data = std::thread::spawn(move || read.finish())
+            .join()
+            .unwrap()
+            .unwrap();
+        assert_eq!(&data[..], &[1u8; 4096][..]);
+        let streams = plane.streams.lock();
+        let live: Vec<(Lba, u64)> = streams
+            .slots
+            .iter()
+            .filter(|s| s.run > 0)
+            .map(|s| (s.next, s.run))
+            .collect();
+        assert_eq!(live, [(16, 8)], "the scan detector saw the read once");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use telemetry::{SpanRing, TelemetrySnapshot};
 
-use crate::read_plane::ReadPlane;
+use crate::read_plane::{ReadPlane, ReadStart};
 use crate::types::{LsvdError, Result};
 use crate::volume::Volume;
 
@@ -96,36 +96,29 @@ impl SharedVolume {
     /// mutation does outside the plane's short exclusive sections. Does
     /// not touch the volume mutex.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.check_open()?;
         // Direct callers get their own request id (0 when tracing is off,
         // which the traced path treats as "don't record").
-        self.read_traced(offset, buf, self.spans.mint_request(), 0)
-    }
-
-    /// [`SharedVolume::read`] under an existing request id: the serving
-    /// plane minted `req` at command decode and passes its dispatch span
-    /// as `parent`.
-    pub fn read_traced(&self, offset: u64, buf: &mut [u8], req: u64, parent: u64) -> Result<()> {
-        self.check_open()?;
-        self.plane.read_into_traced(offset, buf, req, parent)
+        self.plane
+            .read_into(offset, buf, self.spans.mint_request(), 0)
     }
 
     /// Like [`SharedVolume::read`], returning a freshly allocated
     /// [`Bytes`] the serving plane can hand straight to a socket writer —
     /// no copy from a volume buffer into a reply buffer.
     pub fn read_bytes(&self, offset: u64, len: usize) -> Result<Bytes> {
-        self.read_bytes_traced(offset, len, self.spans.mint_request(), 0)
+        self.start_read(offset, len, self.spans.mint_request(), 0)?
+            .finish()
     }
 
-    /// [`SharedVolume::read_bytes`] under an existing request id.
-    pub fn read_bytes_traced(
-        &self,
-        offset: u64,
-        len: usize,
-        req: u64,
-        parent: u64,
-    ) -> Result<Bytes> {
+    /// Starts a read under an existing request id: runs its local phase
+    /// (hits and holes) now and returns either the bytes or a
+    /// [`PendingRead`](crate::read_plane::PendingRead) whose backend
+    /// phase any thread may finish. The serving plane minted `req` at
+    /// command decode and passes its dispatch span as `parent`.
+    pub fn start_read(&self, offset: u64, len: usize, req: u64, parent: u64) -> Result<ReadStart> {
         self.check_open()?;
-        self.plane.read_bytes_traced(offset, len, req, parent)
+        self.plane.start_read(offset, len, req, parent)
     }
 
     /// Serialized [`Volume::write`].

@@ -1093,7 +1093,7 @@ impl Volume {
     /// historical single-threaded API; concurrent readers use the plane
     /// through [`SharedVolume`](crate::shared::SharedVolume) directly.
     pub fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.plane.read_into(offset, buf)
+        self.plane.read_into(offset, buf, 0, 0)
     }
 
     /// The volume's read plane, through which `SharedVolume` serves reads

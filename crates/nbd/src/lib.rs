@@ -9,9 +9,11 @@
 //! - [`server`] — [`serve`] / [`serve_fleet`]: a poll-based reactor
 //!   thread multiplexing every connection (fixed-newstyle handshake,
 //!   `NBD_OPT_GO` / `NBD_OPT_LIST` negotiation routed through an
-//!   [`lsvd::fleet::ExportRegistry`]) over a shared worker pool, with
-//!   per-export ordered-mutation lanes, deficit-round-robin fairness,
-//!   QoS token buckets, and per-connection in-flight windows;
+//!   [`lsvd::fleet::ExportRegistry`]) over a shared pool of 4 + 1
+//!   workers, with per-export ordered-mutation lanes, deficit-round-robin
+//!   fairness, QoS token buckets, and per-connection in-flight windows.
+//!   A read miss leaves its worker after the local phase: a fetch thread
+//!   waits for its GETs and posts the reply;
 //! - [`client`] — a one-request-at-a-time client for tests, benches and
 //!   `lsvdctl nbd-roundtrip`, plus pipelining helpers;
 //! - [`proto`] — pure frame codecs, property-tested in

@@ -11,10 +11,12 @@
 //!   reply serialization;
 //! - **a small worker pool** (see `server.rs`) pulling decoded jobs from
 //!   the [`FleetScheduler`](crate::sched::FleetScheduler) and posting
-//!   [`Completion`]s back;
-//! - **a self-pipe waker** (`UnixStream::pair`): workers and the export
-//!   registry nudge the reactor out of `poll` when completions land or
-//!   exports are detached.
+//!   [`Completion`]s back — except for read misses, whose backend phase
+//!   a **fetch thread** finishes and posts, so a GET never holds a
+//!   worker;
+//! - **a self-pipe waker** (`UnixStream::pair`): workers, fetch threads
+//!   and the export registry nudge the reactor out of `poll` when
+//!   completions land or exports are detached.
 //!
 //! Each connection is a little state machine
 //! (`Flags → Options → Transmission → Draining`). Negotiation routes
@@ -81,7 +83,8 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 /// more than this cannot be framed and aborts the connection.
 const IN_CAP: usize = REQUEST_LEN + 2 * MAX_IO_BYTES as usize;
 
-/// A finished job's reply, posted by a worker, routed by the reactor.
+/// A finished job's reply, posted by a worker or a fetch thread, routed
+/// by the reactor.
 pub(crate) struct Completion {
     pub conn: u64,
     pub cookie: u64,
@@ -90,8 +93,8 @@ pub(crate) struct Completion {
     pub data: Bytes,
 }
 
-/// State shared between the reactor thread, the workers, and the
-/// registry notify hook.
+/// State shared between the reactor thread, the workers and fetch
+/// threads, and the registry notify hook.
 pub(crate) struct ReactorShared {
     completions: Mutex<Vec<Completion>>,
     waker_tx: UnixStream,
@@ -455,7 +458,7 @@ impl Reactor {
         }
         let mut touched = BTreeSet::new();
         for comp in comps {
-            // A completion for a closed connection is dropped: the worker
+            // A completion for a closed connection is dropped: its poster
             // already balanced the export's job accounting.
             if let Some(c) = self.conns.get_mut(&comp.conn) {
                 c.inflight -= 1;

@@ -275,13 +275,17 @@ impl FleetScheduler {
     }
 
     /// Unfreezes `export`'s ordered lane after an ordered job completes.
+    /// Wakes one parked worker, not all: the finishing worker goes back
+    /// to [`FleetScheduler::pop`] itself, and each successful pick wakes
+    /// the next worker, so waking every idle worker per write only buys
+    /// a thundering herd on the scheduler lock.
     pub(crate) fn ordered_done(&self, export: &str) {
         let mut s = self.state.lock().unwrap();
         if let Some(t) = s.tenants.iter_mut().find(|t| t.export.name() == export) {
             t.ordered_active = false;
         }
         drop(s);
-        self.cv.notify_all();
+        self.cv.notify_one();
     }
 
     /// Begins drain: no new pushes expected; `pop` returns `None` once

@@ -9,11 +9,23 @@
 //! connections cost a thousand small buffers, not three thousand
 //! threads. Decoded requests become jobs on the
 //! [`FleetScheduler`](crate::sched): per-export two-lane queues (ordered
-//! mutations / concurrent reads) drained by a small **worker** pool
-//! under deficit-round-robin fairness and per-export QoS token buckets.
-//! Workers execute against the export's
+//! mutations / concurrent reads) drained by a fixed pool of 4 + 1
+//! **workers** under deficit-round-robin fairness and per-export QoS
+//! token buckets. Workers execute against the export's
 //! [`SharedVolume`](lsvd::shared::SharedVolume) and post completions
 //! back to the reactor through a self-pipe waker.
+//!
+//! A read runs in two phases. The worker runs its *local* phase (cache
+//! hits, holes) and, when pieces remain on the backend, hands the
+//! [`PendingRead`] to a **fetch thread**, which waits for the GETs and
+//! posts the reply; the worker goes straight back to the scheduler. So
+//! a miss never holds a worker: hits, writes and other tenants keep
+//! flowing while GETs are outstanding. Fetch threads are parked and
+//! reused, and need no cap of their own — the per-connection window
+//! already bounds how many reads can wait on the backend. A job is
+//! closed (export in-flight count, service latency, dispatch span, EIO
+//! black-box dump) when its reply is posted, not when its worker
+//! returns.
 //!
 //! Ordering: each export's mutations are dispatched one at a time in
 //! arrival order (the `ordered_active` latch), so per-export
@@ -29,18 +41,20 @@
 //! negotiation (`NBD_OPT_GO` with a name, `NBD_OPT_LIST`) routing each
 //! connection to its tenant.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use lsvd::fleet::{ExportRegistry, QosLimits};
+use lsvd::fleet::{Export, ExportRegistry, QosLimits};
+use lsvd::read_plane::{PendingRead, ReadStart};
 use lsvd::shared::SharedVolume;
 use lsvd::LsvdError;
-use telemetry::{FlightRecorder, ServingRecorders, Stage};
+use telemetry::{FlightRecorder, OpenSpan, ServingRecorders, SpanRing, Stage};
 
 use crate::proto::*;
 use crate::reactor::{Completion, Reactor, ReactorShared};
@@ -50,13 +64,15 @@ use crate::sched::{FleetScheduler, Job};
 /// common client defaults). Larger requests are answered with `EINVAL`.
 pub const MAX_IO_BYTES: u32 = 32 << 20;
 
+/// Worker threads servicing scheduled jobs: four, plus one so a long
+/// ordered stream cannot starve reads. Do not grow it to buy read
+/// concurrency — misses wait on fetch threads, not workers, and each
+/// extra idle worker is one more thread for the scheduler to wake.
+const WORKERS: usize = 4 + 1;
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads servicing scheduled jobs (reads run concurrently
-    /// across all of them; one more is always added so a long ordered
-    /// stream cannot starve reads).
-    pub read_workers: usize,
     /// Per-connection in-flight request window.
     pub window: usize,
     /// Serve exactly one connection, then stop (CI smoke / tests).
@@ -69,7 +85,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            read_workers: 4,
             window: 32,
             oneshot: false,
             recorder: None,
@@ -84,6 +99,7 @@ pub struct ServerHandle {
     shared: Arc<ReactorShared>,
     registry: Arc<ExportRegistry>,
     sched: Arc<FleetScheduler>,
+    fetchers: Arc<Fetchers>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -117,8 +133,9 @@ impl ServerHandle {
     }
 
     /// Stops the server: no new connections, live connections drained
-    /// (in-flight jobs finish and their replies flush), all threads
-    /// joined. Volumes stay attached — the registry owner detaches them.
+    /// (in-flight jobs finish and their replies flush), all threads —
+    /// fetch threads included — joined. Volumes stay attached — the
+    /// registry owner detaches them.
     pub fn stop(mut self) {
         self.shared.request_stop();
         self.finish();
@@ -134,6 +151,9 @@ impl ServerHandle {
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
+        // Workers were the only source of fetches; with them gone, every
+        // fetch thread can finish its read and exit.
+        self.fetchers.stop();
     }
 }
 
@@ -194,17 +214,19 @@ pub fn serve_fleet(
         }));
     }
 
+    let fetchers = Arc::new(Fetchers::default());
     let mut workers = Vec::new();
-    // +1: even with read_workers == 1 there are two workers, so one
-    // export's slow ordered job cannot stall every other tenant.
-    for i in 0..cfg.read_workers.max(1) + 1 {
+    for i in 0..WORKERS {
         let sched = sched.clone();
-        let shared = shared.clone();
-        let recorder = cfg.recorder.clone();
+        let ctx = Ctx {
+            shared: shared.clone(),
+            recorder: cfg.recorder.clone(),
+            fetchers: fetchers.clone(),
+        };
         workers.push(
             std::thread::Builder::new()
                 .name(format!("nbd-worker-{i}"))
-                .spawn(move || worker_loop(&sched, &shared, recorder))?,
+                .spawn(move || worker_loop(&sched, &ctx))?,
         );
     }
     let reactor = {
@@ -227,21 +249,26 @@ pub fn serve_fleet(
         shared,
         registry,
         sched,
+        fetchers,
         reactor: Some(reactor),
         workers,
     })
 }
 
-fn worker_loop(
-    sched: &Arc<FleetScheduler>,
-    shared: &Arc<ReactorShared>,
+/// What a worker needs beyond its job: the reactor to post replies to,
+/// the black box to dump on EIO, and the fetch threads for read misses.
+#[derive(Clone)]
+struct Ctx {
+    shared: Arc<ReactorShared>,
     recorder: Option<Arc<FlightRecorder>>,
-) {
+    fetchers: Arc<Fetchers>,
+}
+
+fn worker_loop(sched: &FleetScheduler, ctx: &Ctx) {
     while let Some(picked) = sched.pop() {
-        let export = picked.job.export.clone();
-        execute(picked.job, shared, recorder.as_ref());
-        export.job_done();
-        if picked.ordered {
+        let export = picked.ordered.then(|| picked.job.export.clone());
+        execute(picked.job, ctx);
+        if let Some(export) = export {
             sched.ordered_done(export.name());
         }
     }
@@ -255,16 +282,17 @@ fn errno_of(e: &LsvdError) -> u32 {
     }
 }
 
-/// Services one job against its export's volume and posts the completion
-/// back to the reactor.
-fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRecorder>>) {
+/// Services one job against its export's volume. Every job but a read
+/// miss posts its reply here; a read miss's backend phase goes to a fetch
+/// thread, which posts the reply once the GETs land.
+fn execute(job: Job, ctx: &Ctx) {
     let rec = job.export.recorders();
     let volume = job.export.volume();
     rec.queue_wait
         .record_ns(job.enqueued.elapsed().as_nanos() as u64);
     let fua = job.req.flags & CMD_FLAG_FUA != 0;
     // Dispatch span: queue wait is behind us, so this covers lane pickup
-    // through volume completion. Its id is the parent every volume-side
+    // until the reply is posted. Its id is the parent every volume-side
     // hop (read / wlog append / flush / trim) hangs off.
     let req = job.req_id;
     let dispatch = if req != 0 {
@@ -283,13 +311,18 @@ fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRe
                 // Lock-free lane into the volume's read plane: cache hits
                 // run under its shared lock, concurrently across workers,
                 // and the payload reaches the socket as-is.
-                match volume.read_bytes_traced(job.req.offset, job.req.length as usize, req, parent)
-                {
-                    Ok(data) => {
-                        rec.add_bytes_read(data.len() as u64);
-                        (0, data)
+                match volume.start_read(job.req.offset, job.req.length as usize, req, parent) {
+                    Ok(ReadStart::Done(data)) => read_outcome(rec, Ok(data)),
+                    Ok(ReadStart::Pending(read)) => {
+                        // A miss: the GETs wait on a fetch thread, which
+                        // posts the reply; this worker moves on.
+                        let reply = Reply::new(job, dispatch, t0);
+                        let owned = ctx.clone();
+                        ctx.fetchers
+                            .run(Box::new(move || reply.finish_read(read, &owned)));
+                        return;
                     }
-                    Err(e) => (errno_of(&e), Bytes::new()),
+                    Err(e) => read_outcome(rec, Err(e)),
                 }
             }
         }
@@ -350,26 +383,168 @@ fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRe
             (EINVAL, Bytes::new())
         }
     };
-    rec.service.record_ns(t0.elapsed().as_nanos() as u64);
-    if let Some(open) = dispatch {
-        job.spans.finish(open, u64::from(error), job.conn);
+    Reply::new(job, dispatch, t0).post(error, data, ctx);
+}
+
+/// A READ's outcome as `(error, payload)`, counting the bytes served.
+fn read_outcome(rec: &ServingRecorders, res: lsvd::Result<Bytes>) -> (u32, Bytes) {
+    match res {
+        Ok(data) => {
+            rec.add_bytes_read(data.len() as u64);
+            (0, data)
+        }
+        Err(e) => (errno_of(&e), Bytes::new()),
     }
-    if error != 0 {
-        rec.count_error();
-    }
-    if error == EIO {
-        // EIO is the serving plane's "terminal volume error" mapping
-        // (backend gave up, state torn): dump the black box.
-        if let Some(rec) = recorder {
-            let _ = rec.dump("terminal-error");
+}
+
+/// Everything needed to close a job once its outcome is known, detached
+/// from the worker so a fetch thread can close a read miss.
+struct Reply {
+    export: Arc<Export>,
+    spans: Arc<SpanRing>,
+    dispatch: Option<OpenSpan>,
+    conn: u64,
+    cookie: u64,
+    /// Service start: the worker's pickup.
+    t0: Instant,
+}
+
+impl Reply {
+    fn new(job: Job, dispatch: Option<OpenSpan>, t0: Instant) -> Reply {
+        Reply {
+            export: job.export,
+            spans: job.spans,
+            dispatch,
+            conn: job.conn,
+            cookie: job.req.cookie,
+            t0,
         }
     }
-    shared.complete(Completion {
-        conn: job.conn,
-        cookie: job.req.cookie,
-        error,
-        data,
-    });
+
+    /// The backend phase of a read miss, on a fetch thread.
+    fn finish_read(self, read: PendingRead, ctx: &Ctx) {
+        let (error, data) = read_outcome(self.export.recorders(), read.finish());
+        self.post(error, data, ctx);
+    }
+
+    /// Closes the job: service latency, dispatch span, error count and
+    /// EIO black-box dump, then the reply and the export's in-flight
+    /// count — last, so a detach drains every accepted request.
+    fn post(self, error: u32, data: Bytes, ctx: &Ctx) {
+        let rec = self.export.recorders();
+        rec.service.record_ns(self.t0.elapsed().as_nanos() as u64);
+        if let Some(open) = self.dispatch {
+            self.spans.finish(open, u64::from(error), self.conn);
+        }
+        if error != 0 {
+            rec.count_error();
+        }
+        if error == EIO {
+            // EIO is the serving plane's "terminal volume error" mapping
+            // (backend gave up, state torn): dump the black box.
+            if let Some(rec) = &ctx.recorder {
+                let _ = rec.dump("terminal-error");
+            }
+        }
+        ctx.shared.complete(Completion {
+            conn: self.conn,
+            cookie: self.cookie,
+            error,
+            data,
+        });
+        self.export.job_done();
+    }
+}
+
+/// A fetch thread's unit of work.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The fetch threads, which finish read misses so no worker waits on a
+/// GET. A parked thread is reused and a new one starts only when none is
+/// free; each task wakes at most one thread. There is no size option:
+/// each connection's in-flight window already bounds how many reads can
+/// wait on the backend at once.
+#[derive(Default)]
+struct Fetchers {
+    state: Mutex<FetchState>,
+    cv: Condvar,
+}
+
+/// Tasks run with the pool unlocked, so only a bug in the pool itself can
+/// poison its lock.
+const POISONED: &str = "fetch pool lock poisoned";
+
+#[derive(Default)]
+struct FetchState {
+    tasks: VecDeque<Task>,
+    /// Threads waiting on `cv` for a task.
+    parked: usize,
+    threads: Vec<JoinHandle<()>>,
+    stop: bool,
+}
+
+impl Fetchers {
+    /// Runs `task` on a parked fetch thread, or on a new one when every
+    /// parked thread already has a task to take.
+    fn run(self: &Arc<Self>, task: Task) {
+        let mut s = self.state.lock().expect(POISONED);
+        s.tasks.push_back(task);
+        if s.tasks.len() <= s.parked {
+            self.cv.notify_one();
+            return;
+        }
+        let fetchers = self.clone();
+        let spawned = std::thread::Builder::new()
+            .name(format!("nbd-fetch-{}", s.threads.len()))
+            .spawn(move || fetchers.serve());
+        match spawned {
+            Ok(t) => s.threads.push(t),
+            Err(_) => {
+                // No thread to be had: finish the read here, late rather
+                // than lost.
+                let task = s.tasks.pop_back();
+                drop(s);
+                if let Some(task) = task {
+                    task();
+                }
+            }
+        }
+    }
+
+    /// A fetch thread: take tasks until stopped, parking when idle.
+    fn serve(&self) {
+        let mut s = self.state.lock().expect(POISONED);
+        loop {
+            if let Some(task) = s.tasks.pop_front() {
+                drop(s);
+                task();
+                s = self.state.lock().expect(POISONED);
+            } else if s.stop {
+                return;
+            } else {
+                s.parked += 1;
+                s = self
+                    .cv
+                    .wait_while(s, |s| s.tasks.is_empty() && !s.stop)
+                    .expect(POISONED);
+                s.parked -= 1;
+            }
+        }
+    }
+
+    /// Joins every fetch thread once it has drained the queue. Call once
+    /// nothing can submit work any more.
+    fn stop(&self) {
+        let threads = {
+            let mut s = self.state.lock().expect(POISONED);
+            s.stop = true;
+            std::mem::take(&mut s.threads)
+        };
+        self.cv.notify_all();
+        for t in threads {
+            let _ = t.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -547,6 +722,81 @@ mod tests {
         staying.disconnect().unwrap();
         handle.stop();
         registry.detach("staying").unwrap();
+    }
+
+    #[test]
+    fn fetch_threads_are_reused_and_grow_only_when_none_is_parked() {
+        let fetchers = Arc::new(Fetchers::default());
+        let threads = || fetchers.state.lock().unwrap().threads.len();
+        let parked = || fetchers.state.lock().unwrap().parked;
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Two tasks at once: the first is still running, so the second
+        // needs a thread of its own.
+        let hold = Arc::new(std::sync::Barrier::new(3));
+        for _ in 0..2 {
+            let (hold, tx) = (hold.clone(), tx.clone());
+            fetchers.run(Box::new(move || {
+                hold.wait();
+                tx.send(()).unwrap();
+            }));
+        }
+        assert_eq!(threads(), 2);
+        hold.wait();
+        rx.recv().unwrap();
+        rx.recv().unwrap();
+        // One at a time from here on: each lands on a parked thread.
+        for _ in 0..10 {
+            while parked() < 2 {
+                std::thread::yield_now();
+            }
+            let tx = tx.clone();
+            fetchers.run(Box::new(move || tx.send(()).unwrap()));
+            rx.recv().unwrap();
+        }
+        assert_eq!(threads(), 2, "a parked thread was not reused");
+        fetchers.stop();
+        assert_eq!(threads(), 0);
+        assert_eq!(
+            Arc::strong_count(&fetchers),
+            1,
+            "a fetch thread outlived stop"
+        );
+    }
+
+    #[test]
+    fn stop_joins_every_fetch_thread() {
+        let store = Arc::new(MemStore::new());
+        let mut vol = Volume::create(
+            store,
+            Arc::new(RamDisk::new(16 << 20)),
+            "vol",
+            16 << 20,
+            VolumeConfig::small_for_tests(),
+        )
+        .unwrap();
+        // Drained to the backend, so reading it back is a miss.
+        vol.write(0, &[6u8; 4096]).unwrap();
+        vol.drain().unwrap();
+        let sv = SharedVolume::new(vol);
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), ServerConfig::default()).unwrap();
+        let fetchers = handle.fetchers.clone();
+        let mut c = Client::connect(handle.addr(), "vol").unwrap();
+        let mut buf = [0u8; 4096];
+        c.read(0, &mut buf).unwrap();
+        assert_eq!(buf, [6u8; 4096]);
+        assert!(
+            !fetchers.state.lock().unwrap().threads.is_empty(),
+            "the miss was not finished on a fetch thread"
+        );
+        c.disconnect().unwrap();
+        handle.stop();
+        assert!(fetchers.state.lock().unwrap().threads.is_empty());
+        assert_eq!(
+            Arc::strong_count(&fetchers),
+            1,
+            "a fetch thread outlived stop"
+        );
+        sv.shutdown().unwrap();
     }
 
     #[test]

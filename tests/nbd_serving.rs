@@ -6,14 +6,24 @@
 //! crash-consistency guarantees of `tests/crash_consistency.rs` hold when
 //! the parties die at the worst times: a client killed mid-write-burst, a
 //! server killed mid-traffic (with and without losing the cache SSD).
+//! Read misses never hold a serving worker: with every GET parked, hits,
+//! writes and other tenants still complete, and a detach still drains the
+//! parked reads.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use blkdev::RamDisk;
+use bytes::Bytes;
 use lsvd::config::VolumeConfig;
+use lsvd::fleet::{ExportRegistry, QosLimits};
 use lsvd::shared::SharedVolume;
 use lsvd::verify::{History, Verdict, VBLOCK};
 use lsvd::volume::Volume;
+use nbd::proto::{decode_simple_reply, encode_request, Request, CMD_READ, SIMPLE_REPLY_LEN};
 use nbd::server::ServerConfig;
 use nbd::Client;
 use objstore::{MemStore, ObjectStore};
@@ -293,4 +303,260 @@ fn trims_over_nbd_survive_a_server_crash() {
         }
     }
     assert!(hist_span <= trim_base, "regions disjoint by construction");
+}
+
+// ---------------------------------------------------------------------
+// Read misses off the serving workers.
+// ---------------------------------------------------------------------
+
+/// A backend whose ranged GETs park on a gate while it is closed.
+#[derive(Default)]
+struct GatedStore {
+    inner: MemStore,
+    gate: Mutex<Gate>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Gate {
+    closed: bool,
+    /// GETs parked at the gate right now.
+    parked: usize,
+    /// The gate was opened after being closed.
+    released: bool,
+}
+
+impl GatedStore {
+    fn close(&self) {
+        self.gate.lock().unwrap().closed = true;
+    }
+
+    fn open(&self) {
+        let mut g = self.gate.lock().unwrap();
+        if g.closed {
+            g.closed = false;
+            g.released = true;
+        }
+        self.cv.notify_all();
+    }
+
+    fn released(&self) -> bool {
+        self.gate.lock().unwrap().released
+    }
+
+    /// Blocks until `n` GETs are parked at once, or the gate opens.
+    fn await_parked(&self, n: usize) {
+        let mut g = self.gate.lock().unwrap();
+        while g.closed && g.parked < n {
+            g = self.cv.wait(g).unwrap();
+        }
+    }
+}
+
+impl ObjectStore for GatedStore {
+    fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+        self.inner.put(name, data)
+    }
+    fn get(&self, name: &str) -> objstore::Result<Bytes> {
+        self.inner.get(name)
+    }
+    fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+        {
+            let mut g = self.gate.lock().unwrap();
+            g.parked += 1;
+            self.cv.notify_all();
+            while g.closed {
+                g = self.cv.wait(g).unwrap();
+            }
+            g.parked -= 1;
+        }
+        self.inner.get_range(name, offset, len)
+    }
+    fn head(&self, name: &str) -> objstore::Result<u64> {
+        self.inner.head(name)
+    }
+    fn delete(&self, name: &str) -> objstore::Result<()> {
+        self.inner.delete(name)
+    }
+    fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+}
+
+/// Cold reads land this far apart, each block in its own backend object.
+const COLD_STRIDE: u64 = 1 << 20;
+
+/// A volume over a gated store holding `n` cold blocks: block `i` at
+/// `i * COLD_STRIDE`, filled with `i + 1` and drained into its own
+/// object, so reading it back is a backend miss. No cleaner, so the only
+/// GETs are the reads'.
+fn cold_volume(n: u64) -> (Arc<GatedStore>, SharedVolume) {
+    let store = Arc::new(GatedStore::default());
+    let cfg = VolumeConfig {
+        gc_enabled: false,
+        ..VolumeConfig::small_for_tests()
+    };
+    let vol = Volume::create(
+        store.clone(),
+        Arc::new(RamDisk::new(24 << 20)),
+        "cold",
+        64 << 20,
+        cfg,
+    )
+    .expect("create volume");
+    let sv = SharedVolume::new(vol);
+    for i in 0..n {
+        sv.write(i * COLD_STRIDE, &[i as u8 + 1; 4096]).unwrap();
+        sv.with_volume(|v| v.drain()).unwrap().unwrap();
+    }
+    (store, sv)
+}
+
+/// Sends a 4 KiB READ of block `i` of the cold layout, cookie `i + 1`.
+fn send_cold_read(stream: &mut TcpStream, i: u64) {
+    let req = Request {
+        flags: 0,
+        cmd: CMD_READ,
+        cookie: i + 1,
+        offset: i * COLD_STRIDE,
+        length: 4096,
+    };
+    stream.write_all(&encode_request(&req)).unwrap();
+}
+
+/// Reads one 4 KiB READ reply: `(cookie, payload)`.
+fn recv_read_reply(stream: &mut TcpStream) -> (u64, Vec<u8>) {
+    let mut hdr = [0u8; SIMPLE_REPLY_LEN];
+    stream.read_exact(&mut hdr).unwrap();
+    let reply = decode_simple_reply(&hdr).expect("reply magic");
+    assert_eq!(reply.error, 0, "READ cookie {} failed", reply.cookie);
+    let mut data = vec![0u8; 4096];
+    stream.read_exact(&mut data).unwrap();
+    (reply.cookie, data)
+}
+
+/// Opens `store`'s gate when dropped or after a long grace period, so a
+/// regression fails its assertion instead of hanging the suite.
+fn watchdog(store: &Arc<GatedStore>) -> mpsc::Sender<()> {
+    let (tx, rx) = mpsc::channel::<()>();
+    let store = store.clone();
+    std::thread::spawn(move || {
+        let _ = rx.recv_timeout(Duration::from_secs(30));
+        store.open();
+    });
+    tx
+}
+
+#[test]
+fn read_misses_do_not_hold_the_serving_workers() {
+    const MISSES: u64 = 8; // more than the server's 4 + 1 workers
+    let (store, cold) = cold_volume(MISSES);
+    // A hit: written, never flushed, so it stays in the write-back cache.
+    let hot = 48 << 20;
+    cold.write(hot, &[0xC3; 4096]).unwrap();
+    let warm = {
+        let vol = Volume::create(
+            Arc::new(MemStore::new()),
+            Arc::new(RamDisk::new(8 << 20)),
+            "warm",
+            16 << 20,
+            VolumeConfig::small_for_tests(),
+        )
+        .expect("create volume");
+        SharedVolume::new(vol)
+    };
+    let registry = Arc::new(ExportRegistry::new());
+    registry.attach("cold", cold, QosLimits::default()).unwrap();
+    registry.attach("warm", warm, QosLimits::default()).unwrap();
+    let handle =
+        nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+    let mut misses = Client::connect(addr, "cold").unwrap().into_raw();
+    let mut other = Client::connect(addr, "cold").unwrap();
+    let mut tenant = Client::connect(addr, "warm").unwrap();
+
+    let guard = watchdog(&store);
+    store.close();
+    for i in 0..MISSES {
+        send_cold_read(&mut misses, i);
+    }
+    store.await_parked(MISSES as usize);
+
+    // Every miss is parked on its GET. The rest of the node still serves.
+    let mut buf = [0u8; 4096];
+    other.read(hot, &mut buf).expect("hit");
+    assert_eq!(buf, [0xC3; 4096]);
+    other.write(hot + 4096, &[0x5A; 4096]).expect("write");
+    other.flush().expect("flush");
+    tenant
+        .write(0, &[0x77; 4096])
+        .expect("other tenant's write");
+    tenant.flush().expect("other tenant's flush");
+    assert!(
+        !store.released(),
+        "a hit, a write + flush and another tenant's write waited for parked GETs"
+    );
+
+    store.open();
+    let mut got = HashMap::new();
+    for _ in 0..MISSES {
+        let (cookie, data) = recv_read_reply(&mut misses);
+        got.insert(cookie, data);
+    }
+    for i in 0..MISSES {
+        assert_eq!(
+            got[&(i + 1)],
+            vec![i as u8 + 1; 4096],
+            "miss {i} returned the wrong bytes"
+        );
+    }
+    drop(guard);
+    drop(misses);
+    other.disconnect().unwrap();
+    tenant.disconnect().unwrap();
+    handle.stop();
+    for name in registry.list() {
+        registry.detach(&name).unwrap();
+    }
+}
+
+#[test]
+fn detach_drains_a_read_parked_on_its_get() {
+    let (store, cold) = cold_volume(1);
+    let registry = Arc::new(ExportRegistry::new());
+    let export = registry.attach("cold", cold, QosLimits::default()).unwrap();
+    let handle =
+        nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+    let mut conn = Client::connect(handle.addr(), "cold").unwrap().into_raw();
+
+    let guard = watchdog(&store);
+    store.close();
+    send_cold_read(&mut conn, 0);
+    store.await_parked(1);
+    let detacher = {
+        let registry = registry.clone();
+        std::thread::spawn(move || registry.detach("cold"))
+    };
+    while !export.is_fenced() {
+        std::thread::yield_now();
+    }
+    // The read left its worker, but the export still counts it: detach
+    // cannot shut the volume down under it.
+    assert_eq!(export.inflight(), 1, "the parked read is not in flight");
+    assert!(
+        !detacher.is_finished(),
+        "detach returned over a parked read"
+    );
+    assert!(!store.released());
+
+    store.open();
+    detacher.join().unwrap().expect("detach");
+    let (cookie, data) = recv_read_reply(&mut conn);
+    assert_eq!(
+        (cookie, data),
+        (1, vec![1u8; 4096]),
+        "the drained read's reply"
+    );
+    drop(guard);
+    handle.stop();
 }

@@ -7,7 +7,8 @@
 //!    holds that mutex (directly on [`SharedVolume`] and through the NBD
 //!    serving plane);
 //! 2. **Single-flight miss fetch** — concurrent misses on the same
-//!    backend object coalesce into one ranged GET;
+//!    backend object coalesce into one ranged GET, and a read whose
+//!    backend phase finishes on another thread counts once;
 //! 3. **Scan-resistant admission** — a long sequential scan bypasses
 //!    read-cache admission, so it cannot evict the hot set (with
 //!    admission disabled, it demonstrably does);
@@ -28,6 +29,7 @@ use blkdev::{BlockDevice, RamDisk};
 use lsvd::config::VolumeConfig;
 use lsvd::extent_map::Segment;
 use lsvd::rcache::ReadCache;
+use lsvd::read_plane::ReadStart;
 use lsvd::shared::SharedVolume;
 use lsvd::types::SECTOR;
 use lsvd::volume::Volume;
@@ -221,6 +223,44 @@ fn concurrent_misses_on_one_object_coalesce_into_one_fetch() {
     assert!(
         stats.backend_gets < THREADS as u64,
         "every reader issued its own GET: {stats:?}"
+    );
+
+    // A read deferred past its local phase and finished on another
+    // thread counts as one read, in every counter.
+    sv.write(1 << 20, &[3u8; 65536]).unwrap();
+    sv.with_volume(|v| v.drain()).unwrap().unwrap();
+    let counts = || {
+        let (plane, rcache, snap) = sv
+            .with_volume(|v| (v.read_plane_stats(), v.read_cache_stats(), v.telemetry()))
+            .unwrap();
+        (
+            plane.reads,
+            plane.hit_reads,
+            plane.miss_reads,
+            snap.ops.read.count,
+            rcache.miss_sectors,
+        )
+    };
+    let before = counts();
+    let ReadStart::Pending(read) = sv.start_read(1 << 20, 4096, 0, 0).unwrap() else {
+        panic!("a drained block was served locally");
+    };
+    let data = std::thread::spawn(move || read.finish())
+        .join()
+        .unwrap()
+        .unwrap();
+    assert_eq!(&data[..], &[3u8; 4096][..]);
+    let after = counts();
+    assert_eq!(
+        (
+            after.0 - before.0,
+            after.1 - before.1,
+            after.2 - before.2,
+            after.3 - before.3,
+            after.4 - before.4,
+        ),
+        (1, 0, 1, 1, 8),
+        "(reads, hit_reads, miss_reads, read latency samples, rcache miss sectors)"
     );
     sv.shutdown().unwrap();
 }

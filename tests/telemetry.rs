@@ -10,7 +10,8 @@
 //! the causal seal → PUT start → PUT done → frontier-advance chain.
 //! Trims must be recorded before the frontier advance that makes them
 //! durable, and serving-plane connections must pair every `conn_open`
-//! with a later `conn_close`. The edge hook sees every edge, even after
+//! with a later `conn_close`; a read miss, finished off the serving
+//! worker, closes its job once. The edge hook sees every edge, even after
 //! the ring wraps, and a hook that panics leaves its edge behind.
 
 use std::panic::AssertUnwindSafe;
@@ -461,10 +462,14 @@ fn serial_mode_trace_is_causal_too() {
 fn serving_connections_pair_open_and_close_in_the_trace() {
     // Three sequential NBD client sessions against one server: the ring
     // must show three distinct connection ids, each `conn_open` paired
-    // with exactly one later `conn_close`.
+    // with exactly one later `conn_close`. The first session also reads
+    // a block that lives only on the backend: a miss, whose reply a
+    // fetch thread posts after the worker has moved on, closing the job
+    // once.
+    const COLD: u64 = 1 << 20;
     let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
     let cache = Arc::new(RamDisk::new(4 << 20));
-    let vol = Volume::create(
+    let mut vol = Volume::create(
         store,
         cache,
         "t",
@@ -472,7 +477,10 @@ fn serving_connections_pair_open_and_close_in_the_trace() {
         VolumeConfig::small_for_tests(),
     )
     .expect("create");
+    vol.write(COLD, &[0xD1; 4096]).expect("write");
+    vol.drain().expect("drain");
     let sv = lsvd::shared::SharedVolume::new(vol);
+    sv.span_ring().set_enabled(true);
     let handle = nbd::serve(
         "127.0.0.1:0",
         "t",
@@ -486,11 +494,42 @@ fn serving_connections_pair_open_and_close_in_the_trace() {
         let data = vec![i + 1; 4096];
         c.write(4096 * u64::from(i), &data).expect("write");
         c.flush().expect("flush");
+        if i == 0 {
+            let mut buf = vec![0u8; 4096];
+            c.read(COLD, &mut buf).expect("cold read");
+            assert_eq!(buf, vec![0xD1; 4096]);
+        }
         c.disconnect().expect("disconnect");
     }
     handle.stop(); // joins the reactor: every `conn_close` is recorded
 
+    let snap = sv.telemetry().expect("telemetry");
+    assert_eq!(snap.read_plane.miss_reads, 1, "the cold read missed");
+    assert_eq!(snap.read_plane.reads, 1);
+    assert_eq!(snap.ops.read.count, 1, "read latency sampled once");
+    let s = &snap.serving;
+    assert_eq!((s.reads, s.bytes_read), (1, 4096));
+    assert_eq!(
+        s.service.count, 7,
+        "3 writes + 3 flushes + 1 read, one service sample each"
+    );
+    assert_eq!(s.queue_wait.count, 7);
+
     let trace = sv.span_ring().drain();
+    let read = trace
+        .iter()
+        .find(|r| r.stage == Stage::Read)
+        .expect("read span");
+    let dispatch: Vec<&Span> = trace
+        .iter()
+        .filter(|r| r.stage == Stage::Dispatch && r.req == read.req)
+        .collect();
+    assert_eq!(dispatch.len(), 1, "one dispatch span for the miss");
+    assert_eq!(read.parent, dispatch[0].id, "read span hangs off dispatch");
+    assert!(
+        dispatch[0].t_end_us >= read.t_end_us,
+        "the dispatch span closed before its read finished"
+    );
     let mut opens = std::collections::BTreeMap::new();
     let mut closes = std::collections::BTreeMap::new();
     for r in &trace {
