@@ -19,8 +19,12 @@ pub struct VolumeConfig {
     /// Fraction of the cache device dedicated to the write-back log; the
     /// rest (minus metadata) is read cache.
     pub write_cache_fraction: f64,
-    /// Read-ahead cap in bytes: a read miss fetches up to this much of the
-    /// containing extent (temporal-locality prefetch, §3.2).
+    /// Read-ahead cap in bytes: a read miss fetches up to this much of its
+    /// backend object, from the missed piece onward (temporal-locality
+    /// prefetch, §3.2). The whole window enters the read cache when it
+    /// holds other write extents than the read's or the read continues a
+    /// sequential stream; otherwise just the read's own sectors do (see
+    /// [`read_plane`](crate::read_plane)).
     pub prefetch_bytes: u64,
     /// Whether the garbage collector runs.
     pub gc_enabled: bool,

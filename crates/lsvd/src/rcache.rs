@@ -20,9 +20,29 @@ use crate::crc::crc32c_field_zeroed;
 use crate::extent_map::{ExtentMap, Segment};
 use crate::types::{bytes_to_sectors, Lba, Plba, Result, SECTOR};
 
-/// Sectors reserved at the front of the region for the persisted map.
-const META_SECTORS: u64 = 64;
-const META_MAGIC: u32 = 0x4C53_524D; // "LSRM"
+/// "LSR2": a length-prefixed snapshot in a region-sized reserved area.
+/// The fixed 64-sector layout before it ("LSRM") loads cold.
+const META_MAGIC: u32 = 0x4C53_5232;
+/// Snapshot header: magic, CRC, length, head, map and entry counts.
+const META_HDR_BYTES: u64 = 28;
+/// The reserved area is never smaller than this many sectors.
+const META_MIN_SECTORS: u64 = 64;
+
+/// Bytes of a snapshot of `map` map extents (lba, sectors, plba: 24
+/// bytes each) and `entries` ring entries (plba, sectors, flag, lba: 25).
+fn snapshot_len(map: usize, entries: usize) -> u64 {
+    META_HDR_BYTES + map as u64 * 24 + entries as u64 * 25
+}
+
+/// Sectors reserved at the front of a `region_sectors` region for the
+/// persisted map: room for one extent per 4 KiB of the region, about
+/// 1.2 % of it, so a cache full of 4 KiB entries still persists.
+fn meta_sectors(region_sectors: u64) -> u64 {
+    let extents = (region_sectors / 8) as usize;
+    snapshot_len(extents, extents)
+        .div_ceil(SECTOR)
+        .max(META_MIN_SECTORS)
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -39,7 +59,8 @@ pub struct ReadCacheStats {
     pub hit_sectors: u64,
     /// Sectors that missed and had to be fetched.
     pub miss_sectors: u64,
-    /// Sectors inserted (including prefetch).
+    /// Sectors inserted: each miss's own sectors, plus the rest of its
+    /// prefetch window when that window is admitted whole.
     pub inserted_sectors: u64,
     /// Sectors evicted.
     pub evicted_sectors: u64,
@@ -71,6 +92,9 @@ struct StatCells {
 /// A FIFO log-structured read cache over a region of the cache SSD.
 pub struct ReadCache {
     dev: Arc<dyn BlockDevice>,
+    /// First sector of the region: the persisted map's reserved area.
+    meta_start: u64,
+    /// First data sector, just past the reserved area.
     region_start: u64,
     region_end: u64,
     head: Plba,
@@ -85,15 +109,14 @@ impl ReadCache {
     /// `[region_start, region_start+region_sectors)` of `dev`. The first
     /// sectors of the region are reserved for the persisted map.
     pub fn new(dev: Arc<dyn BlockDevice>, region_start: u64, region_sectors: u64) -> Self {
-        assert!(
-            region_sectors >= META_SECTORS + 8,
-            "read cache region too small"
-        );
+        let meta = meta_sectors(region_sectors);
+        assert!(region_sectors >= meta + 8, "read cache region too small");
         ReadCache {
             dev,
-            region_start: region_start + META_SECTORS,
+            meta_start: region_start,
+            region_start: region_start + meta,
             region_end: region_start + region_sectors,
-            head: region_start + META_SECTORS,
+            head: region_start + meta,
             entries: VecDeque::new(),
             used: 0,
             map: ExtentMap::new(),
@@ -103,12 +126,22 @@ impl ReadCache {
 
     /// Persists the map and entry ring to the reserved metadata sectors so
     /// a clean restart serves hits without re-fetching (§3.2: "the read
-    /// cache map is periodically persisted to SSD"). Skipped (harmlessly)
-    /// when the map is too large for the reserved area.
+    /// cache map is periodically persisted to SSD"). Writes only the
+    /// sectors the snapshot fills. Skipped (harmlessly) when the map is too
+    /// large for the reserved area.
     pub fn persist(&self) -> Result<()> {
-        let mut w = ByteWriter::with_capacity((META_SECTORS * SECTOR) as usize);
+        let len = snapshot_len(self.map.len(), self.entries.len());
+        let room = (self.region_start - self.meta_start) * SECTOR;
+        if len > room.min(u32::MAX as u64) {
+            // Too big: invalidate any previous snapshot instead.
+            let zero = vec![0u8; SECTOR as usize];
+            self.dev.write_at(self.meta_start * SECTOR, &zero)?;
+            return Ok(());
+        }
+        let mut w = ByteWriter::with_capacity(len.next_multiple_of(SECTOR) as usize);
         w.u32(META_MAGIC);
         w.u32(0); // CRC, patched below
+        w.u32(len as u32);
         w.u64(self.head);
         w.u32(self.map.len() as u32);
         w.u32(self.entries.len() as u32);
@@ -131,19 +164,11 @@ impl ReadCache {
                 }
             }
         }
-        if w.len() > (META_SECTORS * SECTOR) as usize {
-            // Too big: invalidate any previous snapshot instead.
-            let zero = vec![0u8; SECTOR as usize];
-            self.dev
-                .write_at((self.region_start - META_SECTORS) * SECTOR, &zero)?;
-            return Ok(());
-        }
-        w.pad_to((META_SECTORS * SECTOR) as usize);
+        debug_assert_eq!(w.len() as u64, len);
         let crc = crc32c_field_zeroed(w.as_slice(), 4);
         w.patch_u32(4, crc);
-        let buf = w.into_vec();
-        self.dev
-            .write_at((self.region_start - META_SECTORS) * SECTOR, &buf)?;
+        w.pad_to(len.next_multiple_of(SECTOR) as usize);
+        self.dev.write_at(self.meta_start * SECTOR, w.as_slice())?;
         Ok(())
     }
 
@@ -158,22 +183,36 @@ impl ReadCache {
     /// fresh snapshot via [`ReadCache::persist`].
     pub fn load(dev: Arc<dyn BlockDevice>, region_start: u64, region_sectors: u64) -> Self {
         let mut rc = Self::new(dev, region_start, region_sectors);
-        let mut buf = vec![0u8; (META_SECTORS * SECTOR) as usize];
-        if rc.dev.read_at(region_start * SECTOR, &mut buf).is_err() {
-            return rc;
-        }
-        let mut r = ByteReader::new(&buf);
+        let room = (rc.region_start - rc.meta_start) * SECTOR;
         let ok = (|| -> Result<bool> {
+            // The first sector gives the snapshot's length; read just that.
+            let mut first = vec![0u8; SECTOR as usize];
+            rc.dev.read_at(region_start * SECTOR, &mut first)?;
+            let mut r = ByteReader::new(&first);
             if r.u32()? != META_MAGIC {
                 return Ok(false);
             }
+            r.u32()?;
+            let len = r.u32()? as u64;
+            if !(META_HDR_BYTES..=room).contains(&len) {
+                return Ok(false);
+            }
+            let mut buf = vec![0u8; len.next_multiple_of(SECTOR) as usize];
+            rc.dev.read_at(region_start * SECTOR, &mut buf)?;
+            let buf = &buf[..len as usize];
+            let mut r = ByteReader::new(buf);
+            r.u32()?;
             let stored = r.u32()?;
-            if crc32c_field_zeroed(&buf, 4) != stored {
+            r.u32()?;
+            if crc32c_field_zeroed(buf, 4) != stored {
                 return Ok(false);
             }
             let head = r.u64()?;
             let n_map = r.u32()? as usize;
             let n_entries = r.u32()? as usize;
+            if snapshot_len(n_map, n_entries) != len {
+                return Ok(false);
+            }
             // The snapshot was written by iterating the map, so the triples
             // are address-ordered, disjoint and maximal: bulk_load's O(n)
             // fast path applies.
@@ -229,7 +268,7 @@ impl ReadCache {
     /// tools that want to prove read-cache state is not consulted for
     /// durability (e.g. by scribbling over it between crash and recovery).
     pub fn region_sectors(&self) -> (u64, u64) {
-        (self.region_start - META_SECTORS, self.region_end)
+        (self.meta_start, self.region_end)
     }
 
     /// Statistics so far.
@@ -347,9 +386,9 @@ mod tests {
     use blkdev::RamDisk;
 
     fn mk(usable_sectors: u64) -> ReadCache {
-        // The region holds META_SECTORS of persisted-map space plus the
+        // The region holds the smallest persisted-map area plus the
         // requested usable capacity.
-        let region = usable_sectors + META_SECTORS;
+        let region = usable_sectors + META_MIN_SECTORS;
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new((region + 16) * SECTOR));
         ReadCache::new(dev, 16, region)
     }
@@ -454,7 +493,7 @@ mod tests {
 
     #[test]
     fn persist_and_load_round_trip() {
-        let region = 256 + META_SECTORS;
+        let region = 256 + META_MIN_SECTORS;
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new((region + 16) * SECTOR));
         {
             let mut rc = ReadCache::new(dev.clone(), 16, region);
@@ -481,8 +520,44 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_full_of_4k_entries_survives_persist_and_load() {
+        // 2,000 scattered 4 KiB entries: a 98 KB snapshot, which the
+        // region-sized reserved area holds and a fixed 64-sector one would
+        // not.
+        const N: u64 = 2_000;
+        let region = 20_000;
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new((region + 16) * SECTOR));
+        {
+            let mut rc = ReadCache::new(dev.clone(), 16, region);
+            for i in 0..N {
+                rc.insert(i * 24, &vec![i as u8; 8 * SECTOR as usize])
+                    .unwrap();
+            }
+            assert_eq!(rc.cached_extents(), N as usize);
+            rc.persist().unwrap();
+        }
+        let mut rc = ReadCache::load(dev, 16, region);
+        assert_eq!(rc.cached_extents(), N as usize, "every entry survived");
+        for i in [0, 1, N / 2, N - 1] {
+            assert_eq!(
+                get(&mut rc, i * 24, 8).unwrap(),
+                vec![i as u8; 8 * SECTOR as usize]
+            );
+        }
+    }
+
+    #[test]
+    fn reserved_area_follows_the_region() {
+        assert_eq!(meta_sectors(256 + META_MIN_SECTORS), META_MIN_SECTORS);
+        // A 200 MiB region reserves about 1.2 % of itself.
+        let region = (200 << 20) / SECTOR;
+        let share = meta_sectors(region) as f64 / region as f64;
+        assert!((0.011..0.013).contains(&share), "{share}");
+    }
+
+    #[test]
     fn load_without_snapshot_starts_cold() {
-        let region = 256 + META_SECTORS;
+        let region = 256 + META_MIN_SECTORS;
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new((region + 16) * SECTOR));
         let rc = ReadCache::load(dev, 16, region);
         assert_eq!(rc.cached_extents(), 0);
@@ -490,7 +565,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshot_starts_cold() {
-        let region = 256 + META_SECTORS;
+        let region = 256 + META_MIN_SECTORS;
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new((region + 16) * SECTOR));
         {
             let mut rc = ReadCache::new(dev.clone(), 16, region);

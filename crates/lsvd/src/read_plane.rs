@@ -1,5 +1,5 @@
 //! The concurrent read plane: lock-split cache-hit reads, single-flight
-//! miss fetch, and scan-resistant admission control.
+//! miss fetch, and read-cache admission control.
 //!
 //! [`Volume`](crate::volume::Volume) is `&mut self` by design, and the
 //! serving plane used to funnel every read through the same mutex as every
@@ -29,7 +29,21 @@
 //!   stale-insert discipline the serial path used;
 //! - **sequential scans** are detected per-stream and bypass read-cache
 //!   admission (ECI-Cache's pollution problem): a scan fetches and serves
-//!   its data but does not evict the hot set.
+//!   its data but does not evict the hot set;
+//! - **a fetched window enters the cache whole only when it holds
+//!   co-written data.** §3.2 prefetches wide because data written together
+//!   is read together. A window that overlaps a header extent the
+//!   triggering read does not overlap holds such temporal neighbours and
+//!   is admitted whole. A window whose every extent the read overlaps
+//!   holds only spatial neighbours, typically the unread rest of one bulk
+//!   write, and admits just the read's own sectors: at a 256 KiB window a
+//!   random 4 KiB miss would otherwise admit 63 fetched bytes per byte
+//!   read and evict the hot set. A read that continues a sequential stream
+//!   still admits whole windows. The GET itself is unchanged. Keeping
+//!   recent windows in RAM for later misses, and admitting only requested
+//!   sectors, was rejected: at 32 windows (8 MiB) the temporal-prefetch
+//!   ablation needed 2,111 GETs where whole-window admission needs 1,327,
+//!   and matching it took 128 windows (32 MiB).
 //!
 //! Lock-ordering rules (deadlock freedom): `state` is never held across a
 //! backend call; `inflight`/`streams`/`hdr` are leaf mutexes never held
@@ -92,6 +106,35 @@ pub(crate) struct ReadState {
     pub(crate) rcache: ReadCache,
     /// vLBA → backend object locations.
     pub(crate) objmap: ObjectMap,
+}
+
+impl ReadState {
+    /// Enters into the read cache the part of `[lba, lba+len)` that the
+    /// object map still points at object `seq`, sector `off` onward;
+    /// `data` holds that whole range. Sectors the write-back cache
+    /// shadows are punched back out. Returns the sectors entered.
+    fn admit_live(
+        &mut self,
+        seq: ObjSeq,
+        lba: Lba,
+        len: u64,
+        off: u64,
+        data: &[u8],
+    ) -> Result<u64> {
+        let mut admitted = 0u64;
+        for (plo, plen, pval) in self.objmap.overlaps(lba, len) {
+            if pval.seq == seq && pval.off as u64 == off + (plo - lba) {
+                let b = ((plo - lba) * SECTOR) as usize;
+                let e = b + (plen * SECTOR) as usize;
+                self.rcache.insert(plo, &data[b..e])?;
+                admitted += plen;
+                for (wlo, wlen, _) in self.wcache_map.overlaps(plo, plen) {
+                    self.rcache.invalidate(wlo, wlen);
+                }
+            }
+        }
+        Ok(admitted)
+    }
 }
 
 /// LRU cache of backend object headers, keyed by sequence.
@@ -179,10 +222,32 @@ struct FetchSlot {
 #[derive(Default)]
 struct SlotState {
     done: bool,
-    /// `(window start sector, window length in sectors, window bytes)` on
-    /// success; `None` when the leader's fetch failed (waiters re-try on
-    /// their own so each surfaces a precise error).
-    window: Option<(u64, u64, Bytes)>,
+    /// The fetched window on success; `None` when the leader's fetch
+    /// failed (waiters re-try on their own so each surfaces a precise
+    /// error).
+    window: Option<Window>,
+}
+
+/// A fetched prefetch window, as its leader publishes it to followers.
+#[derive(Clone)]
+struct Window {
+    /// Object sector the window starts at.
+    lo: u64,
+    data: Bytes,
+    /// Whether the leader admitted the whole window to the read cache.
+    admitted: bool,
+}
+
+impl Window {
+    /// `piece`'s bytes, a zero-copy slice, if the window covers it.
+    fn slice(&self, piece: &MissPiece) -> Option<Bytes> {
+        let off = piece.loc.off as u64;
+        let hi = self.lo + self.data.len() as u64 / SECTOR;
+        (off >= self.lo && off + piece.len <= hi).then(|| {
+            let b = ((off - self.lo) * SECTOR) as usize;
+            self.data.slice(b..b + (piece.len * SECTOR) as usize)
+        })
+    }
 }
 
 impl FetchSlot {
@@ -194,7 +259,7 @@ impl FetchSlot {
         }
     }
 
-    fn publish(&self, window: Option<(u64, u64, Bytes)>) {
+    fn publish(&self, window: Option<Window>) {
         let mut st = self.state.lock();
         st.done = true;
         st.window = window;
@@ -202,7 +267,7 @@ impl FetchSlot {
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Option<(u64, u64, Bytes)> {
+    fn wait(&self) -> Option<Window> {
         let mut st = self.state.lock();
         while !st.done {
             self.cv.wait(&mut st);
@@ -285,6 +350,8 @@ pub(crate) struct PlaneCounters {
     pub bypassed_sectors: AtomicU64,
     /// Sectors the tenant byte quota kept out of the read cache.
     pub quota_bypassed_sectors: AtomicU64,
+    /// Fetched sectors a spatial-only window kept out of the read cache.
+    pub spatial_skipped_sectors: AtomicU64,
     /// Fetches that parked on another reader's in-flight GET.
     pub singleflight_waits: AtomicU64,
     /// Parked fetches fully served from the leader's window (GETs saved).
@@ -315,6 +382,7 @@ pub struct ReadPlaneStats {
     pub admitted_sectors: u64,
     pub bypassed_sectors: u64,
     pub quota_bypassed_sectors: u64,
+    pub spatial_skipped_sectors: u64,
     pub singleflight_waits: u64,
     pub singleflight_shared: u64,
     pub crc_combine_ops: u64,
@@ -340,10 +408,15 @@ struct MissPiece {
 struct Misses {
     /// First sector of the read; buffer offsets count from here.
     base: Lba,
+    /// One past the read's last sector.
+    end: Lba,
     /// The next resolved piece to fetch, with its attempt number.
     next: Option<(MissPiece, u32)>,
     /// `(start, len, attempt)` subranges to re-resolve after that fetch.
     work: Vec<(Lba, u64, u32)>,
+    /// The read continues a sequential stream: its windows enter the read
+    /// cache whole.
+    stream: bool,
     /// The read is part of a detected scan: bypass read-cache admission.
     bypass: bool,
     req: u64,
@@ -636,6 +709,7 @@ impl ReadPlane {
             .peak_concurrent_readers
             .fetch_max(cur, Ordering::Relaxed);
         let run = self.streams.lock().note(lba, sectors);
+        let stream = run > sectors;
         let bypass = self.scan_bypass_sectors > 0 && run >= self.scan_bypass_sectors;
 
         let t0 = Instant::now();
@@ -644,8 +718,10 @@ impl ReadPlane {
         if let Ok(Some(next)) = next {
             return Ok(Some(Misses {
                 base: lba,
+                end: lba + sectors,
                 next: Some(next),
                 work,
+                stream,
                 bypass,
                 req,
                 parent,
@@ -685,7 +761,7 @@ impl ReadPlane {
     /// prefetch window serves its neighbours from the cache.
     fn fetch_pieces(&self, m: &mut Misses, buf: &mut [u8]) -> Result<()> {
         while let Some((piece, attempt)) = m.next.take() {
-            match self.fetch_piece(&piece, m.bypass, m.req, m.parent) {
+            match self.fetch_piece(&piece, m) {
                 Ok(data) => {
                     let b = ((piece.start - m.base) * SECTOR) as usize;
                     let e = b + (piece.len * SECTOR) as usize;
@@ -847,14 +923,17 @@ impl ReadPlane {
         object_name(self.sb.stream_for(seq), seq)
     }
 
-    /// Fetches one backend piece, single-flighted per object: concurrent
-    /// misses on the same object share one ranged GET. Returns exactly the
-    /// piece's bytes (a zero-copy slice of the fetched window).
+    /// Fetches one backend piece of the read `m`, single-flighted per
+    /// object: concurrent misses on the same object share one ranged GET.
+    /// Returns exactly the piece's bytes (a zero-copy slice of the fetched
+    /// window). A follower served from a window its leader did not admit
+    /// whole admits its own sectors, so every read's data enters the cache.
     ///
     /// Traced reads (`req != 0`) record a `fetch_lead` span when they
     /// lead the GET and a `fetch_join` span (carrying the leader's span
     /// id) when they park on another reader's fetch.
-    fn fetch_piece(&self, piece: &MissPiece, bypass: bool, req: u64, parent: u64) -> Result<Bytes> {
+    fn fetch_piece(&self, piece: &MissPiece, m: &Misses) -> Result<Bytes> {
+        let (req, parent) = (m.req, m.parent);
         loop {
             let slot = {
                 let mut infl = self.inflight.lock();
@@ -884,14 +963,15 @@ impl ReadPlane {
                         let leader = slot.leader_span.load(Ordering::Relaxed);
                         self.spans.finish(open, piece.loc.seq.into(), leader);
                     }
-                    if let Some((win_lo, win_len, data)) = window {
-                        let off = piece.loc.off as u64;
-                        if off >= win_lo && off + piece.len <= win_lo + win_len {
+                    if let Some(window) = window {
+                        if let Some(data) = window.slice(piece) {
                             self.counters
                                 .singleflight_shared
                                 .fetch_add(1, Ordering::Relaxed);
-                            let b = ((off - win_lo) * SECTOR) as usize;
-                            return Ok(data.slice(b..b + (piece.len * SECTOR) as usize));
+                            if !window.admitted && !m.bypass {
+                                self.admit_piece(piece, &data)?;
+                            }
+                            return Ok(data);
                         }
                     }
                     // Not covered (or the leader failed): try again — the
@@ -906,18 +986,16 @@ impl ReadPlane {
                     if let Some(open) = &lead {
                         slot.leader_span.store(open.id, Ordering::Relaxed);
                     }
-                    let result = self.fetch_window(piece, bypass);
+                    let result = self.fetch_window(piece, m);
                     self.inflight.lock().remove(&piece.loc.seq);
                     if let Some(open) = lead {
                         self.spans.finish(open, piece.loc.seq.into(), 0);
                     }
                     match result {
-                        Ok((win_lo, data)) => {
-                            let win_len = (data.len() as u64) / SECTOR;
-                            slot.publish(Some((win_lo, win_len, data.clone())));
-                            let off = piece.loc.off as u64;
-                            let b = ((off - win_lo) * SECTOR) as usize;
-                            return Ok(data.slice(b..b + (piece.len * SECTOR) as usize));
+                        Ok(window) => {
+                            let data = window.slice(piece).expect("a window covers its leader");
+                            slot.publish(Some(window));
+                            return Ok(data);
                         }
                         Err(e) => {
                             slot.publish(None);
@@ -929,10 +1007,11 @@ impl ReadPlane {
         }
     }
 
-    /// The leader's fetch: temporal prefetch window, optional CRC verify,
-    /// read-cache admission with liveness revalidation. No lock is held
-    /// across the GET; the insert takes the exclusive lock briefly.
-    fn fetch_window(&self, piece: &MissPiece, bypass: bool) -> Result<(u64, Bytes)> {
+    /// The leader's fetch for the read `m`: temporal prefetch window,
+    /// optional CRC verify, read-cache admission with liveness
+    /// revalidation. No lock is held across the GET; the insert takes the
+    /// exclusive lock briefly.
+    fn fetch_window(&self, piece: &MissPiece, m: &Misses) -> Result<Window> {
         let loc = piece.loc;
         let len = piece.len;
         let name = self.resolve_name(loc.seq);
@@ -1002,12 +1081,20 @@ impl ReadPlane {
                 )));
             }
         }
-        self.admit_window(&entry, loc.seq, win_lo, win_hi, &data, bypass)?;
-        Ok((win_lo, data))
+        let admitted = self.admit_window(&entry, loc.seq, win_lo, win_hi, &data, m)?;
+        Ok(Window {
+            lo: win_lo,
+            data,
+            admitted,
+        })
     }
 
-    /// Enters the live pieces of a fetched window into the read cache —
-    /// unless the triggering stream is a scan, which bypasses admission.
+    /// Enters a fetched window into the read cache for the read `m` that
+    /// triggered it, and returns whether the whole window entered. It does
+    /// when the window overlaps a header extent the read does not overlap
+    /// (co-written data) or the read continues a stream; otherwise only
+    /// the read's own sectors enter (see the module docs). A detected scan
+    /// admits nothing, nor does a tenant at its quota.
     ///
     /// Liveness is revalidated under the exclusive lock *now*, not at
     /// resolve time: a piece whose vLBA was remapped (overwrite, trim, GC)
@@ -1021,42 +1108,12 @@ impl ReadPlane {
         win_lo: u64,
         win_hi: u64,
         data: &Bytes,
-        bypass: bool,
-    ) -> Result<()> {
-        let window_sectors = || {
-            let mut covered = 0u64;
-            let mut obj_off = 0u64;
-            for &(_, elen) in entry.extents.iter() {
-                let e_lo = obj_off;
-                let e_hi = obj_off + elen as u64;
-                obj_off = e_hi;
-                covered += e_hi.min(win_hi).saturating_sub(e_lo.max(win_lo));
-            }
-            covered
-        };
-        if bypass {
-            self.counters
-                .bypassed_sectors
-                .fetch_add(window_sectors(), Ordering::Relaxed);
-            return Ok(());
-        }
-        let mut st = self.write_state();
-        // Tenant quota: once this volume's resident footprint reaches its
-        // allocation, fetches still serve but stop admitting — the noisy
-        // tenant cannot evict its neighbours' working sets. Checked under
-        // the exclusive lock so the footprint reading is exact.
-        let quota = self.cache_quota_sectors.load(Ordering::Relaxed);
-        if quota > 0 {
-            let s = st.rcache.stats();
-            if s.inserted_sectors.saturating_sub(s.evicted_sectors) >= quota {
-                drop(st);
-                self.counters
-                    .quota_bypassed_sectors
-                    .fetch_add(window_sectors(), Ordering::Relaxed);
-                return Ok(());
-            }
-        }
-        let mut admitted = 0u64;
+        m: &Misses,
+    ) -> Result<bool> {
+        // The window's share of each header extent it overlaps, as
+        // `(vLBA, object sector, sectors)`.
+        let mut pieces = Vec::new();
+        let mut spatial = !m.stream;
         let mut obj_off = 0u64;
         for &(elba, elen) in entry.extents.iter() {
             let e_lo = obj_off;
@@ -1067,26 +1124,87 @@ impl ReadPlane {
             if lo >= hi {
                 continue;
             }
-            let piece_vlba = elba + (lo - e_lo);
-            let piece_len = hi - lo;
-            for (plo, plen, pval) in st.objmap.overlaps(piece_vlba, piece_len) {
-                let expect_off = lo + (plo - piece_vlba);
-                if pval.seq == seq && pval.off as u64 == expect_off {
-                    let b = ((expect_off - win_lo) * SECTOR) as usize;
-                    let e = b + (plen * SECTOR) as usize;
-                    st.rcache.insert(plo, &data[b..e])?;
-                    admitted += plen;
-                    let shadowed = st.wcache_map.overlaps(plo, plen);
-                    for (wlo, wlen, _) in shadowed {
-                        st.rcache.invalidate(wlo, wlen);
-                    }
-                }
+            spatial &= elba < m.end && m.base < elba + elen as u64;
+            pieces.push((elba + (lo - e_lo), lo, hi - lo));
+        }
+        let covered: u64 = pieces.iter().map(|&(_, _, len)| len).sum();
+        if m.bypass {
+            self.counters
+                .bypassed_sectors
+                .fetch_add(covered, Ordering::Relaxed);
+            return Ok(false);
+        }
+        let mut st = self.write_state();
+        if self.over_quota(&st) {
+            drop(st);
+            self.counters
+                .quota_bypassed_sectors
+                .fetch_add(covered, Ordering::Relaxed);
+            return Ok(false);
+        }
+        let mut admitted = 0u64;
+        let mut skipped = 0u64;
+        for &(vlba, off, len) in &pieces {
+            let (lo, hi) = if spatial {
+                (vlba.max(m.base), (vlba + len).min(m.end))
+            } else {
+                (vlba, vlba + len)
+            };
+            let keep = hi.saturating_sub(lo);
+            skipped += len - keep;
+            if keep > 0 {
+                let b = ((off + (lo - vlba) - win_lo) * SECTOR) as usize;
+                let e = b + (keep * SECTOR) as usize;
+                admitted += st.admit_live(seq, lo, keep, off + (lo - vlba), &data[b..e])?;
             }
         }
+        drop(st);
+        self.counters
+            .admitted_sectors
+            .fetch_add(admitted, Ordering::Relaxed);
+        self.counters
+            .spatial_skipped_sectors
+            .fetch_add(skipped, Ordering::Relaxed);
+        Ok(!spatial)
+    }
+
+    /// Enters a single-flight follower's own `piece`, served from a window
+    /// its leader did not admit whole, with the same revalidation. Sectors
+    /// already cached (the leader's own, say) are left as they are.
+    fn admit_piece(&self, piece: &MissPiece, data: &[u8]) -> Result<()> {
+        let mut st = self.write_state();
+        if self.over_quota(&st) {
+            drop(st);
+            self.counters
+                .quota_bypassed_sectors
+                .fetch_add(piece.len, Ordering::Relaxed);
+            return Ok(());
+        }
+        let mut admitted = 0u64;
+        for seg in st.rcache.resolve(piece.start, piece.len) {
+            if let Segment::Hole { start, len } = seg {
+                let rel = start - piece.start;
+                let b = (rel * SECTOR) as usize;
+                let e = b + (len * SECTOR) as usize;
+                let off = piece.loc.off as u64 + rel;
+                admitted += st.admit_live(piece.loc.seq, start, len, off, &data[b..e])?;
+            }
+        }
+        drop(st);
         self.counters
             .admitted_sectors
             .fetch_add(admitted, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Tenant quota: once this volume's resident footprint reaches its
+    /// allocation, fetches still serve but stop admitting — the noisy
+    /// tenant cannot evict its neighbours' working sets. Read under the
+    /// exclusive lock so the footprint reading is exact.
+    fn over_quota(&self, st: &ReadState) -> bool {
+        let quota = self.cache_quota_sectors.load(Ordering::Relaxed);
+        let s = st.rcache.stats();
+        quota > 0 && s.inserted_sectors.saturating_sub(s.evicted_sectors) >= quota
     }
 
     /// One ranged GET: serial, or scatter-gathered over the writeback pool
@@ -1171,6 +1289,7 @@ impl ReadPlane {
             admitted_sectors: r(&c.admitted_sectors),
             bypassed_sectors: r(&c.bypassed_sectors),
             quota_bypassed_sectors: r(&c.quota_bypassed_sectors),
+            spatial_skipped_sectors: r(&c.spatial_skipped_sectors),
             singleflight_waits: r(&c.singleflight_waits),
             singleflight_shared: r(&c.singleflight_shared),
             crc_combine_ops: r(&c.crc_combine_ops),

@@ -2325,6 +2325,7 @@ impl Volume {
                 admitted_sectors: p.admitted_sectors,
                 bypassed_sectors: p.bypassed_sectors,
                 quota_bypassed_sectors: p.quota_bypassed_sectors,
+                spatial_skipped_sectors: p.spatial_skipped_sectors,
                 singleflight_waits: p.singleflight_waits,
                 singleflight_shared: p.singleflight_shared,
                 shared_lock_acqs: p.shared_lock_acqs,

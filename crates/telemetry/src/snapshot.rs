@@ -544,6 +544,11 @@ metric_table! {
         /// Sectors the tenant byte quota kept out of the read cache.
         quota_bypassed_sectors: u64, sum, counter lsvd_rp_quota_bypassed_sectors_total
             "Sectors the tenant byte quota kept out of the read cache.";
+        /// Fetched sectors a spatial-only prefetch window kept out of the
+        /// read cache: the window held no co-written data, so only the
+        /// triggering read's own sectors entered.
+        spatial_skipped_sectors: u64, sum, counter lsvd_rp_spatial_skipped_sectors_total
+            "Fetched sectors a spatial-only prefetch window kept out of the cache.";
         /// Fetches that parked on another reader's in-flight GET.
         singleflight_waits: u64, sum, counter lsvd_rp_singleflight_waits_total
             "Fetches that parked on another reader's in-flight GET.";
@@ -1023,6 +1028,7 @@ mod tests {
                 admitted_sectors: 1_024,
                 bypassed_sectors: 4_096,
                 quota_bypassed_sectors: 512,
+                spatial_skipped_sectors: 8_064,
                 singleflight_waits: 17,
                 singleflight_shared: 15,
                 shared_lock_acqs: 3_100,

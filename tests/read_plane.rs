@@ -9,9 +9,12 @@
 //! 2. **Single-flight miss fetch** — concurrent misses on the same
 //!    backend object coalesce into one ranged GET, and a read whose
 //!    backend phase finishes on another thread counts once;
-//! 3. **Scan-resistant admission** — a long sequential scan bypasses
-//!    read-cache admission, so it cannot evict the hot set (with
-//!    admission disabled, it demonstrably does);
+//! 3. **Admission** — a long sequential scan bypasses read-cache
+//!    admission, so it cannot evict the hot set (with admission disabled,
+//!    it demonstrably does); a random miss admits a whole prefetch window
+//!    only when the window holds co-written data or the read continues a
+//!    stream, so random misses on a bulk-written image leave the hot set
+//!    cached;
 //! 4. **Durability independence** — read-plane state (the read-cache
 //!    region, map metadata included) can be arbitrarily corrupted across
 //!    a crash without affecting recovered data: durability flows only
@@ -225,6 +228,52 @@ fn concurrent_misses_on_one_object_coalesce_into_one_fetch() {
         "every reader issued its own GET: {stats:?}"
     );
 
+    // Readers of different blocks in one single-extent object: a window
+    // holds no co-written data, so its leader admits only its own block,
+    // and each follower served from that window admits its own. Each
+    // reads half a block, so no read continues another's stream (a stream
+    // would admit its whole window).
+    const SPREAD: u64 = 2 << 20;
+    let half = |k: u64| vec![0x40 + k as u8; 2048];
+    let mut object = vec![0u8; 65536];
+    for k in 0..THREADS as u64 {
+        object[(k * 4096) as usize..][..2048].copy_from_slice(&half(k));
+    }
+    sv.write(SPREAD, &object).unwrap();
+    sv.with_volume(|v| v.drain()).unwrap().unwrap();
+    let before = sv.with_volume(|v| v.read_plane_stats()).unwrap();
+    let mut joins = Vec::new();
+    for k in 0..THREADS as u64 {
+        let sv = sv.clone();
+        let start = start.clone();
+        joins.push(std::thread::spawn(move || {
+            start.wait();
+            let b = sv.read_bytes(SPREAD + k * 4096, 2048).unwrap();
+            assert_eq!(&b[..], &half(k)[..]);
+        }));
+    }
+    for j in joins {
+        j.join().unwrap();
+    }
+    let mid = sv.with_volume(|v| v.read_plane_stats()).unwrap();
+    assert!(
+        mid.singleflight_shared > before.singleflight_shared,
+        "no reader of another block was served from a leader's window: {mid:?}"
+    );
+    for k in 0..THREADS as u64 {
+        let b = sv.read_bytes(SPREAD + k * 4096, 2048).unwrap();
+        assert_eq!(&b[..], &half(k)[..]);
+    }
+    let after = sv.with_volume(|v| v.read_plane_stats()).unwrap();
+    assert_eq!(
+        (
+            after.hit_reads - mid.hit_reads,
+            after.backend_gets - mid.backend_gets
+        ),
+        (THREADS as u64, 0),
+        "(re-read hits, GETs): every reader's block entered the cache"
+    );
+
     // A read deferred past its local phase and finished on another
     // thread counts as one read, in every counter.
     sv.write(1 << 20, &[3u8; 65536]).unwrap();
@@ -361,6 +410,145 @@ fn scan_resistant_admission_protects_the_hot_set() {
 }
 
 // ---------------------------------------------------------------------
+// 3b. Window admission: co-written data, streams, and spatial neighbours.
+// ---------------------------------------------------------------------
+
+const BLOCK: u64 = 4096;
+
+/// Every block's contents: its index, so reads can be checked.
+fn block_data(block: u64) -> Vec<u8> {
+    let mut data = vec![block as u8; BLOCK as usize];
+    data[..8].copy_from_slice(&block.to_le_bytes());
+    data
+}
+
+/// A volume on a 16 MiB cache device (≈12.6 MiB of read cache) over an
+/// image of `bytes` bulk-loaded in 1 MiB writes, one write per object, so
+/// every object is one extent. Drained, so every read of it misses.
+fn bulk_volume(bytes: u64) -> Volume {
+    let cfg = VolumeConfig {
+        batch_bytes: 1 << 20,
+        gc_enabled: false,
+        ..VolumeConfig::default()
+    };
+    let store = Arc::new(MemStore::new());
+    let dev = Arc::new(RamDisk::new(16 << 20));
+    let mut vol = Volume::create(store, dev, "vol", bytes, cfg).expect("create");
+    let per_write = (1 << 20) / BLOCK;
+    for first in (0..bytes / BLOCK).step_by(per_write as usize) {
+        let chunk: Vec<u8> = (first..first + per_write).flat_map(block_data).collect();
+        vol.write(first * BLOCK, &chunk).unwrap();
+    }
+    vol.drain().unwrap();
+    vol
+}
+
+fn read_block(vol: &mut Volume, block: u64) {
+    let mut buf = vec![0u8; BLOCK as usize];
+    vol.read(block * BLOCK, &mut buf).unwrap();
+    assert_eq!(buf, block_data(block), "block {block}");
+}
+
+#[test]
+fn random_misses_on_a_bulk_image_leave_the_hot_set_cached() {
+    const IMAGE_BLOCKS: u64 = 16_384; // 64 MiB
+    const HOT: u64 = 256; // 1 MiB
+
+    // 768 cold misses: 192 MiB at 256 KiB per window, over 15 times the
+    // read cache; 3 MiB at 4 KiB, under a quarter of it.
+    const COLD: u64 = 768;
+    let mut vol = bulk_volume(IMAGE_BLOCKS * BLOCK);
+    // A fixed odd stride over a power-of-two image visits distinct,
+    // never-adjacent blocks, so no read continues a stream.
+    let scattered = |i: u64| (i * 4_099) % IMAGE_BLOCKS;
+
+    for i in 0..HOT {
+        read_block(&mut vol, scattered(i));
+    }
+    let before = vol.read_plane_stats();
+    for i in HOT..HOT + COLD {
+        read_block(&mut vol, scattered(i));
+    }
+    let after = vol.read_plane_stats();
+
+    let rc0 = vol.read_cache_stats();
+    for i in 0..HOT {
+        read_block(&mut vol, scattered(i));
+    }
+    let rc1 = vol.read_cache_stats();
+    let hits = rc1.hit_sectors - rc0.hit_sectors;
+    let misses = rc1.miss_sectors - rc0.miss_sectors;
+    let ratio = hits as f64 / (hits + misses) as f64;
+    assert!(
+        ratio >= 0.95,
+        "cold misses flushed the hot set: hit ratio {ratio:.3}"
+    );
+    assert_eq!(after.miss_reads - before.miss_reads, COLD);
+    assert_eq!(
+        after.admitted_sectors - before.admitted_sectors,
+        8 * COLD,
+        "each cold miss admitted just its own 4 KiB"
+    );
+    assert!(after.spatial_skipped_sectors > before.spatial_skipped_sectors);
+    vol.shutdown().unwrap();
+}
+
+#[test]
+fn co_written_blocks_arrive_with_the_first_miss() {
+    // 64 scattered 4 KiB writes sealed into one 256 KiB object.
+    let cfg = VolumeConfig {
+        batch_bytes: 64 * BLOCK,
+        gc_enabled: false,
+        ..VolumeConfig::default()
+    };
+    let store = Arc::new(MemStore::new());
+    let mut vol = Volume::create(
+        store.clone(),
+        Arc::new(RamDisk::new(16 << 20)),
+        "vol",
+        64 << 20,
+        cfg.clone(),
+    )
+    .expect("create");
+    let blocks: Vec<u64> = (0..64u64).map(|i| (i * 37 % 64) * 3 + 5).collect();
+    for &b in &blocks {
+        vol.write(b * BLOCK, &block_data(b)).unwrap();
+    }
+    vol.shutdown().unwrap();
+
+    // Reopen on a fresh cache device: nothing is cached.
+    let mut vol = Volume::open(store, Arc::new(RamDisk::new(16 << 20)), "vol", cfg).expect("open");
+    let lowest = *blocks.iter().min().unwrap();
+    read_block(&mut vol, lowest);
+    assert_eq!(vol.read_plane_stats().backend_gets, 1);
+    for &b in blocks.iter().filter(|&&b| b != lowest) {
+        read_block(&mut vol, b);
+    }
+    let stats = vol.read_plane_stats();
+    assert_eq!(
+        (stats.backend_gets, stats.hit_reads),
+        (1, 63),
+        "the first miss's window brought every co-written block"
+    );
+    vol.shutdown().unwrap();
+}
+
+#[test]
+fn a_sequential_stream_still_prefetches_whole_windows() {
+    let mut vol = bulk_volume(4 << 20);
+    // 1 MiB straight through one bulk extent, 4 KiB at a time.
+    for b in 0..(1 << 20) / BLOCK {
+        read_block(&mut vol, b);
+    }
+    let gets = vol.read_plane_stats().backend_gets;
+    assert!(
+        gets <= (1 << 20) / (256 << 10) + 1,
+        "{gets} GETs: the stream did not admit whole windows"
+    );
+    vol.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------
 // 4. Durability never leans on read-plane state.
 // ---------------------------------------------------------------------
 
@@ -437,7 +625,8 @@ proptest! {
     #[test]
     fn rcache_wraparound_and_persist_reload_serve_only_fresh_data(ops in rcache_ops()) {
         const REGION_START: u64 = 8;
-        const REGION_SECTORS: u64 = 64 + 256; // META_SECTORS + 256 usable
+        // The smallest (64-sector) persisted-map area + 256 usable.
+        const REGION_SECTORS: u64 = 64 + 256;
         let dev: Arc<dyn BlockDevice> =
             Arc::new(RamDisk::new((REGION_START + REGION_SECTORS + 8) * SECTOR));
         let mut rc = ReadCache::new(dev.clone(), REGION_START, REGION_SECTORS);
