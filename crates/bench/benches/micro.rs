@@ -308,9 +308,11 @@ fn bench_volume_write_read(c: &mut Criterion) {
 
 /// 4K random read/write through the loopback NBD serving plane against
 /// the same ops on the shared volume directly. The delta is the serving
-/// tax: framing, two socket hops, the scheduler hand-off, and the
-/// reply-window bookkeeping — the overhead §5's "virtues of the log"
-/// argument says the backend must amortise.
+/// tax: the client's and the reactor's socket crossings, framing, the
+/// scheduler claim and the reply-window bookkeeping — the reactor runs
+/// these hits and log-only writes itself, with no worker hand-off. It is
+/// the overhead §5's "virtues of the log" argument says the backend must
+/// amortise.
 fn bench_nbd(c: &mut Criterion) {
     use lsvd::shared::SharedVolume;
     use nbd::server::ServerConfig;
@@ -407,10 +409,11 @@ fn bench_nbd(c: &mut Criterion) {
     }
     ring.set_enabled(false);
 
-    // Four connections reading at once: the reads share the plane's
-    // shared lock, so this should scale with the worker pool instead of
-    // convoying on the volume mutex. One iteration = 32 reads on each of
-    // the 4 connections.
+    // Four connections reading at once. The reactor runs every hit
+    // itself under the plane's shared lock, never the volume mutex, so
+    // this prices four clients' requests interleaving on the one reactor
+    // thread, not a worker pool's parallelism. One iteration = 32 reads
+    // on each of the 4 connections.
     const CONNS: usize = 4;
     const READS_PER_CONN: u64 = 32;
     let mut clients: Vec<nbd::Client> = (0..CONNS)

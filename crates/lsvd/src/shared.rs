@@ -130,12 +130,27 @@ impl SharedVolume {
     /// volume's ambient span context for the duration of the call, so the
     /// wlog-append hop records as a child of `parent`.
     pub fn write_traced(&self, offset: u64, data: &[u8], req: u64, parent: u64) -> Result<()> {
-        self.with(|v| {
-            v.set_span_ctx(req, parent);
-            let res = v.write(offset, data);
-            v.set_span_ctx(0, 0);
-            res
-        })
+        self.with(|v| traced(v, req, parent, |v| v.write(offset, data)))
+    }
+
+    /// [`SharedVolume::write_traced`], but only when the write stays on
+    /// the cache device ([`Volume::write_stays_local`]). The check and the
+    /// write share one acquisition of the volume mutex, so nothing can
+    /// seal, clean or ship in between. `None` means the write was not
+    /// attempted: it needs a thread that may wait on the backend.
+    pub fn write_if_local(
+        &self,
+        offset: u64,
+        data: &[u8],
+        req: u64,
+        parent: u64,
+    ) -> Option<Result<()>> {
+        let mut guard = self.inner.lock();
+        match guard.as_mut() {
+            Some(v) if !v.write_stays_local(data.len() as u64) => None,
+            Some(v) => Some(traced(v, req, parent, |v| v.write(offset, data))),
+            None => Some(Err(LsvdError::BadVolume("volume is shut down".into()))),
+        }
     }
 
     /// Serialized [`Volume::flush`].
@@ -145,12 +160,7 @@ impl SharedVolume {
 
     /// [`SharedVolume::flush`] under an existing request id.
     pub fn flush_traced(&self, req: u64, parent: u64) -> Result<()> {
-        self.with(|v| {
-            v.set_span_ctx(req, parent);
-            let res = v.flush();
-            v.set_span_ctx(0, 0);
-            res
-        })
+        self.with(|v| traced(v, req, parent, Volume::flush))
     }
 
     /// Serialized [`Volume::discard`].
@@ -160,12 +170,7 @@ impl SharedVolume {
 
     /// [`SharedVolume::discard`] under an existing request id.
     pub fn discard_traced(&self, offset: u64, len: u64, req: u64, parent: u64) -> Result<()> {
-        self.with(|v| {
-            v.set_span_ctx(req, parent);
-            let res = v.discard(offset, len);
-            v.set_span_ctx(0, 0);
-            res
-        })
+        self.with(|v| traced(v, req, parent, |v| v.discard(offset, len)))
     }
 
     /// Serialized [`Volume::telemetry`].
@@ -217,6 +222,20 @@ impl SharedVolume {
             None => Ok(()),
         }
     }
+}
+
+/// Runs `op` with the volume's ambient span context set to `(req,
+/// parent)`, so its volume-side hop records as a child of `parent`.
+fn traced<R>(
+    v: &mut Volume,
+    req: u64,
+    parent: u64,
+    op: impl FnOnce(&mut Volume) -> Result<R>,
+) -> Result<R> {
+    v.set_span_ctx(req, parent);
+    let res = op(v);
+    v.set_span_ctx(0, 0);
+    res
 }
 
 #[cfg(test)]

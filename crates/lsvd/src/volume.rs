@@ -891,6 +891,20 @@ impl Volume {
         Ok(())
     }
 
+    /// Whether [`Volume::write`] of `len` bytes would finish on the cache
+    /// device alone: one log record, no backend request, no wait on one.
+    /// True only when no cleaning pass is in progress, writeback is idle
+    /// (nothing queued, in flight or landed), the log has room, and the
+    /// open batch stays below `batch_bytes` — so the write can neither
+    /// seal, clean, ship, nor block on a full window.
+    pub fn write_stays_local(&self, len: u64) -> bool {
+        len <= MAX_WRITE_SECTORS * SECTOR
+            && self.gc.is_none()
+            && self.writeback_idle()
+            && self.wlog.has_room(len)
+            && self.batch.live_bytes() + len < self.cfg.batch_bytes
+    }
+
     fn write_chunk(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
         let sectors = bytes_to_sectors(data.len() as u64);
         // Harvest any finished PUTs first so the backlog accounting below

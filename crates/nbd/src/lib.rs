@@ -9,11 +9,14 @@
 //! - [`server`] — [`serve`] / [`serve_fleet`]: a poll-based reactor
 //!   thread multiplexing every connection (fixed-newstyle handshake,
 //!   `NBD_OPT_GO` / `NBD_OPT_LIST` negotiation routed through an
-//!   [`lsvd::fleet::ExportRegistry`]) over a shared pool of 4 + 1
-//!   workers, with per-export ordered-mutation lanes, deficit-round-robin
-//!   fairness, QoS token buckets, and per-connection in-flight windows.
-//!   A read miss leaves its worker after the local phase: a fetch thread
-//!   waits for its GETs and posts the reply;
+//!   [`lsvd::fleet::ExportRegistry`]). The reactor runs read hits and
+//!   writes that stay in the cache log to completion itself; FLUSH, TRIM,
+//!   FUA writes and writes that need the backend go to a shared pool of
+//!   4 + 1 workers, with per-export ordered-mutation lanes,
+//!   deficit-round-robin fairness, QoS token buckets, and per-connection
+//!   in-flight windows. A read miss leaves after its local phase: a fetch
+//!   thread waits for its GETs. Whichever thread finishes a request
+//!   writes its reply to the socket;
 //! - [`client`] — a one-request-at-a-time client for tests, benches and
 //!   `lsvdctl nbd-roundtrip`, plus pipelining helpers;
 //! - [`proto`] — pure frame codecs, property-tested in

@@ -1,22 +1,34 @@
 //! The event-driven serving reactor: one thread multiplexing every
-//! client connection over `poll(2)`.
+//! client connection over `poll(2)`, and running to completion every
+//! request that needs only memory and the cache device.
 //!
 //! The previous serving plane spent three threads per connection
 //! (reader, writer, and a share of the dispatcher); at fleet scale —
 //! hundreds of volumes, a thousand connections — that is thousands of
 //! stacks and a scheduler fight. The reactor replaces all of it with:
 //!
-//! - **one reactor thread** owning every socket (nonblocking), the
-//!   accept loop, the handshake state machines, request framing, and
-//!   reply serialization;
-//! - **a small worker pool** (see `server.rs`) pulling decoded jobs from
-//!   the [`FleetScheduler`](crate::sched::FleetScheduler) and posting
-//!   [`Completion`]s back — except for read misses, whose backend phase
-//!   a **fetch thread** finishes and posts, so a GET never holds a
-//!   worker;
-//! - **a self-pipe waker** (`UnixStream::pair`): workers, fetch threads
-//!   and the export registry nudge the reactor out of `poll` when
-//!   completions land or exports are detached.
+//! - **one reactor thread** owning the accept loop, the handshake state
+//!   machines and request framing for every socket (nonblocking). It
+//!   runs a decoded request itself when the
+//!   [`FleetScheduler`](crate::sched::FleetScheduler) would dispatch it
+//!   right away and finishing it cannot wait on the backend or on a
+//!   device flush: a READ's local phase (a hit or a hole replies at
+//!   once, a miss goes straight to a fetch thread) and a WRITE the
+//!   volume confirms stays in the cache log. So a read hit or a
+//!   log-only write crosses no thread but the client's and the
+//!   reactor's;
+//! - **a small worker pool** (see `server.rs`) for everything else —
+//!   FLUSH, TRIM, FUA writes, writes that seal, clean or ship, and jobs
+//!   queued behind a busy lane or a QoS bucket — and **fetch threads**
+//!   that finish read misses, so a GET never holds a worker;
+//! - **direct replies**: each connection's socket, output queue and
+//!   in-flight window live in a shared [`ConnIo`], and whichever thread
+//!   finishes a request writes its reply with one `writev`;
+//! - **a self-pipe waker** (`UnixStream::pair`): a finisher nudges the
+//!   reactor out of `poll` only when the socket would block, a reply
+//!   frees a full window, a draining connection's last reply is out, or
+//!   the socket failed; the export registry nudges it when exports are
+//!   detached.
 //!
 //! Each connection is a little state machine
 //! (`Flags → Options → Transmission → Draining`). Negotiation routes
@@ -32,8 +44,8 @@
 //! then the socket closes, which is exactly the detach contract (every
 //! acknowledged write completes).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_ulong};
@@ -44,11 +56,11 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use lsvd::fleet::{Export, ExportRegistry};
-use telemetry::{FlightRecorder, OpenSpan, SpanRing, Stage};
+use telemetry::{OpenSpan, ServingRecorders, SpanRing, Stage};
 
 use crate::proto::*;
-use crate::sched::{FleetScheduler, Job};
-use crate::server::MAX_IO_BYTES;
+use crate::sched::Job;
+use crate::server::{execute, Ctx, Runner, MAX_IO_BYTES};
 
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
@@ -83,21 +95,175 @@ fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 /// more than this cannot be framed and aborts the connection.
 const IN_CAP: usize = REQUEST_LEN + 2 * MAX_IO_BYTES as usize;
 
-/// A finished job's reply, posted by a worker or a fetch thread, routed
-/// by the reactor.
-pub(crate) struct Completion {
-    pub conn: u64,
-    pub cookie: u64,
-    pub error: u32,
-    /// READ payload (empty otherwise), handed to the socket as-is.
-    pub data: Bytes,
+/// A connection's output half: the socket, the output not yet on it and
+/// the in-flight window. The reactor reads requests from the socket and
+/// flushes leftover output on `POLLOUT`; whichever thread finishes a
+/// request — the reactor, a worker or a fetch thread — writes its reply
+/// here itself.
+pub(crate) struct ConnIo {
+    pub(crate) id: u64,
+    stream: TcpStream,
+    window: usize,
+    out: Mutex<Out>,
 }
 
-/// State shared between the reactor thread, the workers and fetch
-/// threads, and the registry notify hook.
+#[derive(Default)]
+struct Out {
+    /// Serialized output not yet on the socket; `pos` is the sent prefix
+    /// of the front chunk.
+    queue: VecDeque<Bytes>,
+    pos: usize,
+    /// Requests accepted and not yet answered: the in-flight window.
+    inflight: usize,
+    /// The reactor reads no more requests here, so the last reply must
+    /// wake it to close the socket.
+    draining: bool,
+    /// The socket failed or was closed: replies are dropped.
+    dead: bool,
+}
+
+impl Out {
+    /// Queues `bytes` unless empty: an empty chunk would never drain.
+    fn push(&mut self, bytes: Bytes) {
+        if !bytes.is_empty() {
+            self.queue.push_back(bytes);
+        }
+    }
+
+    /// Drops the first `n` queued bytes, which are on the socket now.
+    fn advance(&mut self, mut n: usize) {
+        while n > 0 {
+            let left = self.queue[0].len() - self.pos;
+            if n < left {
+                self.pos += n;
+                return;
+            }
+            n -= left;
+            self.queue.pop_front();
+            self.pos = 0;
+        }
+    }
+}
+
+impl ConnIo {
+    pub(crate) fn new(id: u64, stream: TcpStream, window: usize) -> ConnIo {
+        ConnIo {
+            id,
+            stream,
+            window,
+            out: Mutex::new(Out::default()),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Out> {
+        self.out.lock().expect("connection output lock poisoned")
+    }
+
+    /// Queues negotiation output; the reactor flushes it.
+    fn push(&self, bytes: impl Into<Bytes>) {
+        self.lock().push(bytes.into());
+    }
+
+    /// Counts one accepted request into the window.
+    fn begin(&self) {
+        self.lock().inflight += 1;
+    }
+
+    /// Writes one request's reply. With nothing queued ahead of it, the
+    /// caller writes header and payload at once, in one `writev`; behind
+    /// queued output, the reply waits for the reactor's `POLLOUT` flush.
+    /// Returns whether the reactor must look at the connection: the
+    /// socket would block, the reply freed a full window, it was a
+    /// draining connection's last, or the socket failed.
+    pub(crate) fn reply(
+        &self,
+        cookie: u64,
+        error: u32,
+        data: &Bytes,
+        rec: &ServingRecorders,
+    ) -> bool {
+        let hdr = encode_simple_reply(&SimpleReply { error, cookie });
+        let mut out = self.lock();
+        let freed = out.inflight == self.window;
+        out.inflight -= 1;
+        if out.dead {
+            return false;
+        }
+        let idle = out.queue.is_empty();
+        out.push(Bytes::copy_from_slice(&hdr));
+        out.push(data.clone());
+        if idle && self.write_out(&mut out, Some(rec)).is_err() {
+            return true;
+        }
+        let blocked = idle && !out.queue.is_empty();
+        let last = out.draining && out.inflight == 0 && out.queue.is_empty();
+        freed || blocked || last
+    }
+
+    /// Writes queued output until the socket would block: the reactor's
+    /// `POLLOUT` path. Fails once the socket has.
+    fn flush(&self, rec: Option<&ServingRecorders>) -> io::Result<()> {
+        let mut out = self.lock();
+        if out.dead {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        self.write_out(&mut out, rec)
+    }
+
+    fn write_out(&self, out: &mut Out, rec: Option<&ServingRecorders>) -> io::Result<()> {
+        let t0 = Instant::now();
+        let mut wrote = false;
+        while !out.queue.is_empty() {
+            let mut parts = [IoSlice::new(&[]); 16];
+            let n = out.queue.len().min(parts.len());
+            for (i, b) in out.queue.iter().take(n).enumerate() {
+                parts[i] = IoSlice::new(if i == 0 { &b[out.pos..] } else { b });
+            }
+            match (&self.stream).write_vectored(&parts[..n]) {
+                Ok(0) => {
+                    out.dead = true;
+                    return Err(io::ErrorKind::WriteZero.into());
+                }
+                Ok(k) => {
+                    wrote = true;
+                    out.advance(k);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    out.dead = true;
+                    return Err(e);
+                }
+            }
+        }
+        if let (true, Some(rec)) = (wrote, rec) {
+            rec.socket_wait.record_ns(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+
+    /// Marks the connection as reading no more requests.
+    fn set_draining(&self) {
+        self.lock().draining = true;
+    }
+
+    /// `(in-flight requests, output queued)`, read under one lock.
+    fn status(&self) -> (usize, bool) {
+        let out = self.lock();
+        (out.inflight, !out.queue.is_empty())
+    }
+}
+
+/// Finishers only push ids onto the ready list and the reactor only takes
+/// it, so a poisoned lock is a bug in this module.
+const READY_POISONED: &str = "ready list lock poisoned";
+
+/// State shared between the reactor thread, every thread that finishes a
+/// request, and the registry notify hook.
 pub(crate) struct ReactorShared {
-    completions: Mutex<Vec<Completion>>,
     waker_tx: UnixStream,
+    /// Connections a finisher asked the reactor to look at.
+    ready: Mutex<Vec<u64>>,
     pub(crate) stop: AtomicBool,
     /// Registry changed (attach/detach): re-examine conns for fenced
     /// exports.
@@ -107,8 +273,8 @@ pub(crate) struct ReactorShared {
 impl ReactorShared {
     pub(crate) fn new(waker_tx: UnixStream) -> ReactorShared {
         ReactorShared {
-            completions: Mutex::new(Vec::new()),
             waker_tx,
+            ready: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             sweep: AtomicBool::new(false),
         }
@@ -119,9 +285,10 @@ impl ReactorShared {
         let _ = (&self.waker_tx).write(&[1u8]);
     }
 
-    /// Posts a finished job's reply and wakes the reactor to route it.
-    pub(crate) fn complete(&self, c: Completion) {
-        self.completions.lock().unwrap().push(c);
+    /// Asks the reactor to service connection `id` (see
+    /// [`ConnIo::reply`] for when a finisher must).
+    pub(crate) fn wake_conn(&self, id: u64) {
+        self.ready.lock().expect(READY_POISONED).push(id);
         self.wake();
     }
 
@@ -140,28 +307,21 @@ enum Phase {
     Flags,
     /// Option haggling (`GO` / `LIST` / `ABORT` / unknown).
     Options,
-    /// Transmission: framing requests, routing replies.
+    /// Transmission: framing requests.
     Transmission,
     /// No more reads; close once in-flight jobs and output drain.
     Draining,
 }
 
 struct Conn {
-    stream: TcpStream,
-    id: u64,
+    io: Arc<ConnIo>,
     phase: Phase,
     /// Unparsed input; `inpos` is the consumed prefix (compacted lazily).
     inbuf: Vec<u8>,
     inpos: usize,
-    /// Serialized output chunks; `outpos` is the sent prefix of the front.
-    out: VecDeque<Bytes>,
-    outpos: usize,
     /// Set at a successful `GO`; `None` while negotiating.
     export: Option<Arc<Export>>,
     spans: Option<Arc<SpanRing>>,
-    /// Jobs handed to the scheduler whose completions have not routed
-    /// back yet — the in-flight window.
-    inflight: usize,
     /// Request id + open decode span for a WRITE whose payload is still
     /// arriving across polls (the decode span covers payload intake).
     pending_decode: Option<(u64, Option<OpenSpan>)>,
@@ -170,18 +330,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, id: u64) -> Conn {
+    fn new(io: Arc<ConnIo>) -> Conn {
         Conn {
-            stream,
-            id,
+            io,
             phase: Phase::Flags,
             inbuf: Vec::new(),
             inpos: 0,
-            out: VecDeque::new(),
-            outpos: 0,
             export: None,
             spans: None,
-            inflight: 0,
             pending_decode: None,
             eof: false,
         }
@@ -214,23 +370,7 @@ impl Conn {
         v
     }
 
-    fn push_out(&mut self, bytes: impl Into<Bytes>) {
-        self.out.push_back(bytes.into());
-    }
-
-    fn push_reply(&mut self, cookie: u64, error: u32, data: Bytes) {
-        let hdr = encode_simple_reply(&SimpleReply { error, cookie });
-        self.push_out(Bytes::copy_from_slice(&hdr));
-        if !data.is_empty() {
-            self.push_out(data);
-        }
-    }
-
-    fn has_output(&self) -> bool {
-        !self.out.is_empty()
-    }
-
-    fn wants_read(&self, window: usize) -> bool {
+    fn wants_read(&self, inflight: usize) -> bool {
         if self.eof {
             return false;
         }
@@ -238,15 +378,13 @@ impl Conn {
             Phase::Flags | Phase::Options => {
                 self.avail() < OPTION_HDR_LEN + MAX_OPTION_LEN as usize + 64
             }
-            Phase::Transmission => self.inflight < window && self.avail() < IN_CAP,
+            Phase::Transmission => inflight < self.io.window && self.avail() < IN_CAP,
             Phase::Draining => false,
         }
     }
 
-    /// Whether the connection has nothing left to do and should close.
-    fn drained(&self) -> bool {
-        let draining = self.eof || matches!(self.phase, Phase::Draining);
-        draining && self.inflight == 0 && !self.has_output()
+    fn draining(&self) -> bool {
+        self.eof || matches!(self.phase, Phase::Draining)
     }
 }
 
@@ -254,41 +392,37 @@ impl Conn {
 pub(crate) struct Reactor {
     listener: TcpListener,
     waker_rx: UnixStream,
-    shared: Arc<ReactorShared>,
+    ctx: Ctx,
     registry: Arc<ExportRegistry>,
-    sched: Arc<FleetScheduler>,
-    recorder: Option<Arc<FlightRecorder>>,
     window: usize,
     oneshot: bool,
     accepted: bool,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
+    /// Socket read buffer, reused across every readable event.
+    rbuf: Vec<u8>,
 }
 
 impl Reactor {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         listener: TcpListener,
         waker_rx: UnixStream,
-        shared: Arc<ReactorShared>,
+        ctx: Ctx,
         registry: Arc<ExportRegistry>,
-        sched: Arc<FleetScheduler>,
-        recorder: Option<Arc<FlightRecorder>>,
         window: usize,
         oneshot: bool,
     ) -> Reactor {
         Reactor {
             listener,
             waker_rx,
-            shared,
+            ctx,
             registry,
-            sched,
-            recorder,
             window,
             oneshot,
             accepted: false,
             conns: HashMap::new(),
             next_conn: 1,
+            rbuf: vec![0u8; 64 << 10],
         }
     }
 
@@ -298,10 +432,10 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut stop_seen: Option<Instant> = None;
         loop {
-            if self.shared.sweep.swap(false, Ordering::AcqRel) {
+            if self.ctx.shared.sweep.swap(false, Ordering::AcqRel) {
                 self.sweep_fenced();
             }
-            let stopping = self.shared.stopping();
+            let stopping = self.ctx.shared.stopping();
             if stopping {
                 stop_seen.get_or_insert_with(Instant::now);
                 self.close_for_stop();
@@ -310,7 +444,7 @@ impl Reactor {
                 }
             } else if self.oneshot && self.accepted && self.conns.is_empty() {
                 // Oneshot: the one connection came and went.
-                self.shared.stop.store(true, Ordering::Release);
+                self.ctx.shared.stop.store(true, Ordering::Release);
                 continue;
             }
 
@@ -333,16 +467,17 @@ impl Reactor {
             // spin on level-triggered POLLHUP.
             let mut polled: Vec<u64> = Vec::with_capacity(self.conns.len());
             for (id, c) in &self.conns {
+                let (inflight, output) = c.io.status();
                 let mut ev = 0i16;
-                if !stopping && c.wants_read(self.window) {
+                if !stopping && c.wants_read(inflight) {
                     ev |= POLLIN;
                 }
-                if c.has_output() {
+                if output {
                     ev |= POLLOUT;
                 }
                 if ev != 0 {
                     fds.push(PollFd {
-                        fd: c.stream.as_raw_fd(),
+                        fd: c.io.stream.as_raw_fd(),
                         events: ev,
                         revents: 0,
                     });
@@ -365,7 +500,13 @@ impl Reactor {
                     self.service_conn(*id, readable);
                 }
             }
-            self.route_completions();
+            // Connections a finisher flagged: a freed window may unblock
+            // parsing, leftover output wants flushing, a drained
+            // connection closes.
+            let ready = std::mem::take(&mut *self.ctx.shared.ready.lock().expect(READY_POISONED));
+            for id in ready {
+                self.service_conn(id, false);
+            }
         }
         // Close leftovers first, then release the workers to drain
         // everything.
@@ -375,7 +516,7 @@ impl Reactor {
                 self.close_conn(c);
             }
         }
-        self.sched.set_stop();
+        self.ctx.sched.set_stop();
     }
 
     fn accept_ready(&mut self) {
@@ -389,12 +530,12 @@ impl Reactor {
                     }
                     let id = self.next_conn;
                     self.next_conn += 1;
-                    let mut c = Conn::new(stream, id);
+                    let c = Conn::new(Arc::new(ConnIo::new(id, stream, self.window)));
                     let mut hello = Vec::with_capacity(18);
                     hello.extend_from_slice(&MAGIC_NBD.to_be_bytes());
                     hello.extend_from_slice(&MAGIC_IHAVEOPT.to_be_bytes());
                     hello.extend_from_slice(&(FLAG_FIXED_NEWSTYLE | FLAG_NO_ZEROES).to_be_bytes());
-                    c.push_out(hello);
+                    c.io.push(hello);
                     self.conns.insert(id, c);
                     if self.oneshot {
                         return;
@@ -410,21 +551,20 @@ impl Reactor {
     /// `Draining`: in-flight jobs finish and their replies flush, then
     /// the socket closes.
     fn sweep_fenced(&mut self) {
-        let mut closed = Vec::new();
-        for (id, c) in &mut self.conns {
-            if let Some(e) = &c.export {
-                if e.is_fenced() && !matches!(c.phase, Phase::Draining) {
-                    c.phase = Phase::Draining;
-                    if c.drained() {
-                        closed.push(*id);
-                    }
-                }
+        let fenced: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| {
+                c.export.as_ref().is_some_and(|e| e.is_fenced())
+                    && !matches!(c.phase, Phase::Draining)
+            })
+            .map(|(id, _)| *id)
+            .collect();
+        for id in fenced {
+            if let Some(c) = self.conns.get_mut(&id) {
+                c.phase = Phase::Draining;
             }
-        }
-        for id in closed {
-            if let Some(c) = self.conns.remove(&id) {
-                self.close_conn(c);
-            }
+            self.service_conn(id, false);
         }
     }
 
@@ -435,9 +575,12 @@ impl Reactor {
         for id in ids {
             let done = {
                 let c = &self.conns[&id];
+                // The last reply of a connection still busy wakes us.
+                c.io.set_draining();
+                let (inflight, output) = c.io.status();
                 match c.phase {
                     Phase::Flags | Phase::Options => true,
-                    _ => c.inflight == 0 && !c.has_output(),
+                    _ => inflight == 0 && !output,
                 }
             };
             if done {
@@ -448,38 +591,21 @@ impl Reactor {
         }
     }
 
-    fn route_completions(&mut self) {
-        let comps: Vec<Completion> = {
-            let mut guard = self.shared.completions.lock().unwrap();
-            std::mem::take(&mut *guard)
-        };
-        if comps.is_empty() {
-            return;
-        }
-        let mut touched = BTreeSet::new();
-        for comp in comps {
-            // A completion for a closed connection is dropped: its poster
-            // already balanced the export's job accounting.
-            if let Some(c) = self.conns.get_mut(&comp.conn) {
-                c.inflight -= 1;
-                c.push_reply(comp.cookie, comp.error, comp.data);
-                touched.insert(comp.conn);
-            }
-        }
-        for id in touched {
-            // A freed window slot may unblock parsing; flush the reply.
-            self.service_conn(id, false);
-        }
-    }
-
     /// Drives one connection: read if `readable`, parse, flush. Removes
     /// and closes it when it dies or drains.
     fn service_conn(&mut self, id: u64, readable: bool) {
         let Some(mut c) = self.conns.remove(&id) else {
             return;
         };
-        let alive = self.drive(&mut c, readable);
-        if alive && !c.drained() {
+        let mut alive = self.drive(&mut c, readable);
+        if alive && c.draining() {
+            // Flag first, then look: a finisher either sees the flag and
+            // wakes us for its last reply, or its reply is already out.
+            c.io.set_draining();
+            let (inflight, output) = c.io.status();
+            alive = inflight > 0 || output;
+        }
+        if alive {
             self.conns.insert(id, c);
         } else {
             self.close_conn(c);
@@ -509,21 +635,17 @@ impl Reactor {
                 return false;
             }
         }
-        if self.flush_out(c).is_err() {
-            return false;
-        }
-        true
+        c.io.flush(c.export.as_ref().map(|e| e.recorders())).is_ok()
     }
 
-    fn fill_in(&self, c: &mut Conn) -> io::Result<bool> {
-        let mut tmp = [0u8; 64 << 10];
+    fn fill_in(&mut self, c: &mut Conn) -> io::Result<bool> {
         loop {
-            if !c.wants_read(self.window) {
+            if !c.wants_read(c.io.status().0) {
                 return Ok(false);
             }
-            match (&c.stream).read(&mut tmp) {
+            match (&c.io.stream).read(&mut self.rbuf) {
                 Ok(0) => return Ok(true),
-                Ok(n) => c.inbuf.extend_from_slice(&tmp[..n]),
+                Ok(n) => c.inbuf.extend_from_slice(&self.rbuf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -534,6 +656,10 @@ impl Reactor {
     /// Runs the connection state machine over the buffered input.
     /// Returns `false` on a protocol violation (close immediately).
     fn advance(&mut self, c: &mut Conn) -> bool {
+        // Requests run here in this pass. At most one window's worth, then
+        // the rest queue for workers: a client that pipelines faster than
+        // the reactor runs must not hold it from the other connections.
+        let mut runs = 0;
         loop {
             match c.phase {
                 Phase::Flags => {
@@ -570,10 +696,10 @@ impl Reactor {
                     }
                 }
                 Phase::Transmission => {
-                    if self.shared.stopping() {
+                    if self.ctx.shared.stopping() {
                         return true;
                     }
-                    if c.inflight >= self.window {
+                    if c.io.status().0 >= self.window {
                         return true;
                     }
                     if c.avail() < REQUEST_LEN {
@@ -636,19 +762,45 @@ impl Reactor {
                         continue;
                     }
                     let export = c.export.clone().expect("transmission without export");
+                    c.io.begin();
                     if !export.job_begin() {
                         // Fenced mid-flight: fail the request without
                         // touching the (detaching) volume.
                         export.recorders().count_error();
-                        c.push_reply(req.cookie, EIO, Bytes::new());
+                        c.io.reply(req.cookie, EIO, &Bytes::new(), export.recorders());
                         continue;
                     }
-                    c.inflight += 1;
-                    self.sched
-                        .push(Job::new(c.id, req, data, export, spans, req_id, decode_id));
+                    let job = Job::new(c.io.clone(), req, data, export, spans, req_id, decode_id);
+                    if self.run_or_queue(job, runs < self.window) {
+                        runs += 1;
+                    }
                 }
                 Phase::Draining => return true,
             }
+        }
+    }
+
+    /// Runs `job` to completion on this thread, when `may_run`, finishing
+    /// it needs only memory and the cache device, and a worker would
+    /// dispatch it right now; queues it for a worker otherwise. A write
+    /// the volume finds would seal, clean or ship goes back to the head
+    /// of its lane. Returns whether the reactor ran it.
+    fn run_or_queue(&self, job: Job, may_run: bool) -> bool {
+        let sched = &self.ctx.sched;
+        if !may_run || !runs_on_reactor(&job.req) {
+            sched.push(job);
+            return false;
+        }
+        let Some(job) = sched.claim(job) else {
+            return false;
+        };
+        let ordered = job.is_mutation();
+        match execute(job, ordered, &self.ctx, Runner::Reactor) {
+            Some(job) => {
+                sched.hand_back(job);
+                false
+            }
+            None => true,
         }
     }
 
@@ -662,41 +814,41 @@ impl Reactor {
                         let tflags =
                             TFLAG_HAS_FLAGS | TFLAG_SEND_FLUSH | TFLAG_SEND_FUA | TFLAG_SEND_TRIM;
                         let info = encode_info_export(export.volume().size_bytes(), tflags);
-                        c.push_out(encode_option_reply(OPT_GO, REP_INFO, &info));
-                        c.push_out(encode_option_reply(OPT_GO, REP_ACK, b"".as_slice()));
+                        c.io.push(encode_option_reply(OPT_GO, REP_INFO, &info));
+                        c.io.push(encode_option_reply(OPT_GO, REP_ACK, b"".as_slice()));
                         export.recorders().conn_opened();
                         // Edges take the ring's short edge lock, never
                         // the volume mutex, so the reactor records them.
                         let spans = export.volume().span_ring();
-                        spans.edge(None, Stage::ConnOpen, c.id, 0);
+                        spans.edge(None, Stage::ConnOpen, c.io.id, 0);
                         c.spans = Some(spans);
                         c.export = Some(export);
                         c.phase = Phase::Transmission;
                     }
                     None => {
-                        c.push_out(encode_option_reply(OPT_GO, REP_ERR_UNKNOWN, b"".as_slice()));
+                        c.io.push(encode_option_reply(OPT_GO, REP_ERR_UNKNOWN, b"".as_slice()));
                     }
                 }
                 true
             }
             OPT_LIST => {
                 for e in self.registry.exports() {
-                    c.push_out(encode_option_reply(
+                    c.io.push(encode_option_reply(
                         OPT_LIST,
                         REP_SERVER,
                         &encode_server_entry(e.name()),
                     ));
                 }
-                c.push_out(encode_option_reply(OPT_LIST, REP_ACK, b"".as_slice()));
+                c.io.push(encode_option_reply(OPT_LIST, REP_ACK, b"".as_slice()));
                 true
             }
             OPT_ABORT => {
-                c.push_out(encode_option_reply(OPT_ABORT, REP_ACK, b"".as_slice()));
+                c.io.push(encode_option_reply(OPT_ABORT, REP_ACK, b"".as_slice()));
                 c.phase = Phase::Draining;
                 true
             }
             _ => {
-                c.push_out(encode_option_reply(option, REP_ERR_UNSUP, b"".as_slice()));
+                c.io.push(encode_option_reply(option, REP_ERR_UNSUP, b"".as_slice()));
                 true
             }
         }
@@ -717,55 +869,45 @@ impl Reactor {
         }
     }
 
-    fn flush_out(&self, c: &mut Conn) -> io::Result<()> {
-        let t0 = Instant::now();
-        let mut wrote = false;
-        while let Some(front) = c.out.front() {
-            match (&c.stream).write(&front[c.outpos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    wrote = true;
-                    c.outpos += n;
-                    if c.outpos == front.len() {
-                        c.out.pop_front();
-                        c.outpos = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if wrote {
-            if let Some(e) = &c.export {
-                e.recorders()
-                    .socket_wait
-                    .record_ns(t0.elapsed().as_nanos() as u64);
-            }
-        }
-        Ok(())
-    }
-
-    fn close_conn(&self, mut c: Conn) {
-        // Best-effort final flush (an ABORT ack, a last reply).
-        let _ = self.flush_out(&mut c);
-        let _ = c.stream.shutdown(Shutdown::Both);
+    fn close_conn(&self, c: Conn) {
+        // Best-effort final flush (an ABORT ack, a last reply); replies
+        // finished after this are dropped.
+        let _ = c.io.flush(None);
+        c.io.lock().dead = true;
+        let _ = c.io.stream.shutdown(Shutdown::Both);
         if let Some(e) = &c.export {
             e.recorders().conn_closed();
         }
         if let Some(spans) = &c.spans {
-            spans.edge(None, Stage::ConnClose, c.id, 0);
+            spans.edge(None, Stage::ConnClose, c.io.id, 0);
         }
     }
 
     /// Dumps the flight recorder unless the server is stopping (stop
     /// tears down sockets on purpose; that is not evidence).
     fn dump(&self, reason: &str) {
-        if self.shared.stopping() {
+        if self.ctx.shared.stopping() {
             return;
         }
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = &self.ctx.recorder {
             let _ = rec.dump(reason);
         }
+    }
+}
+
+/// Largest request the reactor runs itself: one cache-log record. Bigger
+/// ones copy more than the other connections should wait behind.
+const REACTOR_MAX_BYTES: u32 = 1 << 20;
+
+/// Whether the reactor may run `req`: a READ, whose local phase touches
+/// only memory and the cache device, or a WRITE without FUA, which
+/// [`lsvd::shared::SharedVolume::write_if_local`] runs only when it stays
+/// in the cache log. FLUSH, TRIM and FUA writes wait on a device flush
+/// or may wait on the backend, so they go to workers.
+fn runs_on_reactor(req: &Request) -> bool {
+    match req.cmd {
+        CMD_READ => req.length <= REACTOR_MAX_BYTES,
+        CMD_WRITE => req.flags & CMD_FLAG_FUA == 0 && req.length <= REACTOR_MAX_BYTES,
+        _ => false,
     }
 }

@@ -1,40 +1,54 @@
-//! The NBD server: a shared poll-based reactor fronting a worker pool,
-//! serving every export in an [`ExportRegistry`].
+//! The NBD server: a shared poll-based reactor, a worker pool and fetch
+//! threads, serving every export in an [`ExportRegistry`].
 //!
 //! ## Threading model
 //!
 //! One **reactor** thread ([`crate::reactor`]) owns the listener, every
 //! connection socket (nonblocking), the fixed-newstyle handshake state
-//! machines, request framing, and reply serialization — a thousand
-//! connections cost a thousand small buffers, not three thousand
-//! threads. Decoded requests become jobs on the
-//! [`FleetScheduler`](crate::sched): per-export two-lane queues (ordered
-//! mutations / concurrent reads) drained by a fixed pool of 4 + 1
-//! **workers** under deficit-round-robin fairness and per-export QoS
-//! token buckets. Workers execute against the export's
-//! [`SharedVolume`](lsvd::shared::SharedVolume) and post completions
-//! back to the reactor through a self-pipe waker.
+//! machines and request framing — a thousand connections cost a
+//! thousand small buffers, not three thousand threads. Decoded requests
+//! become jobs for the [`FleetScheduler`](crate::sched): per-export
+//! two-lane queues (ordered mutations / concurrent reads) drained by a
+//! fixed pool of 4 + 1 **workers** under deficit-round-robin fairness and
+//! per-export QoS token buckets.
 //!
-//! A read runs in two phases. The worker runs its *local* phase (cache
-//! hits, holes) and, when pieces remain on the backend, hands the
-//! [`PendingRead`] to a **fetch thread**, which waits for the GETs and
-//! posts the reply; the worker goes straight back to the scheduler. So
-//! a miss never holds a worker: hits, writes and other tenants keep
-//! flowing while GETs are outstanding. Fetch threads are parked and
-//! reused, and need no cap of their own — the per-connection window
-//! already bounds how many reads can wait on the backend. A job is
-//! closed (export in-flight count, service latency, dispatch span, EIO
-//! black-box dump) when its reply is posted, not when its worker
-//! returns.
+//! **The thread that reads a request finishes it** whenever finishing
+//! needs only memory and the cache device, and the scheduler would
+//! dispatch it right now (its lane free and empty, its QoS bucket and
+//! deficit charged exactly as a worker's pick charges them). That covers
+//! a READ's local phase and a WRITE without FUA that the volume confirms
+//! stays in the cache log ([`SharedVolume::write_if_local`]): no seal, no
+//! cleaning step, no PUT — each of at most 1 MiB. FLUSH, TRIM, FUA
+//! writes, the rare write that would seal, clean or ship, larger
+//! requests, and jobs behind a busy lane or an empty bucket go to the
+//! workers, so the reactor never waits on the backend or on a device
+//! flush.
+//!
+//! A read runs in two phases. Its *local* phase (cache hits, holes) runs
+//! on the reactor or a worker; when pieces remain on the backend, the
+//! [`PendingRead`] goes to a **fetch thread**, which waits for the GETs.
+//! So a miss never holds the reactor or a worker: hits, writes and other
+//! tenants keep flowing while GETs are outstanding. Fetch threads are
+//! parked and reused, and need no cap of their own — the per-connection
+//! window already bounds how many reads can wait on the backend.
+//!
+//! **Whichever thread finishes a request writes its reply** — header and
+//! payload in one `writev` on the connection's shared
+//! `ConnIo` — and wakes the reactor only when
+//! the socket would block, the reply frees a full window, or a draining
+//! connection's last reply is out. A job is closed (export in-flight
+//! count, queue wait, service latency, dispatch span, EIO black-box dump)
+//! when its reply is written, not when its worker returns.
 //!
 //! Ordering: each export's mutations are dispatched one at a time in
-//! arrival order (the `ordered_active` latch), so per-export
-//! acknowledgement order equals cache-log order — the exported disk
-//! stays prefix-consistent through a crash. Reads overlap freely with
-//! each other and with the ordered stream via the volume's lock-split
-//! read plane. Backpressure is the per-connection in-flight window,
-//! enforced by the reactor simply not reading a connection at its
-//! window.
+//! arrival order (the `ordered_active` latch), on the reactor or on a
+//! worker, so per-export acknowledgement order equals cache-log order —
+//! the exported disk stays prefix-consistent through a crash. A worker
+//! releases the lane as soon as its volume call returns, before it
+//! writes the reply. Reads overlap freely with each other and with the
+//! ordered stream via the volume's lock-split read plane. Backpressure is
+//! the per-connection in-flight window, enforced by the reactor simply
+//! not reading a connection at its window.
 //!
 //! [`serve`] keeps the classic single-volume API (it builds a one-entry
 //! registry); [`serve_fleet`] serves a whole registry, with named-export
@@ -57,7 +71,7 @@ use lsvd::LsvdError;
 use telemetry::{FlightRecorder, OpenSpan, ServingRecorders, SpanRing, Stage};
 
 use crate::proto::*;
-use crate::reactor::{Completion, Reactor, ReactorShared};
+use crate::reactor::{ConnIo, Reactor, ReactorShared};
 use crate::sched::{FleetScheduler, Job};
 
 /// Largest READ/WRITE/TRIM a single request may carry (32 MiB, matching
@@ -66,8 +80,9 @@ pub const MAX_IO_BYTES: u32 = 32 << 20;
 
 /// Worker threads servicing scheduled jobs: four, plus one so a long
 /// ordered stream cannot starve reads. Do not grow it to buy read
-/// concurrency — misses wait on fetch threads, not workers, and each
-/// extra idle worker is one more thread for the scheduler to wake.
+/// concurrency — hits run on the reactor, misses wait on fetch threads,
+/// and each extra idle worker is one more thread for the scheduler to
+/// wake.
 const WORKERS: usize = 4 + 1;
 
 /// Server tunables.
@@ -214,29 +229,28 @@ pub fn serve_fleet(
         }));
     }
 
-    let fetchers = Arc::new(Fetchers::default());
+    let fetchers = Fetchers::start()?;
+    let ctx = Ctx {
+        shared: shared.clone(),
+        sched: sched.clone(),
+        recorder: cfg.recorder.clone(),
+        fetchers: fetchers.clone(),
+    };
     let mut workers = Vec::new();
     for i in 0..WORKERS {
-        let sched = sched.clone();
-        let ctx = Ctx {
-            shared: shared.clone(),
-            recorder: cfg.recorder.clone(),
-            fetchers: fetchers.clone(),
-        };
+        let ctx = ctx.clone();
         workers.push(
             std::thread::Builder::new()
                 .name(format!("nbd-worker-{i}"))
-                .spawn(move || worker_loop(&sched, &ctx))?,
+                .spawn(move || worker_loop(&ctx))?,
         );
     }
     let reactor = {
         let r = Reactor::new(
             listener,
             waker_rx,
-            shared.clone(),
+            ctx,
             registry.clone(),
-            sched.clone(),
-            cfg.recorder.clone(),
             cfg.window.max(1),
             cfg.oneshot,
         );
@@ -255,22 +269,28 @@ pub fn serve_fleet(
     })
 }
 
-/// What a worker needs beyond its job: the reactor to post replies to,
-/// the black box to dump on EIO, and the fetch threads for read misses.
+/// What a thread finishing jobs needs beyond the job: the reactor to
+/// wake, the scheduler whose ordered lane it releases, the black box to
+/// dump on EIO, and the fetch threads for read misses.
 #[derive(Clone)]
-struct Ctx {
-    shared: Arc<ReactorShared>,
-    recorder: Option<Arc<FlightRecorder>>,
+pub(crate) struct Ctx {
+    pub(crate) shared: Arc<ReactorShared>,
+    pub(crate) sched: Arc<FleetScheduler>,
+    pub(crate) recorder: Option<Arc<FlightRecorder>>,
     fetchers: Arc<Fetchers>,
 }
 
-fn worker_loop(sched: &FleetScheduler, ctx: &Ctx) {
-    while let Some(picked) = sched.pop() {
-        let export = picked.ordered.then(|| picked.job.export.clone());
-        execute(picked.job, ctx);
-        if let Some(export) = export {
-            sched.ordered_done(export.name());
-        }
+/// The thread running a job. Only a worker may wait on the backend or on
+/// a device flush.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Runner {
+    Reactor,
+    Worker,
+}
+
+fn worker_loop(ctx: &Ctx) {
+    while let Some(picked) = ctx.sched.pop() {
+        execute(picked.job, picked.ordered, ctx, Runner::Worker);
     }
 }
 
@@ -282,17 +302,18 @@ fn errno_of(e: &LsvdError) -> u32 {
     }
 }
 
-/// Services one job against its export's volume. Every job but a read
-/// miss posts its reply here; a read miss's backend phase goes to a fetch
-/// thread, which posts the reply once the GETs land.
-fn execute(job: Job, ctx: &Ctx) {
+/// Services one job against its export's volume, releases its ordered
+/// lane (`ordered`) once the volume call returns, and writes the reply —
+/// except for a read miss, whose backend phase a fetch thread finishes
+/// and replies to. On the reactor, a write that would seal, clean or
+/// ship is not attempted: the job comes back untouched, for the caller
+/// to hand to a worker.
+pub(crate) fn execute(job: Job, ordered: bool, ctx: &Ctx, runner: Runner) -> Option<Job> {
     let rec = job.export.recorders();
     let volume = job.export.volume();
-    rec.queue_wait
-        .record_ns(job.enqueued.elapsed().as_nanos() as u64);
     let fua = job.req.flags & CMD_FLAG_FUA != 0;
     // Dispatch span: queue wait is behind us, so this covers lane pickup
-    // until the reply is posted. Its id is the parent every volume-side
+    // until the reply is written. Its id is the parent every volume-side
     // hop (read / wlog append / flush / trim) hangs off.
     let req = job.req_id;
     let dispatch = if req != 0 {
@@ -309,31 +330,37 @@ fn execute(job: Job, ctx: &Ctx) {
                 (EINVAL, Bytes::new())
             } else {
                 // Lock-free lane into the volume's read plane: cache hits
-                // run under its shared lock, concurrently across workers,
+                // run under its shared lock, concurrently across threads,
                 // and the payload reaches the socket as-is.
                 match volume.start_read(job.req.offset, job.req.length as usize, req, parent) {
                     Ok(ReadStart::Done(data)) => read_outcome(rec, Ok(data)),
                     Ok(ReadStart::Pending(read)) => {
                         // A miss: the GETs wait on a fetch thread, which
-                        // posts the reply; this worker moves on.
+                        // replies; this thread moves on.
                         let reply = Reply::new(job, dispatch, t0);
                         let owned = ctx.clone();
                         ctx.fetchers
                             .run(Box::new(move || reply.finish_read(read, &owned)));
-                        return;
+                        return None;
                     }
                     Err(e) => read_outcome(rec, Err(e)),
                 }
             }
         }
         CMD_WRITE => {
-            rec.count_write();
             let res = if job.req.length > MAX_IO_BYTES {
                 Err(LsvdError::InvalidAccess {
                     offset: job.req.offset,
                     len: u64::from(job.req.length),
                     reason: "request exceeds MAX_IO_BYTES",
                 })
+            } else if runner == Runner::Reactor {
+                match volume.write_if_local(job.req.offset, &job.data, req, parent) {
+                    Some(res) => res,
+                    // Unfinished, the dispatch span records nothing; the
+                    // worker that takes the job opens its own.
+                    None => return Some(job),
+                }
             } else {
                 volume
                     .write_traced(job.req.offset, &job.data, req, parent)
@@ -346,6 +373,7 @@ fn execute(job: Job, ctx: &Ctx) {
                         }
                     })
             };
+            rec.count_write();
             if res.is_ok() {
                 rec.add_bytes_written(job.data.len() as u64);
             }
@@ -383,7 +411,16 @@ fn execute(job: Job, ctx: &Ctx) {
             (EINVAL, Bytes::new())
         }
     };
-    Reply::new(job, dispatch, t0).post(error, data, ctx);
+    if ordered {
+        // Free the lane before the reply: a QD1 client's next write,
+        // sent the moment it reads this reply, must find it idle.
+        ctx.sched.ordered_done(job.export.name());
+    }
+    if runner == Runner::Reactor {
+        rec.count_reactor_run();
+    }
+    Reply::new(job, dispatch, t0).post(error, data, ctx, runner);
+    None
 }
 
 /// A READ's outcome as `(error, payload)`, counting the bytes served.
@@ -398,14 +435,15 @@ fn read_outcome(rec: &ServingRecorders, res: lsvd::Result<Bytes>) -> (u32, Bytes
 }
 
 /// Everything needed to close a job once its outcome is known, detached
-/// from the worker so a fetch thread can close a read miss.
+/// from the job so a fetch thread can close a read miss.
 struct Reply {
     export: Arc<Export>,
     spans: Arc<SpanRing>,
     dispatch: Option<OpenSpan>,
-    conn: u64,
+    conn: Arc<ConnIo>,
     cookie: u64,
-    /// Service start: the worker's pickup.
+    enqueued: Instant,
+    /// Service start: the job's pickup.
     t0: Instant,
 }
 
@@ -417,6 +455,7 @@ impl Reply {
             dispatch,
             conn: job.conn,
             cookie: job.req.cookie,
+            enqueued: job.enqueued,
             t0,
         }
     }
@@ -424,17 +463,20 @@ impl Reply {
     /// The backend phase of a read miss, on a fetch thread.
     fn finish_read(self, read: PendingRead, ctx: &Ctx) {
         let (error, data) = read_outcome(self.export.recorders(), read.finish());
-        self.post(error, data, ctx);
+        self.post(error, data, ctx, Runner::Worker);
     }
 
-    /// Closes the job: service latency, dispatch span, error count and
-    /// EIO black-box dump, then the reply and the export's in-flight
-    /// count — last, so a detach drains every accepted request.
-    fn post(self, error: u32, data: Bytes, ctx: &Ctx) {
+    /// Closes the job: queue wait, service latency, dispatch span, error
+    /// count and EIO black-box dump, then the reply and the export's
+    /// in-flight count — last, so a detach drains every accepted
+    /// request. Off the reactor, wakes it when the reply needs it.
+    fn post(self, error: u32, data: Bytes, ctx: &Ctx, runner: Runner) {
         let rec = self.export.recorders();
+        rec.queue_wait
+            .record_ns(self.t0.saturating_duration_since(self.enqueued).as_nanos() as u64);
         rec.service.record_ns(self.t0.elapsed().as_nanos() as u64);
         if let Some(open) = self.dispatch {
-            self.spans.finish(open, u64::from(error), self.conn);
+            self.spans.finish(open, u64::from(error), self.conn.id);
         }
         if error != 0 {
             rec.count_error();
@@ -446,12 +488,10 @@ impl Reply {
                 let _ = rec.dump("terminal-error");
             }
         }
-        ctx.shared.complete(Completion {
-            conn: self.conn,
-            cookie: self.cookie,
-            error,
-            data,
-        });
+        // The reactor looks at its own connection right after a run.
+        if self.conn.reply(self.cookie, error, &data, rec) && runner == Runner::Worker {
+            ctx.shared.wake_conn(self.conn.id);
+        }
         self.export.job_done();
     }
 }
@@ -459,11 +499,11 @@ impl Reply {
 /// A fetch thread's unit of work.
 type Task = Box<dyn FnOnce() + Send>;
 
-/// The fetch threads, which finish read misses so no worker waits on a
-/// GET. A parked thread is reused and a new one starts only when none is
-/// free; each task wakes at most one thread. There is no size option:
-/// each connection's in-flight window already bounds how many reads can
-/// wait on the backend at once.
+/// The fetch threads, which finish read misses so neither the reactor nor
+/// a worker waits on a GET. A parked thread is reused and a new one
+/// starts only when none is free; each task wakes at most one thread.
+/// There is no size option: each connection's in-flight window already
+/// bounds how many reads can wait on the backend at once.
 #[derive(Default)]
 struct Fetchers {
     state: Mutex<FetchState>,
@@ -484,30 +524,33 @@ struct FetchState {
 }
 
 impl Fetchers {
+    /// A pool with its first thread running, so a task always has a
+    /// thread to finish it even when no new one can be started.
+    fn start() -> io::Result<Arc<Fetchers>> {
+        let fetchers = Arc::new(Fetchers::default());
+        let first = fetchers.spawn(0)?;
+        fetchers.state.lock().expect(POISONED).threads.push(first);
+        Ok(fetchers)
+    }
+
+    fn spawn(self: &Arc<Self>, n: usize) -> io::Result<JoinHandle<()>> {
+        let fetchers = self.clone();
+        std::thread::Builder::new()
+            .name(format!("nbd-fetch-{n}"))
+            .spawn(move || fetchers.serve())
+    }
+
     /// Runs `task` on a parked fetch thread, or on a new one when every
-    /// parked thread already has a task to take.
+    /// parked thread already has a task to take. Never on the caller,
+    /// which may be the reactor: when no thread can be started, the task
+    /// waits for a busy one — late rather than lost.
     fn run(self: &Arc<Self>, task: Task) {
         let mut s = self.state.lock().expect(POISONED);
         s.tasks.push_back(task);
         if s.tasks.len() <= s.parked {
             self.cv.notify_one();
-            return;
-        }
-        let fetchers = self.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("nbd-fetch-{}", s.threads.len()))
-            .spawn(move || fetchers.serve());
-        match spawned {
-            Ok(t) => s.threads.push(t),
-            Err(_) => {
-                // No thread to be had: finish the read here, late rather
-                // than lost.
-                let task = s.tasks.pop_back();
-                drop(s);
-                if let Some(task) = task {
-                    task();
-                }
-            }
+        } else if let Ok(t) = self.spawn(s.threads.len()) {
+            s.threads.push(t);
         }
     }
 
@@ -609,6 +652,26 @@ mod tests {
         let mut back = [0u8; 4096];
         sv.read(0, &mut back).unwrap();
         assert_eq!(back, [3u8; 4096]);
+        sv.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reads_and_writes_on_an_idle_export_run_on_the_reactor() {
+        let sv = shared_volume(16);
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), ServerConfig::default()).unwrap();
+        let runs = || handle.recorders().snapshot().reactor_runs;
+        let mut c = Client::connect(handle.addr(), "vol").unwrap();
+        c.write(0, &[5u8; 4096]).unwrap();
+        assert_eq!(runs(), 1, "a QD1 write on an idle export");
+        let mut buf = [0u8; 4096];
+        c.read(0, &mut buf).unwrap();
+        assert_eq!(buf, [5u8; 4096]);
+        assert_eq!(runs(), 2, "a QD1 read hit");
+        c.flush().unwrap();
+        c.write_fua(4096, &[6u8; 4096]).unwrap();
+        assert_eq!(runs(), 2, "a FLUSH or FUA write ran on the reactor");
+        c.disconnect().unwrap();
+        handle.stop();
         sv.shutdown().unwrap();
     }
 

@@ -24,6 +24,7 @@ struct Counters {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     throttle_waits: AtomicU64,
+    reactor_runs: AtomicU64,
 }
 
 /// Cloneable handle recording serving-plane activity; all clones share
@@ -96,6 +97,11 @@ impl ServingRecorders {
         self.counters.throttle_waits.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one request the reactor ran to completion itself.
+    pub fn count_reactor_run(&self) {
+        self.counters.reactor_runs.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshots everything into the exportable section.
     pub fn snapshot(&self) -> ServingTelemetry {
         ServingTelemetry {
@@ -112,6 +118,7 @@ impl ServingRecorders {
             bytes_read: self.counters.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.counters.bytes_written.load(Ordering::Relaxed),
             throttle_waits: self.counters.throttle_waits.load(Ordering::Relaxed),
+            reactor_runs: self.counters.reactor_runs.load(Ordering::Relaxed),
         }
     }
 }
@@ -135,6 +142,7 @@ mod tests {
         a.add_bytes_read(4096);
         b.add_bytes_written(8192);
         a.count_throttle_wait();
+        b.count_reactor_run();
         b.queue_wait.record_ns(1_000);
         let s = a.snapshot();
         assert_eq!(s.conns_open, 1);
@@ -147,6 +155,7 @@ mod tests {
         assert_eq!(s.bytes_read, 4096);
         assert_eq!(s.bytes_written, 8192);
         assert_eq!(s.throttle_waits, 1);
+        assert_eq!(s.reactor_runs, 1);
         assert_eq!(s.queue_wait.count, 1);
     }
 }

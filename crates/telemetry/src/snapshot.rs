@@ -615,6 +615,10 @@ metric_table! {
         /// Requests that stalled on a QoS token bucket before dispatch.
         throttle_waits: u64, sum, counter lsvd_serving_throttle_waits_total
             "Requests that stalled on a QoS token bucket.";
+        /// Requests the reactor ran to completion itself, reply included,
+        /// with no hand-off to a worker or a fetch thread.
+        reactor_runs: u64, sum, counter lsvd_serving_reactor_runs_total
+            "NBD requests run to completion on the reactor thread.";
     }
 
     /// Lifecycle-edge occupancy of the span ring.
@@ -1052,6 +1056,7 @@ mod tests {
                 bytes_read: 8 << 20,
                 bytes_written: 6 << 20,
                 throttle_waits: 23,
+                reactor_runs: 3_100,
             },
             trace: TraceTelemetry {
                 events: 500,
@@ -1082,6 +1087,7 @@ mod tests {
                         bytes_read: 5 << 20,
                         bytes_written: 4 << 20,
                         throttle_waits: 20,
+                        reactor_runs: 1_900,
                     },
                     cache_quota_bytes: 16 << 20,
                     cache_resident_bytes: 9 << 20,
@@ -1102,6 +1108,7 @@ mod tests {
                         bytes_read: 3 << 20,
                         bytes_written: 2 << 20,
                         throttle_waits: 3,
+                        reactor_runs: 1_200,
                     },
                     cache_quota_bytes: 8 << 20,
                     cache_resident_bytes: 2 << 20,

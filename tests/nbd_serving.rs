@@ -8,7 +8,11 @@
 //! server killed mid-traffic (with and without losing the cache SSD).
 //! Read misses never hold a serving worker: with every GET parked, hits,
 //! writes and other tenants still complete, and a detach still drains the
-//! parked reads.
+//! parked reads. The reactor runs hits and log-only writes itself, but
+//! never a request that waits on the backend: with a sealing write parked
+//! on its PUT, hits and other tenants still complete. Replies keep their
+//! order across the reactor and the workers, drain through a full socket,
+//! and QoS still limits what the reactor runs.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -23,7 +27,9 @@ use lsvd::fleet::{ExportRegistry, QosLimits};
 use lsvd::shared::SharedVolume;
 use lsvd::verify::{History, Verdict, VBLOCK};
 use lsvd::volume::Volume;
-use nbd::proto::{decode_simple_reply, encode_request, Request, CMD_READ, SIMPLE_REPLY_LEN};
+use nbd::proto::{
+    decode_simple_reply, encode_request, Request, CMD_READ, CMD_WRITE, SIMPLE_REPLY_LEN,
+};
 use nbd::server::ServerConfig;
 use nbd::Client;
 use objstore::{MemStore, ObjectStore};
@@ -309,12 +315,14 @@ fn trims_over_nbd_survive_a_server_crash() {
 // Read misses off the serving workers.
 // ---------------------------------------------------------------------
 
-/// A backend whose ranged GETs park on a gate while it is closed.
+/// A backend whose ranged GETs — and PUTs too, when `gate_puts` — park on
+/// a gate while it is closed.
 #[derive(Default)]
 struct GatedStore {
     inner: MemStore,
     gate: Mutex<Gate>,
     cv: Condvar,
+    gate_puts: bool,
 }
 
 #[derive(Default)]
@@ -344,32 +352,38 @@ impl GatedStore {
         self.gate.lock().unwrap().released
     }
 
-    /// Blocks until `n` GETs are parked at once, or the gate opens.
+    /// Blocks until `n` requests are parked at once, or the gate opens.
     fn await_parked(&self, n: usize) {
         let mut g = self.gate.lock().unwrap();
         while g.closed && g.parked < n {
             g = self.cv.wait(g).unwrap();
         }
     }
+
+    /// Parks the calling request while the gate is closed.
+    fn pass(&self) {
+        let mut g = self.gate.lock().unwrap();
+        g.parked += 1;
+        self.cv.notify_all();
+        while g.closed {
+            g = self.cv.wait(g).unwrap();
+        }
+        g.parked -= 1;
+    }
 }
 
 impl ObjectStore for GatedStore {
     fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+        if self.gate_puts {
+            self.pass();
+        }
         self.inner.put(name, data)
     }
     fn get(&self, name: &str) -> objstore::Result<Bytes> {
         self.inner.get(name)
     }
     fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
-        {
-            let mut g = self.gate.lock().unwrap();
-            g.parked += 1;
-            self.cv.notify_all();
-            while g.closed {
-                g = self.cv.wait(g).unwrap();
-            }
-            g.parked -= 1;
-        }
+        self.pass();
         self.inner.get_range(name, offset, len)
     }
     fn head(&self, name: &str) -> objstore::Result<u64> {
@@ -559,4 +573,280 @@ fn detach_drains_a_read_parked_on_its_get() {
     );
     drop(guard);
     handle.stop();
+}
+
+// ---------------------------------------------------------------------
+// Requests run to completion on the reactor.
+// ---------------------------------------------------------------------
+
+/// Sends one request with cookie `cookie` (and `data`, for a WRITE).
+fn send(stream: &mut TcpStream, cmd: u16, cookie: u64, offset: u64, length: u32, data: &[u8]) {
+    let req = Request {
+        flags: 0,
+        cmd,
+        cookie,
+        offset,
+        length,
+    };
+    stream.write_all(&encode_request(&req)).unwrap();
+    stream.write_all(data).unwrap();
+}
+
+/// Reads one reply carrying `len` payload bytes: `(cookie, payload)`.
+fn recv(stream: &mut TcpStream, len: usize) -> (u64, Vec<u8>) {
+    let mut hdr = [0u8; SIMPLE_REPLY_LEN];
+    stream.read_exact(&mut hdr).unwrap();
+    let reply = decode_simple_reply(&hdr).expect("reply magic");
+    assert_eq!(reply.error, 0, "request {} failed", reply.cookie);
+    let mut data = vec![0u8; len];
+    stream.read_exact(&mut data).unwrap();
+    (reply.cookie, data)
+}
+
+/// `len` bytes whose every 4 KiB block differs by `seed` and position,
+/// so a misplaced or reordered block shows.
+fn pattern(seed: u64, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (seed * 31 + (i / 4096) as u64 * 7 + (i % 251) as u64) as u8)
+        .collect()
+}
+
+/// A volume with its own in-memory backend, served as a plain tenant.
+fn plain_volume(cfg: VolumeConfig, cache_bytes: u64) -> SharedVolume {
+    let vol = Volume::create(
+        Arc::new(MemStore::new()),
+        Arc::new(RamDisk::new(cache_bytes)),
+        "plain",
+        64 << 20,
+        cfg,
+    )
+    .expect("create volume");
+    SharedVolume::new(vol)
+}
+
+#[test]
+fn a_write_that_seals_never_runs_on_the_reactor() {
+    // Small batches over a backend whose PUTs park at the gate, with the
+    // inline executor: a write that seals waits for its PUT on whichever
+    // thread runs it.
+    let store = Arc::new(GatedStore {
+        gate_puts: true,
+        ..GatedStore::default()
+    });
+    let cfg = VolumeConfig {
+        gc_enabled: false,
+        ..VolumeConfig::small_for_tests()
+    };
+    let sealing = {
+        let vol = Volume::create(
+            store.clone(),
+            Arc::new(RamDisk::new(24 << 20)),
+            "sealing",
+            64 << 20,
+            cfg.clone(),
+        )
+        .expect("create volume");
+        SharedVolume::new(vol)
+    };
+    let hot = 48 << 20;
+    sealing.write(hot, &[0xC3; 4096]).unwrap();
+    let batch = cfg.batch_bytes as usize;
+    let registry = Arc::new(ExportRegistry::new());
+    registry
+        .attach("sealing", sealing, QosLimits::default())
+        .unwrap();
+    registry
+        .attach("other", plain_volume(cfg, 8 << 20), QosLimits::default())
+        .unwrap();
+    let handle =
+        nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+    let mut sealer = Client::connect(addr, "sealing").unwrap().into_raw();
+    let mut reader = Client::connect(addr, "sealing").unwrap();
+    let mut tenant = Client::connect(addr, "other").unwrap();
+
+    let guard = watchdog(&store);
+    store.close();
+    // One WRITE that fills the batch: it seals, and its PUT parks.
+    let fill = pattern(1, batch);
+    send(&mut sealer, CMD_WRITE, 1, 0, batch as u32, &fill);
+    store.await_parked(1);
+
+    // The reactor is free: a hit on the same export, and a write + FLUSH
+    // on another, complete while the PUT is parked.
+    let mut buf = [0u8; 4096];
+    reader.read(hot, &mut buf).expect("hit");
+    assert_eq!(buf, [0xC3; 4096]);
+    tenant
+        .write(0, &[0x77; 4096])
+        .expect("other tenant's write");
+    tenant.flush().expect("other tenant's flush");
+    assert!(
+        !store.released(),
+        "a hit and another tenant's write + flush waited for a parked PUT"
+    );
+
+    store.open();
+    assert_eq!(recv(&mut sealer, 0).0, 1, "the sealing write's reply");
+    let mut back = vec![0u8; batch];
+    reader.read(0, &mut back).expect("read back");
+    assert!(back == fill, "the sealed write reads back");
+    tenant.read(0, &mut buf).expect("read back");
+    assert_eq!(buf, [0x77; 4096]);
+    let sealing = registry.get("sealing").unwrap();
+    assert!(sealing.recorders().snapshot().reactor_runs >= 1);
+
+    drop(guard);
+    drop(sealer);
+    reader.disconnect().unwrap();
+    tenant.disconnect().unwrap();
+    handle.stop();
+    for name in registry.list() {
+        registry.detach(&name).unwrap();
+    }
+}
+
+#[test]
+fn pipelined_writes_to_one_block_keep_their_order() {
+    // Small batches and a log of a few dozen records: rewriting one block
+    // never fills a batch, but it fills the log, so every so often a
+    // write must seal and ship on a worker to make room. The rest run on
+    // the reactor. Each round pipelines 64 writes at once, which the
+    // server's window of 32 keeps at QD32. A reordering shows only when
+    // it reaches a round's last write, so there are several rounds.
+    const ROUNDS: u64 = 8;
+    const WRITES: u64 = 64;
+    let cfg = VolumeConfig {
+        gc_enabled: false,
+        ..VolumeConfig::small_for_tests()
+    };
+    let volume = plain_volume(cfg, 256 << 10);
+    let handle = nbd::serve(
+        "127.0.0.1:0",
+        "vol",
+        volume.clone(),
+        ServerConfig {
+            window: 32,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = Client::connect(handle.addr(), "vol").unwrap().into_raw();
+    for round in 0..ROUNDS {
+        let first = round * WRITES + 1;
+        for cookie in first..first + WRITES {
+            let data = pattern(cookie, 4096);
+            send(&mut conn, CMD_WRITE, cookie, 0, 4096, &data);
+        }
+        let mut replies: Vec<u64> = (0..WRITES).map(|_| recv(&mut conn, 0).0).collect();
+        replies.sort_unstable();
+        let want: Vec<u64> = (first..first + WRITES).collect();
+        assert_eq!(replies, want, "round {round}: one reply each");
+        let mut back = vec![0u8; 4096];
+        volume.read(0, &mut back).unwrap();
+        assert!(
+            back == pattern(first + WRITES - 1, 4096),
+            "round {round}: the block does not hold the round's last write"
+        );
+    }
+
+    let runs = handle.recorders().snapshot().reactor_runs;
+    let puts = volume.with_volume(|v| v.stats().backend_puts).unwrap();
+    assert!(
+        puts >= ROUNDS,
+        "too few writes sealed mid-stream ({puts} PUTs)"
+    );
+    assert!(
+        runs > 0 && runs < ROUNDS * WRITES,
+        "{runs} of {} writes ran on the reactor",
+        ROUNDS * WRITES
+    );
+    drop(conn);
+    handle.stop();
+    volume.shutdown().unwrap();
+}
+
+#[test]
+fn replies_drain_through_a_full_socket() {
+    // Four 1 MiB regions in the write-back cache (the default 8 MiB batch
+    // keeps them there), read 16 times over: far more reply bytes than a
+    // loopback socket buffers.
+    const READS: u64 = 16;
+    const MIB: usize = 1 << 20;
+    let volume = plain_volume(VolumeConfig::default(), 32 << 20);
+    for r in 0..4u64 {
+        volume.write(r * MIB as u64, &pattern(r, MIB)).unwrap();
+    }
+    let handle = nbd::serve(
+        "127.0.0.1:0",
+        "vol",
+        volume.clone(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut conn = Client::connect(handle.addr(), "vol").unwrap().into_raw();
+    for i in 0..READS {
+        send(
+            &mut conn,
+            CMD_READ,
+            i + 1,
+            (i % 4) * MIB as u64,
+            MIB as u32,
+            &[],
+        );
+    }
+    // Every reply is produced before the client reads one; the replies
+    // that did not fit wait for the reactor's POLLOUT.
+    while handle.recorders().snapshot().bytes_read < READS * MIB as u64 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for _ in 0..READS {
+        let (cookie, data) = recv(&mut conn, MIB);
+        assert!(
+            data == pattern((cookie - 1) % 4, MIB),
+            "read {cookie} returned the wrong bytes"
+        );
+    }
+    drop(conn);
+    handle.stop();
+    volume.shutdown().unwrap();
+}
+
+#[test]
+fn qos_limits_requests_the_reactor_runs() {
+    const READS: u64 = 40;
+    let volume = plain_volume(VolumeConfig::small_for_tests(), 8 << 20);
+    volume.write(0, &pattern(9, 4096)).unwrap();
+    let registry = Arc::new(ExportRegistry::new());
+    let export = registry
+        .attach(
+            "slow",
+            volume,
+            QosLimits {
+                iops: 10,
+                bytes_per_sec: 0,
+            },
+        )
+        .unwrap();
+    let handle =
+        nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+    let mut conn = Client::connect(handle.addr(), "slow").unwrap().into_raw();
+    for i in 0..READS {
+        send(&mut conn, CMD_READ, i + 1, 0, 4096, &[]);
+    }
+    for _ in 0..READS {
+        let (cookie, data) = recv(&mut conn, 4096);
+        assert!(
+            data == pattern(9, 4096),
+            "read {cookie} returned the wrong bytes"
+        );
+    }
+    let snap = export.recorders().snapshot();
+    assert!(snap.throttle_waits >= 1, "no read waited for a token");
+    assert!(snap.reactor_runs < READS, "every read bypassed the bucket");
+    drop(conn);
+    handle.stop();
+    for name in registry.list() {
+        registry.detach(&name).unwrap();
+    }
 }

@@ -566,6 +566,87 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// A write the volume calls local finishes on the cache device alone: the
+// NBD reactor runs such writes itself, so one that reached the backend
+// would stall every connection behind a PUT.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum LocalOp {
+    Write { block: u64, blocks: u64 },
+    Flush,
+    Trim { block: u64, blocks: u64 },
+    Drain,
+}
+
+fn local_ops() -> impl Strategy<Value = Vec<LocalOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            6 => (0u64..2048, prop_oneof![3 => 1u64..16, 1 => 16u64..257])
+                .prop_map(|(block, blocks)| LocalOp::Write { block, blocks }),
+            1 => Just(LocalOp::Flush),
+            1 => (0u64..2048, 1u64..64).prop_map(|(block, blocks)| LocalOp::Trim { block, blocks }),
+            1 => Just(LocalOp::Drain),
+        ],
+        1..60,
+    )
+}
+
+proptest! {
+    // Each case builds a whole volume: keep the count moderate.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_write_called_local_never_reaches_the_store(ops in local_ops()) {
+        use lsvd::config::VolumeConfig;
+        use lsvd::volume::Volume;
+        use objstore::{MemStore, MetricsStore};
+
+        const BLOCK: u64 = 4096;
+        const VOL: u64 = 8 << 20;
+        let store = Arc::new(MetricsStore::new(MemStore::new()));
+        let handle = store.handle();
+        let calls = || {
+            let s = handle.snapshot();
+            s.put.count + s.get.count + s.head.count + s.list.count + s.delete.count
+        };
+        // Small batches seal every few writes; the inline executor runs
+        // each PUT on the writing thread, where it is counted.
+        let mut vol = Volume::create(
+            store.clone(),
+            Arc::new(RamDisk::new(16 << 20)),
+            "p",
+            VOL,
+            VolumeConfig::small_for_tests(),
+        )
+        .expect("create");
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                LocalOp::Write { block, blocks } => {
+                    let blocks = blocks.min(VOL / BLOCK - block);
+                    let data = vec![(i % 251) as u8 + 1; (blocks * BLOCK) as usize];
+                    let local = vol.write_stays_local(data.len() as u64);
+                    let (before, puts) = (calls(), vol.stats().backend_puts);
+                    vol.write(block * BLOCK, &data).expect("write");
+                    if local {
+                        prop_assert_eq!(calls(), before, "op {}: a local write reached the store", i);
+                    }
+                    if vol.stats().backend_puts > puts {
+                        prop_assert!(!local, "op {}: a write that sealed was called local", i);
+                    }
+                }
+                LocalOp::Flush => vol.flush().expect("flush"),
+                LocalOp::Trim { block, blocks } => {
+                    let blocks = blocks.min(VOL / BLOCK - block);
+                    vol.discard(block * BLOCK, blocks * BLOCK).expect("trim");
+                }
+                LocalOp::Drain => vol.drain().expect("drain"),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Degraded-mode writeback: whatever sequence of PUT-failure points the
 // backend produces, a crash that loses the cache recovers to a gap-free
 // prefix of the object stream — and a prefix-consistent image.
