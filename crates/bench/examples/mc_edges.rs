@@ -2,15 +2,12 @@
 //! (4 seeds × 5 profiles × 3 fault schedules), giving its coordinates and
 //! then every crash edge the schedule crosses, as `ordinal:kind`.
 //!
-//! Serial schedules are deterministic, so the output is byte-stable. A
-//! change that must not move any crash edge is checked by diffing the
-//! dump before and after it:
+//! Serial schedules are deterministic, so the output is byte-stable.
+//! `results/mc_edges.txt` pins it, and CI diffs a fresh dump against that
+//! file, so a change that moves a crash edge updates the file with it:
 //!
 //! ```text
-//! cargo run --release -p bench --example mc_edges > before.txt
-//! # ... apply the change ...
-//! cargo run --release -p bench --example mc_edges > after.txt
-//! diff before.txt after.txt
+//! cargo run --release -p bench --example mc_edges | diff results/mc_edges.txt -
 //! ```
 
 use std::fmt::Write as _;

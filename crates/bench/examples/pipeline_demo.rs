@@ -1,9 +1,8 @@
 //! Walkthrough of the pipelined writeback path at the public API: a
 //! volume with `writeback_threads > 0` overlaps backend PUTs behind a
 //! bounded in-flight window while the foreground keeps writing, the
-//! durable frontier trails the stream and catches up on drain, a
-//! transient PUT failure requeues without reordering, and a cold read
-//! scatters its prefetch GETs across the same pool.
+//! durable frontier trails the stream and catches up on drain, and a
+//! transient PUT failure requeues without reordering.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,34 +109,6 @@ fn main() {
         assert_eq!(&buf, d, "batch {i} recovered from backend alone");
     }
     println!("   cold recovery from the backend replays every batch in order");
-
-    println!("== prefetch GETs scatter across the pool");
-    let big = VolumeConfig {
-        batch_bytes: 1 << 20,
-        prefetch_bytes: 512 << 10,
-        ..cfg(4, 4)
-    };
-    let latency = Arc::new(LatencyStore::new(
-        MemStore::new(),
-        Duration::ZERO,
-        Duration::from_millis(5),
-    ));
-    let store: Arc<dyn ObjectStore> = latency.clone();
-    let cache = Arc::new(RamDisk::new(64 << 20));
-    let mut vol = Volume::create(store.clone(), cache, "demo", 256 << 20, big.clone()).unwrap();
-    let blob: Vec<u8> = (0..(1u32 << 20)).map(|i| (i % 251) as u8).collect();
-    vol.write(0, &blob).unwrap();
-    vol.shutdown().unwrap();
-    let mut vol = Volume::open(store, Arc::new(RamDisk::new(64 << 20)), "demo", big).unwrap();
-    let gets_before = latency.get_count();
-    let mut head = vec![0u8; 4096];
-    vol.read(0, &mut head).unwrap();
-    assert_eq!(head, &blob[..4096]);
-    println!(
-        "   cold 4 KiB read miss: scatter_gets={} ranged GETs={}",
-        vol.stats().scatter_gets,
-        latency.get_count() - gets_before
-    );
 
     println!("== end-of-run telemetry snapshot");
     print!("{}", vol.telemetry().report());

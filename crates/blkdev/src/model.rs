@@ -323,15 +323,6 @@ impl DiskModel {
         &self.write_sizes
     }
 
-    /// The time at which the device last becomes idle given current queue.
-    pub fn drained_at(&self) -> SimTime {
-        self.chan_free
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// The time at which all *writes* submitted so far complete: what a
     /// FLUSH CACHE barrier waits for (reads never gate a flush).
     pub fn writes_drained_at(&self) -> SimTime {

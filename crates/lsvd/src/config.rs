@@ -1,24 +1,50 @@
-//! Volume configuration.
+//! Volume configuration: the per-volume knobs of [`VolumeConfig`], and
+//! the parameters the paper fixes, as constants. A constant here has one
+//! value in every binary; a field has a caller that sets another.
 
 use objstore::RetryPolicy;
 
-use crate::gc::GcPolicy;
 use crate::types::SECTOR;
+
+/// Fraction of the cache device dedicated to the write-back log; the rest
+/// (minus metadata) is read cache. §4.1 splits the cache 20 % write-back,
+/// 80 % read.
+pub const WRITE_CACHE_FRACTION: f64 = 0.2;
+
+/// GC trigger: a cleaning pass starts when the live/total utilization of
+/// the checkpointed objects drops below this (§3.5; 70 % in §4.1).
+pub const GC_LOW_WATERMARK: f64 = 0.70;
+
+/// GC target: a pass selects victims until utilization would be back
+/// above this (§3.5; 75 % in §4.1).
+pub const GC_HIGH_WATERMARK: f64 = 0.75;
+
+/// Size ceiling (bytes) for an extent to count as a fragment in a
+/// cold-extent compaction run ([`VolumeConfig::gc_compact_min_run`]);
+/// larger extents end the run. Compaction shrinks the extent map, Table
+/// 5's memory metric (§4.6).
+pub const GC_COMPACT_MAX_EXTENT_BYTES: u64 = 64 << 10;
+
+/// Attempts per backend operation in GC and maintenance paths (§3.5)
+/// before a transient failure aborts the pass. The client data path does
+/// not retry here: set [`VolumeConfig::retry_policy`] for that.
+pub const GC_RETRY_ATTEMPTS: u32 = 3;
+
+/// Capacity (entries) of the backend object-header cache that a read miss
+/// consults before issuing a header GET (§3.2's read path).
+pub const HDR_CACHE_ENTRIES: usize = 512;
 
 /// Tunable parameters of an LSVD volume.
 ///
 /// Defaults follow the paper's prototype configuration (§4.1): 8 MiB write
-/// batches, a cache split of 20 % write-back / 80 % read, garbage
-/// collection triggered below 70 % utilization and stopping at 75 %.
+/// batches and a 256 KiB prefetch window. The cache split and the GC
+/// watermarks are the constants above.
 #[derive(Debug, Clone)]
 pub struct VolumeConfig {
     /// Backend object batch size in bytes; the block store seals a batch
     /// and PUTs it once accumulated writes reach this size (§3.2 suggests
     /// 8 or 32 MiB).
     pub batch_bytes: u64,
-    /// Fraction of the cache device dedicated to the write-back log; the
-    /// rest (minus metadata) is read cache.
-    pub write_cache_fraction: f64,
     /// Read-ahead cap in bytes: a read miss fetches up to this much of its
     /// backend object, from the missed piece onward (temporal-locality
     /// prefetch, §3.2). The whole window enters the read cache when it
@@ -28,12 +54,6 @@ pub struct VolumeConfig {
     pub prefetch_bytes: u64,
     /// Whether the garbage collector runs.
     pub gc_enabled: bool,
-    /// GC trigger: collect when live/total utilization drops below this.
-    pub gc_low_watermark: f64,
-    /// GC target: stop collecting once utilization is back above this.
-    pub gc_high_watermark: f64,
-    /// Victim-selection policy: greedy live-ratio or LFS cost-benefit.
-    pub gc_policy: GcPolicy,
     /// Budget for one incremental cleaner step ([`Volume::gc_step`]
     /// (crate::volume::Volume::gc_step)): the step stops issuing
     /// relocations once it has moved this many bytes, leaving a resumable
@@ -41,33 +61,21 @@ pub struct VolumeConfig {
     /// completion (the one-shot behavior).
     pub gc_step_budget_bytes: u64,
     /// Cold-extent compaction: when nonzero, a cleaning pass also scans
-    /// the extent map for LBA-contiguous runs of at least this many
-    /// map entries, each no larger than [`gc_compact_max_extent_bytes`]
-    /// (Self::gc_compact_max_extent_bytes), whose source objects are all
-    /// cold (at or below the last checkpoint), and rewrites each run into
-    /// one dense relocation object — collapsing the run to a single
-    /// extent-map entry (Table 5's memory metric). `0` disables
-    /// compaction.
+    /// the extent map for LBA-contiguous runs of at least this many map
+    /// entries, each no larger than [`GC_COMPACT_MAX_EXTENT_BYTES`], whose
+    /// source objects are all cold (at or below the last checkpoint), and
+    /// rewrites each run into one dense relocation object — collapsing the
+    /// run to a single extent-map entry (Table 5's memory metric). `0`
+    /// disables compaction.
     pub gc_compact_min_run: usize,
-    /// Size ceiling (bytes) for an extent to count as a fragment in a
-    /// compaction run; larger extents end the run.
-    pub gc_compact_max_extent_bytes: u64,
     /// Write a map checkpoint to the backend every this many data objects.
     pub checkpoint_interval: u32,
-    /// During GC, also copy unwritten "holes" up to this many bytes between
-    /// live pieces, trading a little write amplification for a smaller
-    /// extent map (the §4.6 defragmentation experiment; 0 disables).
-    pub defrag_hole_bytes: u64,
     /// Degraded-mode dirty watermark: how many sealed batches may queue
     /// locally while the backend fails transiently. Past this limit,
     /// writes that would seal another batch fail with
     /// [`LsvdError::Backpressure`](crate::LsvdError::Backpressure) until
     /// the backend heals and the queue drains (in strict sequence order).
     pub max_pending_batches: usize,
-    /// Attempts per backend operation in GC and maintenance paths before
-    /// a transient failure aborts the pass (the client data path does not
-    /// retry here — layer a `RetryStore` under the volume for that).
-    pub gc_retry_attempts: u32,
     /// Writeback worker threads shipping sealed batches to the backend.
     /// Every sealed batch takes the same path — seal, submit to the
     /// [`WritebackPool`](crate::writeback::WritebackPool), harvest, apply
@@ -90,15 +98,11 @@ pub struct VolumeConfig {
     /// auto-attaches its counters, so `stats().retry` reports real numbers
     /// without the caller plumbing a `RetryHandle` by hand.
     pub retry_policy: Option<RetryPolicy>,
-    /// Capacity (entries) of the backend object-header cache consulted by
-    /// read misses before issuing a header GET.
-    pub hdr_cache_entries: usize,
     /// Verify backend GET payloads against the per-extent CRCs recorded in
     /// object headers. Fetch windows are snapped to extent boundaries and
     /// the expected checksum is folded from the stored extent CRCs with
-    /// `crc32c_combine` — no second pass over the object at PUT time, and
-    /// scatter-gather workers checksum their parts off the foreground
-    /// thread. A mismatch fails the read with
+    /// `crc32c_combine` — no second pass over the object at PUT time; the
+    /// fetched window is checksummed once. A mismatch fails the read with
     /// [`LsvdError::Corrupt`](crate::LsvdError::Corrupt).
     pub verify_get_crc: bool,
     /// Scan-resistant admission threshold (bytes): once a sequential read
@@ -108,36 +112,20 @@ pub struct VolumeConfig {
     /// doesn't cache them. `0` disables admission control (everything is
     /// admitted).
     pub scan_bypass_bytes: u64,
-    /// Tenant read-cache byte quota (ECI-Cache partitioning): once this
-    /// volume's resident read-cache footprint reaches the quota, miss
-    /// fetches still serve their data but stop admitting it, so on a
-    /// fleet node one tenant cannot grow at its neighbours' expense. `0`
-    /// (the default, and the right setting for a single-tenant volume)
-    /// disables the quota. The fleet rebalancer adjusts it at runtime via
-    /// [`ReadPlane::set_cache_quota_bytes`]
-    /// (crate::read_plane::ReadPlane::set_cache_quota_bytes).
-    pub cache_quota_bytes: u64,
 }
 
 impl Default for VolumeConfig {
     fn default() -> Self {
         VolumeConfig {
             batch_bytes: 8 << 20,
-            write_cache_fraction: 0.2,
             prefetch_bytes: 256 << 10,
             gc_enabled: true,
-            gc_low_watermark: 0.70,
-            gc_high_watermark: 0.75,
-            gc_policy: GcPolicy::CostBenefit,
             // One default batch per incremental step: each cleaner
             // invocation injects at most one extra PUT into the window.
             gc_step_budget_bytes: 8 << 20,
             gc_compact_min_run: 0,
-            gc_compact_max_extent_bytes: 64 << 10,
             checkpoint_interval: 64,
-            defrag_hole_bytes: 0,
             max_pending_batches: 8,
-            gc_retry_attempts: 3,
             // Inline executor by default: PUT failures surface
             // synchronously on the writing thread, which the degraded-mode
             // API contract (and its tests) relies on. Worker threads are
@@ -145,10 +133,8 @@ impl Default for VolumeConfig {
             writeback_threads: 0,
             max_inflight_puts: 4,
             retry_policy: None,
-            hdr_cache_entries: 512,
             verify_get_crc: false,
             scan_bypass_bytes: 2 << 20,
-            cache_quota_bytes: 0,
         }
     }
 }
@@ -180,43 +166,20 @@ impl VolumeConfig {
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical settings (zero batch, watermarks outside
-    /// `(0, 1]`, inverted watermarks); configurations are developer input,
-    /// not runtime data.
+    /// Panics on nonsensical settings (a batch under 4 KiB, a zero
+    /// checkpoint interval, an in-flight window past the pending limit);
+    /// configurations are developer input, not runtime data.
     pub fn validate(&self) {
         assert!(self.batch_bytes >= 4096, "batch too small");
         assert!(
             self.batch_bytes.is_multiple_of(SECTOR),
             "batch not sector-aligned"
         );
-        assert!(
-            self.write_cache_fraction > 0.0 && self.write_cache_fraction < 1.0,
-            "bad cache split"
-        );
-        assert!(
-            self.gc_low_watermark > 0.0
-                && self.gc_low_watermark <= self.gc_high_watermark
-                && self.gc_high_watermark <= 1.0,
-            "bad GC watermarks"
-        );
         assert!(self.checkpoint_interval >= 1, "bad checkpoint interval");
-        if self.gc_compact_min_run > 0 {
-            assert!(
-                self.gc_compact_max_extent_bytes >= SECTOR
-                    && self.gc_compact_max_extent_bytes.is_multiple_of(SECTOR),
-                "bad compaction fragment ceiling"
-            );
-        }
         assert!(self.max_pending_batches >= 1, "bad pending batch limit");
-        assert!(self.gc_retry_attempts >= 1, "bad GC retry attempts");
-        assert!(self.hdr_cache_entries >= 1, "bad header cache capacity");
         assert!(
             self.scan_bypass_bytes.is_multiple_of(SECTOR),
             "scan bypass threshold not sector-aligned"
-        );
-        assert!(
-            self.cache_quota_bytes.is_multiple_of(SECTOR),
-            "cache quota not sector-aligned"
         );
         if self.writeback_threads > 0 {
             assert!(
@@ -238,33 +201,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad GC watermarks")]
-    fn inverted_watermarks_rejected() {
-        VolumeConfig {
-            gc_low_watermark: 0.9,
-            gc_high_watermark: 0.7,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
     #[should_panic(expected = "bad in-flight PUT window")]
     fn oversized_inflight_window_rejected() {
         VolumeConfig {
             writeback_threads: 2,
             max_inflight_puts: 99,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "bad compaction fragment ceiling")]
-    fn unaligned_compaction_ceiling_rejected() {
-        VolumeConfig {
-            gc_compact_min_run: 4,
-            gc_compact_max_extent_bytes: 1000,
             ..Default::default()
         }
         .validate();

@@ -4,9 +4,7 @@
 //! shared by *many* virtual disks per host. This module provides the
 //! control plane for that node: an [`ExportRegistry`] maps export names to
 //! live [`SharedVolume`]s. Each volume keeps its own writeback executor
-//! (per its `writeback_threads`) and holds a byte quota slice of the
-//! node's read-cache budget (ECI-Cache-style partitioning, enforced by
-//! [`ReadPlane`](crate::read_plane::ReadPlane) admission).
+//! (per its `writeback_threads`) and its own read cache.
 //!
 //! Lifecycle: exports are **attached** (existing image opened or wrapped)
 //! or **created**, then served until **detached**. Detach is a fenced
@@ -138,9 +136,6 @@ pub type Provisioner = Box<dyn Fn(&str, Option<u64>) -> Result<SharedVolume> + S
 /// socket, and the metrics exporter.
 pub struct ExportRegistry {
     exports: RwLock<HashMap<String, Arc<Export>>>,
-    /// Total read-cache byte budget split across exports by
-    /// [`ExportRegistry::rebalance`]. `0` = no partitioning.
-    cache_budget_bytes: AtomicU64,
     /// Serving-plane hook: called after attach/detach so the reactor can
     /// wake up and close fenced connections or refresh its view.
     notify: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
@@ -157,7 +152,6 @@ impl ExportRegistry {
     pub fn new() -> ExportRegistry {
         ExportRegistry {
             exports: RwLock::new(HashMap::new()),
-            cache_budget_bytes: AtomicU64::new(0),
             notify: Mutex::new(None),
         }
     }
@@ -202,7 +196,6 @@ impl ExportRegistry {
             }
             map.insert(name.to_string(), export.clone());
         }
-        self.rebalance();
         self.notify();
         Ok(export)
     }
@@ -231,7 +224,6 @@ impl ExportRegistry {
         }
         export.volume.shutdown()?;
         self.exports.write().remove(name);
-        self.rebalance();
         self.notify();
         Ok(())
     }
@@ -276,41 +268,6 @@ impl ExportRegistry {
         self.exports.read().is_empty()
     }
 
-    /// Sets the node's total read-cache byte budget and re-partitions it
-    /// across exports. `0` disables partitioning (every quota cleared).
-    pub fn set_cache_budget_bytes(&self, bytes: u64) {
-        self.cache_budget_bytes.store(bytes, Ordering::Relaxed);
-        self.rebalance();
-    }
-
-    /// Re-partitions the cache budget across live exports by hit density
-    /// (ECI-Cache): every export gets an equal floor of half the budget,
-    /// and the other half is split proportionally to read-cache hit
-    /// sectors, so hot tenants earn cache without starving cold ones.
-    /// Quotas only gate *admission* — an export over its lowered quota
-    /// shrinks lazily as FIFO eviction wraps, not eagerly.
-    pub fn rebalance(&self) {
-        let budget = self.cache_budget_bytes.load(Ordering::Relaxed);
-        let exports = self.exports();
-        if exports.is_empty() {
-            return;
-        }
-        if budget == 0 {
-            for e in &exports {
-                e.volume.set_cache_quota_bytes(0);
-            }
-            return;
-        }
-        let hits: Vec<u64> = exports
-            .iter()
-            .map(|e| e.volume.cache_hit_sectors())
-            .collect();
-        let shares = partition_budget(budget, &hits);
-        for (e, q) in exports.iter().zip(shares) {
-            e.volume.set_cache_quota_bytes(q);
-        }
-    }
-
     /// Aggregate node telemetry: every export's volume snapshot absorbed
     /// into one, with per-tenant breakdowns attached.
     pub fn telemetry(&self) -> TelemetrySnapshot {
@@ -325,7 +282,6 @@ impl ExportRegistry {
             tenants.push(TenantTelemetry {
                 export: e.name.clone(),
                 serving: e.recorders.snapshot(),
-                cache_quota_bytes: e.volume.cache_quota_bytes(),
                 cache_resident_bytes: e.volume.cache_resident_bytes(),
             });
             agg = Some(match agg.take() {
@@ -340,33 +296,6 @@ impl ExportRegistry {
         out.tenants = tenants;
         out
     }
-}
-
-/// Splits `budget` bytes across tenants: an equal floor of half the
-/// budget, the rest proportional to each tenant's `hits` weight (equal
-/// split when all weights are zero). Sector-aligned; the floor guarantees
-/// no tenant is starved below `budget / (2 * n)`.
-pub fn partition_budget(budget: u64, hits: &[u64]) -> Vec<u64> {
-    const ALIGN: u64 = crate::types::SECTOR;
-    let n = hits.len() as u64;
-    if n == 0 {
-        return Vec::new();
-    }
-    let floor_pool = budget / 2;
-    let floor = floor_pool / n / ALIGN * ALIGN;
-    let merit_pool = budget - floor * n;
-    let total: u64 = hits.iter().sum();
-    hits.iter()
-        .map(|&h| {
-            let merit = if total == 0 {
-                merit_pool / n
-            } else {
-                // u128 so budget * hits cannot overflow.
-                ((merit_pool as u128 * h as u128) / total as u128) as u64
-            };
-            floor + merit / ALIGN * ALIGN
-        })
-        .collect()
 }
 
 /// Handle to a running control socket; dropping it does *not* stop the
@@ -609,45 +538,6 @@ mod tests {
         reg.detach("n").unwrap();
         // Detach notifies twice: at fence and after removal.
         assert_eq!(fired.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn partition_budget_floor_and_merit() {
-        // Equal split when nobody has hits.
-        let q = partition_budget(4 << 20, &[0, 0, 0, 0]);
-        assert_eq!(q.len(), 4);
-        for &b in &q {
-            assert_eq!(b, 1 << 20);
-        }
-        // Hot tenant earns more, cold keeps the floor.
-        let q = partition_budget(8 << 20, &[3000, 1000, 0, 0]);
-        assert!(q[0] > q[1], "{q:?}");
-        assert!(q[1] > q[2], "{q:?}");
-        assert_eq!(q[2], q[3]);
-        // Floor: nobody below budget / (2n), everything sector-aligned,
-        // total never exceeds the budget.
-        for &b in &q {
-            assert!(b >= (8 << 20) / 8, "{q:?}");
-            assert_eq!(b % crate::types::SECTOR, 0);
-        }
-        assert!(q.iter().sum::<u64>() <= 8 << 20);
-        assert!(partition_budget(1 << 20, &[]).is_empty());
-    }
-
-    #[test]
-    fn rebalance_applies_quotas_to_volumes() {
-        let reg = ExportRegistry::new();
-        reg.attach("x", mkvol("x"), QosLimits::default()).unwrap();
-        reg.attach("y", mkvol("y"), QosLimits::default()).unwrap();
-        reg.set_cache_budget_bytes(4 << 20);
-        let x = reg.get("x").unwrap();
-        let y = reg.get("y").unwrap();
-        assert_eq!(x.volume().cache_quota_bytes(), 2 << 20);
-        assert_eq!(y.volume().cache_quota_bytes(), 2 << 20);
-        // Clearing the budget clears quotas.
-        reg.set_cache_budget_bytes(0);
-        assert_eq!(x.volume().cache_quota_bytes(), 0);
-        assert_eq!(y.volume().cache_quota_bytes(), 0);
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub mod gcsim;
 pub mod host;
 pub mod objfmt;
 pub mod objmap;
-pub mod overhead;
 pub mod rcache;
 pub mod read_plane;
 pub mod recovery;

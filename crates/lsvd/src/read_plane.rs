@@ -69,7 +69,7 @@ use objstore::ObjectStore;
 use parking_lot::{Condvar, Mutex, RwLock};
 use telemetry::{LatencyRecorder, OpenSpan, SpanRing, Stage};
 
-use crate::config::VolumeConfig;
+use crate::config::{VolumeConfig, HDR_CACHE_ENTRIES};
 use crate::crc::{crc32c, crc32c_combine};
 use crate::extent_map::{ExtentMap, Segment};
 use crate::objfmt::Superblock;
@@ -77,10 +77,6 @@ use crate::objmap::{ObjLoc, ObjectMap};
 use crate::rcache::ReadCache;
 use crate::recovery::fetch_header;
 use crate::types::{object_name, Lba, LsvdError, ObjSeq, Plba, Result, SECTOR};
-use crate::writeback::WritebackPool;
-
-/// Minimum bytes per scattered GET; below 2× this, one GET wins.
-const SCATTER_CHUNK: u64 = 128 << 10;
 
 /// How many independent sequential streams the scan detector tracks.
 const STREAM_SLOTS: usize = 8;
@@ -162,7 +158,7 @@ impl HdrCache {
     fn new(cap: usize) -> Self {
         HdrCache {
             map: HashMap::new(),
-            cap: cap.max(1),
+            cap,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -343,13 +339,10 @@ pub(crate) struct PlaneCounters {
     pub miss_reads: AtomicU64,
     pub backend_gets: AtomicU64,
     pub backend_get_bytes: AtomicU64,
-    pub scatter_gets: AtomicU64,
     /// Sectors entered into the read cache by miss fetches.
     pub admitted_sectors: AtomicU64,
     /// Sectors a detected scan kept *out* of the read cache.
     pub bypassed_sectors: AtomicU64,
-    /// Sectors the tenant byte quota kept out of the read cache.
-    pub quota_bypassed_sectors: AtomicU64,
     /// Fetched sectors a spatial-only window kept out of the read cache.
     pub spatial_skipped_sectors: AtomicU64,
     /// Fetches that parked on another reader's in-flight GET.
@@ -378,10 +371,8 @@ pub struct ReadPlaneStats {
     pub miss_reads: u64,
     pub backend_gets: u64,
     pub backend_get_bytes: u64,
-    pub scatter_gets: u64,
     pub admitted_sectors: u64,
     pub bypassed_sectors: u64,
-    pub quota_bypassed_sectors: u64,
     pub spatial_skipped_sectors: u64,
     pub singleflight_waits: u64,
     pub singleflight_shared: u64,
@@ -482,16 +473,6 @@ pub struct ReadPlane {
     /// Sequential-run threshold (sectors) past which fetches bypass
     /// read-cache admission; 0 disables admission control.
     scan_bypass_sectors: u64,
-    /// Tenant byte quota for the read cache, in sectors; 0 = unlimited.
-    /// On a fleet node every tenant's SSD cache competes for shared
-    /// backend bandwidth, so admission stops (fetches still serve, they
-    /// just bypass the cache) once this volume's resident footprint
-    /// reaches its allocation — ECI-Cache-style partitioning. Adjustable
-    /// at runtime by the fleet rebalancer.
-    cache_quota_sectors: AtomicU64,
-    /// Writeback pool for scatter-gather prefetch GETs (used only when it
-    /// has at least two workers).
-    pool: Arc<WritebackPool>,
     state: RwLock<ReadState>,
     hdr: Mutex<HdrCache>,
     inflight: Mutex<HashMap<ObjSeq, Arc<FetchSlot>>>,
@@ -509,7 +490,6 @@ pub struct ReadPlane {
 }
 
 impl ReadPlane {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         dev: Arc<dyn BlockDevice>,
         store: Arc<dyn ObjectStore>,
@@ -517,7 +497,6 @@ impl ReadPlane {
         cfg: &VolumeConfig,
         rcache: ReadCache,
         objmap: ObjectMap,
-        pool: Arc<WritebackPool>,
         spans: Arc<SpanRing>,
     ) -> ReadPlane {
         ReadPlane {
@@ -528,14 +507,12 @@ impl ReadPlane {
             prefetch_bytes: cfg.prefetch_bytes,
             verify_get_crc: cfg.verify_get_crc,
             scan_bypass_sectors: cfg.scan_bypass_bytes / SECTOR,
-            cache_quota_sectors: AtomicU64::new(cfg.cache_quota_bytes / SECTOR),
-            pool,
             state: RwLock::new(ReadState {
                 wcache_map: ExtentMap::new(),
                 rcache,
                 objmap,
             }),
-            hdr: Mutex::new(HdrCache::new(cfg.hdr_cache_entries)),
+            hdr: Mutex::new(HdrCache::new(HDR_CACHE_ENTRIES)),
             inflight: Mutex::new(HashMap::new()),
             streams: Mutex::new(StreamTable::new()),
             counters: PlaneCounters::default(),
@@ -544,34 +521,6 @@ impl ReadPlane {
             shared_lock_wait: LatencyRecorder::new(),
             excl_lock_wait: LatencyRecorder::new(),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Tenant cache quota (fleet partitioning)
-    // ------------------------------------------------------------------
-
-    /// Sets this volume's read-cache byte quota (rounded down to whole
-    /// sectors; 0 = unlimited). Takes effect on the next admission.
-    pub fn set_cache_quota_bytes(&self, bytes: u64) {
-        self.cache_quota_sectors
-            .store(bytes / SECTOR, Ordering::Relaxed);
-    }
-
-    /// The current read-cache byte quota (0 = unlimited).
-    pub fn cache_quota_bytes(&self) -> u64 {
-        self.cache_quota_sectors.load(Ordering::Relaxed) * SECTOR
-    }
-
-    /// Bytes currently resident in this volume's read cache.
-    pub fn cache_resident_bytes(&self) -> u64 {
-        let s = self.read_state().rcache.stats();
-        s.inserted_sectors.saturating_sub(s.evicted_sectors) * SECTOR
-    }
-
-    /// Read-cache hit sectors so far (the fleet rebalancer's hit-density
-    /// numerator).
-    pub fn cache_hit_sectors(&self) -> u64 {
-        self.read_state().rcache.stats().hit_sectors
     }
 
     // ------------------------------------------------------------------
@@ -1065,17 +1014,16 @@ impl ReadPlane {
         }
         let fetch = win_hi - win_lo;
         let byte_off = (hdr_sectors + win_lo) * SECTOR;
-        let (data, worker_crc) = self.fetch_ranged(&name, byte_off, fetch * SECTOR)?;
+        let data = self.store.get_range(&name, byte_off, fetch * SECTOR)?;
         self.counters.backend_gets.fetch_add(1, Ordering::Relaxed);
         self.counters
             .backend_get_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         if let Some(exp) = expected {
-            let got = worker_crc.unwrap_or_else(|| crc32c(&data));
             self.counters
                 .get_verified_bytes
                 .fetch_add(data.len() as u64, Ordering::Relaxed);
-            if got != exp {
+            if crc32c(&data) != exp {
                 return Err(LsvdError::Corrupt(format!(
                     "{name}: GET payload CRC mismatch over object sectors {win_lo}..{win_hi}"
                 )));
@@ -1094,7 +1042,7 @@ impl ReadPlane {
     /// when the window overlaps a header extent the read does not overlap
     /// (co-written data) or the read continues a stream; otherwise only
     /// the read's own sectors enter (see the module docs). A detected scan
-    /// admits nothing, nor does a tenant at its quota.
+    /// admits nothing.
     ///
     /// Liveness is revalidated under the exclusive lock *now*, not at
     /// resolve time: a piece whose vLBA was remapped (overwrite, trim, GC)
@@ -1135,13 +1083,6 @@ impl ReadPlane {
             return Ok(false);
         }
         let mut st = self.write_state();
-        if self.over_quota(&st) {
-            drop(st);
-            self.counters
-                .quota_bypassed_sectors
-                .fetch_add(covered, Ordering::Relaxed);
-            return Ok(false);
-        }
         let mut admitted = 0u64;
         let mut skipped = 0u64;
         for &(vlba, off, len) in &pieces {
@@ -1173,13 +1114,6 @@ impl ReadPlane {
     /// already cached (the leader's own, say) are left as they are.
     fn admit_piece(&self, piece: &MissPiece, data: &[u8]) -> Result<()> {
         let mut st = self.write_state();
-        if self.over_quota(&st) {
-            drop(st);
-            self.counters
-                .quota_bypassed_sectors
-                .fetch_add(piece.len, Ordering::Relaxed);
-            return Ok(());
-        }
         let mut admitted = 0u64;
         for seg in st.rcache.resolve(piece.start, piece.len) {
             if let Segment::Hole { start, len } = seg {
@@ -1195,60 +1129,6 @@ impl ReadPlane {
             .admitted_sectors
             .fetch_add(admitted, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Tenant quota: once this volume's resident footprint reaches its
-    /// allocation, fetches still serve but stop admitting — the noisy
-    /// tenant cannot evict its neighbours' working sets. Read under the
-    /// exclusive lock so the footprint reading is exact.
-    fn over_quota(&self, st: &ReadState) -> bool {
-        let quota = self.cache_quota_sectors.load(Ordering::Relaxed);
-        let s = st.rcache.stats();
-        quota > 0 && s.inserted_sectors.saturating_sub(s.evicted_sectors) >= quota
-    }
-
-    /// One ranged GET: serial, or scatter-gathered over the writeback pool
-    /// when the window is large enough to split usefully. Scattered parts
-    /// arrive with worker-computed CRCs folded into one window checksum
-    /// (`Some`); the serial path leaves checksumming to the caller.
-    fn fetch_ranged(&self, name: &str, offset: u64, len: u64) -> Result<(Bytes, Option<u32>)> {
-        let threads = self.pool.threads() as u64;
-        if threads < 2 || len < 2 * SCATTER_CHUNK {
-            return Ok((self.store.get_range(name, offset, len)?, None));
-        }
-        let chunks = len.div_ceil(SCATTER_CHUNK).min(threads);
-        let per = len.div_ceil(chunks);
-        let mut ranges = Vec::with_capacity(chunks as usize);
-        let mut off = 0;
-        while off < len {
-            let l = per.min(len - off);
-            ranges.push((offset + off, l));
-            off += l;
-        }
-        self.counters.scatter_gets.fetch_add(1, Ordering::Relaxed);
-        let mut buf = Vec::with_capacity(len as usize);
-        if self.verify_get_crc {
-            let mut crc: Option<u32> = None;
-            for p in self.pool.get_scatter_crc(name, &ranges) {
-                let (part, part_crc) = p?;
-                crc = Some(match crc {
-                    None => part_crc,
-                    Some(acc) => {
-                        self.counters
-                            .crc_combine_ops
-                            .fetch_add(1, Ordering::Relaxed);
-                        crc32c_combine(acc, part_crc, part.len() as u64)
-                    }
-                });
-                buf.extend_from_slice(&part);
-            }
-            Ok((Bytes::from(buf), crc))
-        } else {
-            for p in self.pool.get_scatter(name, &ranges) {
-                buf.extend_from_slice(&p?);
-            }
-            Ok((Bytes::from(buf), None))
-        }
     }
 
     /// The object's cached header (extent list + per-extent CRCs), LRU
@@ -1273,6 +1153,12 @@ impl ReadPlane {
     // Introspection
     // ------------------------------------------------------------------
 
+    /// Bytes currently resident in this volume's read cache.
+    pub fn cache_resident_bytes(&self) -> u64 {
+        let s = self.read_state().rcache.stats();
+        s.inserted_sectors.saturating_sub(s.evicted_sectors) * SECTOR
+    }
+
     /// Snapshot of every plane counter, including header-cache stats.
     pub(crate) fn stats(&self) -> ReadPlaneStats {
         let c = &self.counters;
@@ -1285,10 +1171,8 @@ impl ReadPlane {
             miss_reads: r(&c.miss_reads),
             backend_gets: r(&c.backend_gets),
             backend_get_bytes: r(&c.backend_get_bytes),
-            scatter_gets: r(&c.scatter_gets),
             admitted_sectors: r(&c.admitted_sectors),
             bypassed_sectors: r(&c.bypassed_sectors),
-            quota_bypassed_sectors: r(&c.quota_bypassed_sectors),
             spatial_skipped_sectors: r(&c.spatial_skipped_sectors),
             singleflight_waits: r(&c.singleflight_waits),
             singleflight_shared: r(&c.singleflight_shared),

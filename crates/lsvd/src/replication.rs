@@ -39,9 +39,11 @@ pub struct Replicator {
     primary: Arc<dyn ObjectStore>,
     replica: Arc<dyn ObjectStore>,
     image: String,
-    retry_attempts: u32,
     stats: ReplicationStats,
 }
+
+/// Attempts per store call before a transient failure surfaces.
+const RETRY_ATTEMPTS: u32 = 3;
 
 /// Bounded immediate retry of transient store failures.
 fn retry_transient<T>(
@@ -64,16 +66,8 @@ impl Replicator {
             primary,
             replica,
             image: image.to_string(),
-            retry_attempts: 3,
             stats: ReplicationStats::default(),
         }
-    }
-
-    /// Sets the per-operation transient retry budget (must be ≥ 1).
-    pub fn with_retry_attempts(mut self, attempts: u32) -> Self {
-        assert!(attempts >= 1, "replicator needs ≥1 attempt");
-        self.retry_attempts = attempts;
-        self
     }
 
     /// Statistics so far.
@@ -82,14 +76,14 @@ impl Replicator {
     }
 
     fn copy(&mut self, name: &str) -> Result<bool> {
-        match retry_transient(self.retry_attempts, || self.primary.get(name)) {
+        match retry_transient(RETRY_ATTEMPTS, || self.primary.get(name)) {
             Ok(data) => {
                 self.stats.bytes_copied += data.len() as u64;
                 if parse_object_seq(&self.image, name).is_some() {
                     self.stats.data_bytes_copied += data.len() as u64;
                 }
                 self.stats.objects_copied += 1;
-                retry_transient(self.retry_attempts, || self.replica.put(name, data.clone()))?;
+                retry_transient(RETRY_ATTEMPTS, || self.replica.put(name, data.clone()))?;
                 Ok(true)
             }
             Err(ObjError::NotFound(_)) => {
@@ -108,14 +102,14 @@ impl Replicator {
     pub fn step(&mut self, copy_upto_seq: ObjSeq) -> Result<u64> {
         let before = self.stats.objects_copied;
         let sb = superblock_name(&self.image);
-        if !retry_transient(self.retry_attempts, || self.replica.exists(&sb))? {
+        if !retry_transient(RETRY_ATTEMPTS, || self.replica.exists(&sb))? {
             self.copy(&sb)?;
         }
 
         // Data objects: primary listing minus replica listing, bounded.
         let prefix = format!("{}.", self.image);
-        let on_primary = retry_transient(self.retry_attempts, || self.primary.list(&prefix))?;
-        let on_replica = retry_transient(self.retry_attempts, || self.replica.list(&prefix))?;
+        let on_primary = retry_transient(RETRY_ATTEMPTS, || self.primary.list(&prefix))?;
+        let on_replica = retry_transient(RETRY_ATTEMPTS, || self.replica.list(&prefix))?;
         for name in &on_primary {
             let Some(seq) = parse_object_seq(&self.image, name) else {
                 continue;
@@ -129,14 +123,14 @@ impl Replicator {
         // Newest checkpoint at or below the boundary, so the replica can
         // recover quickly.
         let ckpt_prefix = format!("{}.ckpt.", self.image);
-        let mut ckpts = retry_transient(self.retry_attempts, || self.primary.list(&ckpt_prefix))?;
+        let mut ckpts = retry_transient(RETRY_ATTEMPTS, || self.primary.list(&ckpt_prefix))?;
         ckpts.sort();
         if let Some(newest) = ckpts.iter().rev().find(|n| {
             n.strip_prefix(&ckpt_prefix)
                 .and_then(|s| s.parse::<ObjSeq>().ok())
                 .is_some_and(|s| s <= copy_upto_seq)
         }) {
-            if !retry_transient(self.retry_attempts, || self.replica.exists(newest))? {
+            if !retry_transient(RETRY_ATTEMPTS, || self.replica.exists(newest))? {
                 self.copy(newest)?;
             }
         }
@@ -147,14 +141,14 @@ impl Replicator {
     /// after replication), keeping the replica recoverable and bounded.
     pub fn prune(&mut self) -> Result<u64> {
         let prefix = format!("{}.", self.image);
-        let on_primary = retry_transient(self.retry_attempts, || self.primary.list(&prefix))?;
-        let on_replica = retry_transient(self.retry_attempts, || self.replica.list(&prefix))?;
+        let on_primary = retry_transient(RETRY_ATTEMPTS, || self.primary.list(&prefix))?;
+        let on_replica = retry_transient(RETRY_ATTEMPTS, || self.replica.list(&prefix))?;
         let mut pruned = 0;
         for name in on_replica {
             if parse_object_seq(&self.image, &name).is_some()
                 && on_primary.binary_search(&name).is_err()
             {
-                retry_transient(self.retry_attempts, || self.replica.delete(&name))?;
+                retry_transient(RETRY_ATTEMPTS, || self.replica.delete(&name))?;
                 pruned += 1;
             }
         }

@@ -178,26 +178,9 @@ impl SharedVolume {
         self.with(|v| Ok(v.telemetry()))
     }
 
-    /// Sets the volume's read-cache byte quota (0 = unlimited) without
-    /// touching the volume mutex — the fleet rebalancer calls this while
-    /// traffic is flowing.
-    pub fn set_cache_quota_bytes(&self, bytes: u64) {
-        self.plane.set_cache_quota_bytes(bytes);
-    }
-
-    /// The current read-cache byte quota (0 = unlimited).
-    pub fn cache_quota_bytes(&self) -> u64 {
-        self.plane.cache_quota_bytes()
-    }
-
     /// Bytes currently resident in the volume's read cache.
     pub fn cache_resident_bytes(&self) -> u64 {
         self.plane.cache_resident_bytes()
-    }
-
-    /// Read-cache hit sectors so far (rebalancer input: hit density).
-    pub fn cache_hit_sectors(&self) -> u64 {
-        self.plane.cache_hit_sectors()
     }
 
     /// Runs `f` with exclusive access to the volume (for attach-time

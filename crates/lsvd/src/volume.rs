@@ -37,10 +37,13 @@ use telemetry::{
 use crate::batch::BatchBuilder;
 use crate::checkpoint::CheckpointData;
 use crate::codec::{ByteReader, ByteWriter};
-use crate::config::VolumeConfig;
+use crate::config::{
+    VolumeConfig, GC_COMPACT_MAX_EXTENT_BYTES, GC_HIGH_WATERMARK, GC_LOW_WATERMARK,
+    GC_RETRY_ATTEMPTS, WRITE_CACHE_FRACTION,
+};
 use crate::crc::{crc32c_field_zeroed, crc32c_is_hw};
 use crate::extent_map::Segment;
-use crate::gc;
+use crate::gc::{self, GcPolicy};
 use crate::objfmt::{self, Superblock};
 use crate::objmap::{ObjLoc, ObjectMap};
 use crate::rcache::ReadCache;
@@ -220,8 +223,6 @@ pub struct VolumeStats {
     /// Batches whose PUT landed out of order, awaiting the durable
     /// frontier (the "gapped" portion of the backlog).
     pub landed_gapped: u64,
-    /// Prefetch windows fetched as parallel scatter-gather GETs.
-    pub scatter_gets: u64,
     /// Writes rejected with [`LsvdError::Backpressure`].
     pub backpressure_rejections: u64,
     /// Checkpoints skipped because the backend failed transiently.
@@ -272,9 +273,8 @@ pub struct Volume {
     /// The PUT executor: `writeback_threads` workers, or the inline
     /// executor (zero workers, window 1) that runs each PUT on the
     /// submitting thread. Both drive the same seal → submit → harvest →
-    /// apply path. The read plane's miss fetches scatter-gather over the
-    /// same pool.
-    pool: Arc<WritebackPool>,
+    /// apply path.
+    pool: WritebackPool,
     /// Payloads handed to the pool and not yet completed, by sequence.
     inflight: BTreeMap<ObjSeq, PutPayload>,
     /// Payloads whose PUT completed *out of order*: durable in the backend
@@ -472,14 +472,14 @@ impl CacheSb {
     }
 }
 
-fn cache_layout(dev: &Arc<dyn BlockDevice>, cfg: &VolumeConfig) -> (u64, u64, u64, u64) {
+fn cache_layout(dev: &Arc<dyn BlockDevice>) -> (u64, u64, u64, u64) {
     let total = dev.capacity() / SECTOR;
     assert!(
         total > CACHE_SB_SECTORS + 64,
         "cache device too small: {total} sectors"
     );
     let usable = total - CACHE_SB_SECTORS;
-    let wc_sectors = ((usable as f64 * cfg.write_cache_fraction) as u64).max(32);
+    let wc_sectors = ((usable as f64 * WRITE_CACHE_FRACTION) as u64).max(32);
     let rc_sectors = usable - wc_sectors;
     (
         CACHE_SB_SECTORS,
@@ -604,10 +604,7 @@ impl Volume {
                 // Restore the persisted read-cache map if present (§3.2);
                 // a cold cache is always safe.
                 let rcache = ReadCache::load(dev.clone(), c.rc_start, c.rc_sectors);
-                let pool = Arc::new(WritebackPool::spawn(
-                    stack.store.clone(),
-                    cfg.writeback_threads,
-                ));
+                let pool = WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads);
                 let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
                 let plane = Arc::new(ReadPlane::new(
                     dev.clone(),
@@ -616,7 +613,6 @@ impl Volume {
                     &cfg,
                     rcache,
                     rb.objmap,
-                    pool.clone(),
                     spans.clone(),
                 ));
                 let mut vol = Volume {
@@ -718,7 +714,7 @@ impl Volume {
         deferred_deletes: Vec<(ObjSeq, ObjSeq)>,
         last_ckpt_seq: ObjSeq,
     ) -> Result<Volume> {
-        let (wc_start, wc_sectors, rc_start, rc_sectors) = cache_layout(&dev, &cfg);
+        let (wc_start, wc_sectors, rc_start, rc_sectors) = cache_layout(&dev);
         let cache_sb = CacheSb {
             uuid: sb.uuid,
             image: sb.image.clone(),
@@ -733,10 +729,7 @@ impl Volume {
         let wlog = WriteLog::format(dev.clone(), wc_start, wc_sectors, frontier + 1)?;
         let rcache = ReadCache::new(dev.clone(), rc_start, rc_sectors);
         dev.flush()?;
-        let pool = Arc::new(WritebackPool::spawn(
-            stack.store.clone(),
-            cfg.writeback_threads,
-        ));
+        let pool = WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads);
         let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
         let plane = Arc::new(ReadPlane::new(
             dev.clone(),
@@ -745,7 +738,6 @@ impl Volume {
             &cfg,
             rcache,
             objmap,
-            pool.clone(),
             spans.clone(),
         ));
         Ok(Volume {
@@ -1598,14 +1590,13 @@ impl Volume {
     /// succeeds (S3 semantics), so re-running deletes recorded by an
     /// earlier checkpoint is harmless after recovery.
     fn sweep_deferred_deletes(&mut self) {
-        let attempts = self.cfg.gc_retry_attempts;
         for (n0, ngc) in gc::drain_deletable(
             &mut self.deferred_deletes,
             &self.snapshots,
             self.last_ckpt_seq,
         ) {
             let name = self.resolve_name(n0);
-            match retry_transient(attempts, || self.store.delete(&name)) {
+            match retry_transient(|| self.store.delete(&name)) {
                 Ok(()) => self.stats.gc_deletes += 1,
                 Err(_) => self.deferred_deletes.push((n0, ngc)),
             }
@@ -1730,13 +1721,13 @@ impl Volume {
         let (victims, compact_runs) = {
             let st = self.plane.read_state();
             let totals = gc::eligible_totals(&st.objmap, first, upto);
-            let victims: Vec<ObjSeq> = if gc::should_collect(totals, self.cfg.gc_low_watermark) {
+            let victims: Vec<ObjSeq> = if gc::should_collect(totals, GC_LOW_WATERMARK) {
                 gc::select_candidates(
                     &st.objmap,
                     first,
                     upto,
-                    self.cfg.gc_high_watermark,
-                    self.cfg.gc_policy,
+                    GC_HIGH_WATERMARK,
+                    GcPolicy::CostBenefit,
                     now,
                     totals,
                 )
@@ -1752,7 +1743,7 @@ impl Volume {
                     first,
                     upto,
                     self.cfg.gc_compact_min_run,
-                    self.cfg.gc_compact_max_extent_bytes / SECTOR,
+                    GC_COMPACT_MAX_EXTENT_BYTES / SECTOR,
                     self.cfg.batch_bytes / SECTOR,
                     &victims,
                 )
@@ -1885,26 +1876,19 @@ impl Volume {
     }
 
     /// Opens a victim: fetches its header, probes the map for its live
-    /// pieces (extended across small holes when defragmentation is on),
-    /// and registers it for retirement tracking.
+    /// pieces, and registers it for retirement tracking.
     fn gc_open_victim(&mut self, seq: ObjSeq) -> Result<()> {
         let name = self.resolve_name(seq);
-        let Some(hdr) = retry_transient_lsvd(self.cfg.gc_retry_attempts, || {
-            fetch_header(self.store.as_ref(), &name)
-        })?
-        else {
+        let Some(hdr) = retry_transient_lsvd(|| fetch_header(self.store.as_ref(), &name))? else {
             // Already gone (e.g. deferred delete executed elsewhere).
             self.plane.write_state().objmap.remove_object(seq);
             return Ok(());
         };
-        let mut pieces = self
+        let pieces = self
             .plane
             .read_state()
             .objmap
             .live_pieces_of(seq, &hdr.extents);
-        if self.cfg.defrag_hole_bytes > 0 {
-            pieces = self.plug_holes(pieces)?;
-        }
         if let Some(pass) = self.gc.as_mut() {
             pass.sources.insert(seq, SourceProgress::default());
             pass.cursor = Some(GcCursor {
@@ -2077,29 +2061,6 @@ impl Volume {
         self.edge(None, Stage::GcPass, pass.collected, 0);
     }
 
-    /// Extends GC pieces across small unwritten-or-foreign gaps (§4.6
-    /// "defragmentation"): gaps up to the configured size that are mapped
-    /// to *other* objects are copied too, so the relocated extent — and the
-    /// map — become contiguous.
-    fn plug_holes(&mut self, pieces: Vec<(Lba, u32, ObjLoc)>) -> Result<Vec<(Lba, u32, ObjLoc)>> {
-        let thr = self.cfg.defrag_hole_bytes / SECTOR;
-        let mut out: Vec<(Lba, u32, ObjLoc)> = Vec::with_capacity(pieces.len());
-        for piece in pieces {
-            if let Some(&(plba, plen, _)) = out.last() {
-                let gap_start = plba + plen as u64;
-                if piece.0 > gap_start && piece.0 - gap_start <= thr {
-                    // Pull in whatever currently maps the gap.
-                    let st = self.plane.read_state();
-                    for (glo, glen, gloc) in st.objmap.overlaps(gap_start, piece.0 - gap_start) {
-                        out.push((glo, glen as u32, gloc));
-                    }
-                }
-            }
-            out.push(piece);
-        }
-        Ok(out)
-    }
-
     /// Reads one GC piece, preferring local caches over backend GETs
     /// (§3.5: "in many cases the data needed for garbage collection may be
     /// found in the local cache").
@@ -2118,7 +2079,7 @@ impl Volume {
         }
         let name = self.resolve_name(loc.seq);
         let hdr_sectors = self.hdr_sectors_of(loc.seq)?;
-        let data = retry_transient(self.cfg.gc_retry_attempts, || {
+        let data = retry_transient(|| {
             self.store.get_range(
                 &name,
                 (hdr_sectors + loc.off as u64) * SECTOR,
@@ -2212,7 +2173,6 @@ impl Volume {
         s.read_bytes += p.read_bytes;
         s.backend_gets += p.backend_gets;
         s.backend_get_bytes += p.backend_get_bytes;
-        s.scatter_gets += p.scatter_gets;
         s.degraded = self.is_degraded();
         s.pending_batches = self.writeback_backlog() as u64;
         s.pending_bytes = self
@@ -2338,7 +2298,6 @@ impl Volume {
                 miss_reads: p.miss_reads,
                 admitted_sectors: p.admitted_sectors,
                 bypassed_sectors: p.bypassed_sectors,
-                quota_bypassed_sectors: p.quota_bypassed_sectors,
                 spatial_skipped_sectors: p.spatial_skipped_sectors,
                 singleflight_waits: p.singleflight_waits,
                 singleflight_shared: p.singleflight_shared,
@@ -2509,28 +2468,27 @@ fn find_compact_runs(
 }
 
 /// Bounded immediate retry for maintenance-path store calls (GC,
-/// deferred deletes). Only transient errors are retried; there is no
-/// backoff here — latency-shaped retry belongs in an
-/// [`objstore::RetryStore`] layered under the volume.
-fn retry_transient<T>(
-    attempts: u32,
-    mut f: impl FnMut() -> objstore::Result<T>,
-) -> objstore::Result<T> {
+/// deferred deletes): up to [`GC_RETRY_ATTEMPTS`] tries. Only transient
+/// errors are retried; there is no backoff here — latency-shaped retry
+/// belongs in an [`objstore::RetryStore`] layered under the volume.
+fn retry_transient<T>(mut f: impl FnMut() -> objstore::Result<T>) -> objstore::Result<T> {
     let mut tries = 1;
     loop {
         match f() {
-            Err(e) if e.is_transient() && tries < attempts => tries += 1,
+            Err(e) if e.is_transient() && tries < GC_RETRY_ATTEMPTS => tries += 1,
             other => return other,
         }
     }
 }
 
 /// [`retry_transient`] for calls that already return [`LsvdError`].
-fn retry_transient_lsvd<T>(attempts: u32, mut f: impl FnMut() -> Result<T>) -> Result<T> {
+fn retry_transient_lsvd<T>(mut f: impl FnMut() -> Result<T>) -> Result<T> {
     let mut tries = 1;
     loop {
         match f() {
-            Err(LsvdError::Backend(e)) if e.is_transient() && tries < attempts => tries += 1,
+            Err(LsvdError::Backend(e)) if e.is_transient() && tries < GC_RETRY_ATTEMPTS => {
+                tries += 1
+            }
             other => return other,
         }
     }

@@ -278,11 +278,6 @@ impl WriteLog {
         self.next_seq
     }
 
-    /// Sequence of the oldest unreleased record, if any.
-    pub fn oldest_seq(&self) -> Option<u64> {
-        self.records.front().map(|r| r.seq)
-    }
-
     /// Appends one record containing `extents` (vLBA plus data slices, in
     /// write order). Returns the sequence number and data placements.
     ///

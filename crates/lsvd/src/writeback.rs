@@ -5,14 +5,14 @@
 //! ship to the object store in the background. This module provides the
 //! two pieces the [`Volume`](crate::volume::Volume) needs to do the same:
 //!
-//! - [`WritebackPool`] — the executor for batch PUTs (and scatter-gather
-//!   prefetch GETs) against the shared [`ObjectStore`]. With `n > 0`
-//!   workers it runs them on a small fixed thread pool; with zero workers
-//!   it runs each PUT inline on the submitting thread and parks the
-//!   completion for the next harvest. Either way the volume drives it
-//!   through the same submit/harvest calls. The pool is pure transport:
-//!   it never touches volume metadata, so all map/checkpoint mutation
-//!   stays on the foreground thread.
+//! - [`WritebackPool`] — the executor for batch PUTs against the shared
+//!   [`ObjectStore`]. With `n > 0` workers it runs them on a small fixed
+//!   thread pool; with zero workers it runs each PUT inline on the
+//!   submitting thread and parks the completion for the next harvest.
+//!   Either way the volume drives it through the same submit/harvest
+//!   calls. The pool is pure transport: it never touches volume
+//!   metadata, so all map/checkpoint mutation stays on the foreground
+//!   thread.
 //! - [`DurableFrontier`] — tracks which object sequences have completed
 //!   their PUT and yields them back *in contiguous order*. PUTs issued
 //!   concurrently complete out of order, but the object map, the cache-log
@@ -31,63 +31,24 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::types::ObjSeq;
 
-/// One scatter-GET part: the fetched bytes plus the worker-computed
-/// payload CRC when the caller asked for one.
-type GetPart = objstore::Result<(Bytes, Option<u32>)>;
-
-/// A unit of work for the pool.
-enum Job {
-    Put {
-        seq: ObjSeq,
-        name: String,
-        data: Bytes,
-    },
-    Get {
-        token: u64,
-        name: String,
-        offset: u64,
-        len: u64,
-        /// Checksum the fetched bytes on the worker thread (the volume's
-        /// GET-verify path folds the per-part CRCs with `crc32c_combine`
-        /// instead of re-scanning the assembled window on the foreground).
-        crc: bool,
-    },
+/// One batch PUT queued for the pool.
+struct PutJob {
+    seq: ObjSeq,
+    name: String,
+    data: Bytes,
 }
 
-impl Job {
-    /// Runs the store call. Called with no pool lock held.
-    fn run(self, store: &dyn ObjectStore) -> Done {
-        match self {
-            Job::Put { seq, name, data } => {
-                let start = Instant::now();
-                let result = store.put(&name, data);
-                Done::Put(PutCompletion {
-                    seq,
-                    result,
-                    service: start.elapsed(),
-                })
-            }
-            Job::Get {
-                token,
-                name,
-                offset,
-                len,
-                crc,
-            } => Done::Get {
-                token,
-                result: store.get_range(&name, offset, len).map(|b| {
-                    let c = crc.then(|| crate::crc::crc32c(&b));
-                    (b, c)
-                }),
-            },
+impl PutJob {
+    /// Runs the PUT. Called with no pool lock held.
+    fn run(self, store: &dyn ObjectStore) -> PutCompletion {
+        let start = Instant::now();
+        let result = store.put(&self.name, self.data);
+        PutCompletion {
+            seq: self.seq,
+            result,
+            service: start.elapsed(),
         }
     }
-}
-
-/// A finished unit of work.
-enum Done {
-    Put(PutCompletion),
-    Get { token: u64, result: GetPart },
 }
 
 /// One harvested batch-PUT completion, including how long the backend
@@ -103,30 +64,11 @@ pub struct PutCompletion {
 }
 
 struct PoolState {
-    queue: VecDeque<Job>,
-    done: Vec<Done>,
+    queue: VecDeque<PutJob>,
+    done: Vec<PutCompletion>,
     /// PUTs currently executing on a worker.
-    active_puts: usize,
-    /// Next scatter-GET token.
-    next_token: u64,
+    active: usize,
     shutdown: bool,
-}
-
-impl PoolState {
-    fn puts_outstanding(&self) -> bool {
-        self.active_puts > 0 || self.queue.iter().any(|j| matches!(j, Job::Put { .. }))
-    }
-
-    fn take_puts(&mut self) -> Vec<PutCompletion> {
-        let mut out = Vec::new();
-        for d in std::mem::take(&mut self.done) {
-            match d {
-                Done::Put(done) => out.push(done),
-                other => self.done.push(other),
-            }
-        }
-        out
-    }
 }
 
 struct Shared {
@@ -134,7 +76,7 @@ struct Shared {
     state: Mutex<PoolState>,
     /// Signalled when work is queued (or on shutdown).
     work_cv: Condvar,
-    /// Signalled when a job completes.
+    /// Signalled when a PUT completes.
     done_cv: Condvar,
 }
 
@@ -147,8 +89,7 @@ struct Shared {
 /// A pool spawned with zero workers is the *inline* executor: `submit_put`
 /// runs the PUT on the calling thread before it returns and parks the
 /// completion, so the next `poll_puts` or `wait_puts` returns it at once
-/// and neither ever blocks. Scatter GETs likewise run one after another
-/// on the caller.
+/// and neither ever blocks.
 ///
 /// Dropping the pool discards queued-but-unstarted jobs, lets running
 /// jobs finish, and joins every worker — so an in-flight PUT either lands
@@ -161,15 +102,14 @@ pub struct WritebackPool {
 
 impl WritebackPool {
     /// Spawns `threads` workers over `store`; `0` gives the inline
-    /// executor, which runs every job on the submitting thread.
+    /// executor, which runs every PUT on the submitting thread.
     pub fn spawn(store: Arc<dyn ObjectStore>, threads: usize) -> WritebackPool {
         let shared = Arc::new(Shared {
             store,
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 done: Vec::new(),
-                active_puts: 0,
-                next_token: 0,
+                active: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -196,7 +136,7 @@ impl WritebackPool {
     /// parks the completion. `data` is the sealed object's shared buffer
     /// ([`Bytes`]), so no copy happens between sealing and the wire.
     pub fn submit_put(&self, seq: ObjSeq, name: String, data: Bytes) {
-        let job = Job::Put { seq, name, data };
+        let job = PutJob { seq, name, data };
         if self.threads.is_empty() {
             let done = job.run(self.shared.store.as_ref());
             self.shared.state.lock().done.push(done);
@@ -210,7 +150,7 @@ impl WritebackPool {
     /// Completions arrive in *finish* order, which may differ from
     /// submission order.
     pub fn poll_puts(&self) -> Vec<PutCompletion> {
-        self.shared.state.lock().take_puts()
+        std::mem::take(&mut self.shared.state.lock().done)
     }
 
     /// Blocks until at least one PUT completes, then harvests all
@@ -219,86 +159,12 @@ impl WritebackPool {
     pub fn wait_puts(&self) -> Vec<PutCompletion> {
         let mut st = self.shared.state.lock();
         loop {
-            let puts = st.take_puts();
-            if !puts.is_empty() || !st.puts_outstanding() {
+            let puts = std::mem::take(&mut st.done);
+            if !puts.is_empty() || (st.active == 0 && st.queue.is_empty()) {
                 return puts;
             }
             self.shared.done_cv.wait(&mut st);
         }
-    }
-
-    /// Fetches several ranges of one object concurrently, blocking until
-    /// all return. Results are in `ranges` order. PUT completions that
-    /// arrive while waiting are left for the next `poll_puts`.
-    pub fn get_scatter(&self, name: &str, ranges: &[(u64, u64)]) -> Vec<objstore::Result<Bytes>> {
-        self.scatter(name, ranges, false)
-            .into_iter()
-            .map(|r| r.map(|(b, _)| b))
-            .collect()
-    }
-
-    /// Like [`WritebackPool::get_scatter`], but each worker also computes
-    /// the CRC32C of its fetched part before handing it back, so the
-    /// checksum pass overlaps the transfers instead of serializing after
-    /// them.
-    pub fn get_scatter_crc(
-        &self,
-        name: &str,
-        ranges: &[(u64, u64)],
-    ) -> Vec<objstore::Result<(Bytes, u32)>> {
-        self.scatter(name, ranges, true)
-            .into_iter()
-            .map(|r| r.map(|(b, crc)| (b, crc.expect("crc requested"))))
-            .collect()
-    }
-
-    fn scatter(&self, name: &str, ranges: &[(u64, u64)], crc: bool) -> Vec<GetPart> {
-        let job = |token: u64, (offset, len): (u64, u64)| Job::Get {
-            token,
-            name: name.to_string(),
-            offset,
-            len,
-            crc,
-        };
-        if self.threads.is_empty() {
-            return ranges
-                .iter()
-                .map(|&r| match job(0, r).run(self.shared.store.as_ref()) {
-                    Done::Get { result, .. } => result,
-                    Done::Put(_) => unreachable!("a GET job yields a GET result"),
-                })
-                .collect();
-        }
-        let n = ranges.len() as u64;
-        let mut st = self.shared.state.lock();
-        let base = st.next_token;
-        st.next_token += n;
-        for (i, &r) in ranges.iter().enumerate() {
-            st.queue.push_back(job(base + i as u64, r));
-        }
-        self.shared.work_cv.notify_all();
-
-        let mut results: Vec<Option<GetPart>> = (0..n).map(|_| None).collect();
-        let mut got = 0;
-        while got < n {
-            for d in std::mem::take(&mut st.done) {
-                match d {
-                    Done::Get { token, result } if (base..base + n).contains(&token) => {
-                        results[(token - base) as usize] = Some(result);
-                        got += 1;
-                    }
-                    other => st.done.push(other),
-                }
-            }
-            if got < n {
-                self.shared.done_cv.wait(&mut st);
-            }
-        }
-        drop(st);
-        results
-            .into_iter()
-            .map(|r| r.expect("every scatter token collected"))
-            .collect()
     }
 }
 
@@ -307,8 +173,8 @@ impl Drop for WritebackPool {
         {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-            // Unstarted jobs are discarded: on a crash their data is still
-            // in the cache log (PUTs) or simply re-fetched (GETs).
+            // Unstarted PUTs are discarded: on a crash their data is still
+            // in the cache log.
             st.queue.clear();
         }
         self.shared.work_cv.notify_all();
@@ -327,9 +193,7 @@ fn worker(shared: Arc<Shared>) {
                     return;
                 }
                 if let Some(j) = st.queue.pop_front() {
-                    if let Job::Put { .. } = j {
-                        st.active_puts += 1;
-                    }
+                    st.active += 1;
                     break j;
                 }
                 shared.work_cv.wait(&mut st);
@@ -338,9 +202,7 @@ fn worker(shared: Arc<Shared>) {
         let done = job.run(shared.store.as_ref());
         {
             let mut st = shared.state.lock();
-            if let Done::Put(_) = done {
-                st.active_puts -= 1;
-            }
+            st.active -= 1;
             st.done.push(done);
         }
         shared.done_cv.notify_all();
@@ -534,51 +396,5 @@ mod tests {
         pool.submit_put(2, "o.2".into(), Bytes::from_static(b"two"));
         let done = pool.poll_puts();
         assert_eq!(done.iter().map(|c| c.seq).collect::<Vec<_>>(), vec![2]);
-
-        // Scatter GETs run inline too, in range order.
-        let parts = pool.get_scatter("o.2", &[(0, 1), (1, 2)]);
-        assert_eq!(parts[0].as_ref().unwrap().as_ref(), b"t");
-        assert_eq!(parts[1].as_ref().unwrap().as_ref(), b"wo");
-    }
-
-    #[test]
-    fn scatter_get_reassembles_in_range_order() {
-        let store = Arc::new(MemStore::new());
-        let body: Vec<u8> = (0..=255u8).cycle().take(1 << 16).collect();
-        store.put("obj", Bytes::from(body.clone())).unwrap();
-        let pool = WritebackPool::spawn(store, 4);
-        let ranges: Vec<(u64, u64)> = (0..4).map(|i| (i * 16384, 16384)).collect();
-        let parts = pool.get_scatter("obj", &ranges);
-        let mut joined = Vec::new();
-        for p in parts {
-            joined.extend_from_slice(&p.unwrap());
-        }
-        assert_eq!(joined, body);
-        // A bad range reports its error in-slot.
-        let parts = pool.get_scatter("obj", &[(0, 16), (1 << 20, 16)]);
-        assert!(parts[0].is_ok());
-        assert!(parts[1].is_err());
-    }
-
-    #[test]
-    fn scatter_get_crc_matches_foreground_checksum() {
-        use crate::crc::{crc32c, crc32c_combine};
-
-        let store = Arc::new(MemStore::new());
-        let body: Vec<u8> = (0..=255u8).cycle().take(1 << 15).collect();
-        store.put("obj", Bytes::from(body.clone())).unwrap();
-        let pool = WritebackPool::spawn(store, 3);
-        let ranges: Vec<(u64, u64)> = (0..4).map(|i| (i * 8192, 8192)).collect();
-        let parts = pool.get_scatter_crc("obj", &ranges);
-        let mut folded: Option<u32> = None;
-        for p in parts {
-            let (bytes, crc) = p.unwrap();
-            assert_eq!(crc, crc32c(&bytes), "worker CRC must cover its part");
-            folded = Some(match folded {
-                None => crc,
-                Some(acc) => crc32c_combine(acc, crc, bytes.len() as u64),
-            });
-        }
-        assert_eq!(folded, Some(crc32c(&body)));
     }
 }

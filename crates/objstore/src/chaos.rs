@@ -180,12 +180,6 @@ impl<S: ObjectStore> ChaosStore<S> {
         }
     }
 
-    /// Replaces the active schedule (the RNG is reseeded from it).
-    pub fn set_schedule(&self, schedule: ChaosSchedule) {
-        *self.rng.lock() = SmallRng::seed_from_u64(schedule.seed);
-        *self.schedule.lock() = schedule;
-    }
-
     /// Clears all scheduled faults (keeping the seed): the store behaves
     /// like the inner store from now on. Armed counters and black holes
     /// are also cleared.
@@ -248,11 +242,6 @@ impl<S: ObjectStore> ChaosStore<S> {
     /// Number of GET payloads returned with a flipped bit.
     pub fn gets_corrupted(&self) -> u64 {
         self.gets_corrupted.load(Ordering::SeqCst)
-    }
-
-    /// Current value of the operation clock.
-    pub fn ops_seen(&self) -> u64 {
-        self.op_clock.load(Ordering::SeqCst)
     }
 
     /// Simulated latency accumulated so far, in nanoseconds.

@@ -338,11 +338,6 @@ impl BackendPool {
             .sum::<f64>()
             / self.disks.len() as f64
     }
-
-    /// Number of disks in the pool.
-    pub fn num_disks(&self) -> usize {
-        self.disks.len()
-    }
 }
 
 #[cfg(test)]

@@ -86,11 +86,6 @@ impl Table {
     }
 }
 
-/// Formats a ratio as `"4.2x"`.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

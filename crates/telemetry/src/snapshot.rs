@@ -40,8 +40,10 @@ use crate::recorder::LatencySnapshot;
 /// progress, deferred-delete backlog). v4 adds the fleet dimension: the
 /// `tenants` array (one per-export serving/cache entry per registered
 /// volume), per-tenant byte and throttle counters in `serving`, and the
-/// read plane's `quota_bypassed_sectors`.
-pub const SCHEMA: &str = "lsvd-telemetry-v4";
+/// read plane's `quota_bypassed_sectors`. v5 drops the read-cache quota:
+/// `read_plane.quota_bypassed_sectors` and the tenants'
+/// `cache_quota_bytes` are gone.
+pub const SCHEMA: &str = "lsvd-telemetry-v5";
 
 /// One table row bound to its current value: what the JSON encoder, the
 /// Prometheus exposition and the report read.
@@ -541,9 +543,6 @@ metric_table! {
         /// Sectors a detected sequential scan kept out of the read cache.
         bypassed_sectors: u64, sum, counter lsvd_rp_bypassed_sectors_total
             "Sectors a detected sequential scan kept out of the cache.";
-        /// Sectors the tenant byte quota kept out of the read cache.
-        quota_bypassed_sectors: u64, sum, counter lsvd_rp_quota_bypassed_sectors_total
-            "Sectors the tenant byte quota kept out of the read cache.";
         /// Fetched sectors a spatial-only prefetch window kept out of the
         /// read cache: the window held no co-written data, so only the
         /// triggering read's own sectors entered.
@@ -656,7 +655,7 @@ metric_table! {
 }
 
 /// One tenant's slice of a fleet node: the per-export serving counters
-/// plus its share of the partitioned read cache. Exported as the
+/// plus its read-cache footprint. Exported as the
 /// `tenants` array in JSON and as `export="..."`-labeled series in
 /// Prometheus, so noisy-neighbor effects are measurable per volume.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -665,8 +664,6 @@ pub struct TenantTelemetry {
     pub export: String,
     /// Serving-plane counters and latency split for this export only.
     pub serving: ServingTelemetry,
-    /// The tenant's read-cache byte quota (0 = unlimited).
-    pub cache_quota_bytes: u64,
     /// Bytes currently resident in the tenant's read-cache partition.
     pub cache_resident_bytes: u64,
 }
@@ -676,10 +673,6 @@ impl TenantTelemetry {
         Json::Obj(vec![
             ("export".into(), Json::Str(self.export.clone())),
             (stringify!(serving).into(), rows_json(&self.serving.rows())),
-            (
-                "cache_quota_bytes".into(),
-                self.cache_quota_bytes.value().json(),
-            ),
             (
                 "cache_resident_bytes".into(),
                 self.cache_resident_bytes.value().json(),
@@ -695,7 +688,6 @@ impl TenantTelemetry {
                 .unwrap_or("")
                 .to_string(),
             serving: ServingTelemetry::parse(j.get(stringify!(serving))),
-            cache_quota_bytes: u64::parse(j.get("cache_quota_bytes")),
             cache_resident_bytes: u64::parse(j.get("cache_resident_bytes")),
         }
     }
@@ -851,11 +843,6 @@ impl TelemetrySnapshot {
             |t| t.serving.service.p99_ns,
         );
         per_tenant(
-            "lsvd_tenant_cache_quota_bytes",
-            "Read-cache byte quota (0 = unlimited), per export.",
-            |t| t.cache_quota_bytes as f64,
-        );
-        per_tenant(
             "lsvd_tenant_cache_resident_bytes",
             "Bytes resident in the read-cache partition, per export.",
             |t| t.cache_resident_bytes as f64,
@@ -874,10 +861,9 @@ impl TelemetrySnapshot {
         for t in &self.tenants {
             let _ = writeln!(
                 out,
-                "  tenant {} {} cache_quota_bytes={} cache_resident_bytes={}",
+                "  tenant {} {} cache_resident_bytes={}",
                 t.export,
                 rows_report(&t.serving.rows()),
-                t.cache_quota_bytes,
                 t.cache_resident_bytes
             );
         }
@@ -1031,7 +1017,6 @@ mod tests {
                 miss_reads: 200,
                 admitted_sectors: 1_024,
                 bypassed_sectors: 4_096,
-                quota_bypassed_sectors: 512,
                 spatial_skipped_sectors: 8_064,
                 singleflight_waits: 17,
                 singleflight_shared: 15,
@@ -1089,7 +1074,6 @@ mod tests {
                         throttle_waits: 20,
                         reactor_runs: 1_900,
                     },
-                    cache_quota_bytes: 16 << 20,
                     cache_resident_bytes: 9 << 20,
                 },
                 TenantTelemetry {
@@ -1110,7 +1094,6 @@ mod tests {
                         throttle_waits: 3,
                         reactor_runs: 1_200,
                     },
-                    cache_quota_bytes: 8 << 20,
                     cache_resident_bytes: 2 << 20,
                 },
             ],
@@ -1129,7 +1112,7 @@ mod tests {
     fn schema_key_is_first_and_validated() {
         let text = sample().to_json().render();
         assert!(
-            text.starts_with("{\"schema\":\"lsvd-telemetry-v4\""),
+            text.starts_with("{\"schema\":\"lsvd-telemetry-v5\""),
             "{text}"
         );
         let tampered = text.replace(SCHEMA, "lsvd-telemetry-v0");
@@ -1191,7 +1174,7 @@ mod tests {
             "{prom}"
         );
         assert!(
-            prom.contains("lsvd_rp_quota_bypassed_sectors_total 512"),
+            prom.contains("lsvd_rp_admitted_sectors_total 1024"),
             "{prom}"
         );
         assert!(
@@ -1203,7 +1186,7 @@ mod tests {
             "{prom}"
         );
         assert!(
-            prom.contains("lsvd_tenant_cache_quota_bytes{export=\"alpha\"} 16777216"),
+            prom.contains("lsvd_tenant_cache_resident_bytes{export=\"alpha\"} 9437184"),
             "{prom}"
         );
         assert!(
@@ -1393,8 +1376,8 @@ mod tests {
         assert_eq!(sum.backend.put_bytes, 2 * a.backend.put_bytes);
         assert_eq!(sum.cache.hdr_hits, 2 * a.cache.hdr_hits);
         assert_eq!(
-            sum.read_plane.quota_bypassed_sectors,
-            2 * a.read_plane.quota_bypassed_sectors
+            sum.read_plane.admitted_sectors,
+            2 * a.read_plane.admitted_sectors
         );
         assert_eq!(sum.ops.read.count, 2 * a.ops.read.count);
         // Count-weighted latency merge of two identical sketches keeps

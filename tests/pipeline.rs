@@ -16,7 +16,8 @@
 //! - a permanently failed PUT stays tracked, so a later drain lands it;
 //! - the inline executor runs one PUT at a time on the caller and applies
 //!   it before the write that sealed it returns;
-//! - large prefetches scatter across the same pool.
+//! - the pool carries only PUTs: a cold read miss costs the same GETs at
+//!   any pool width.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
@@ -422,43 +423,46 @@ fn inline_executor_puts_on_the_caller_one_at_a_time() {
 }
 
 #[test]
-fn large_prefetch_scatters_across_the_pool() {
-    let cfg = VolumeConfig {
-        batch_bytes: 1 << 20,
-        prefetch_bytes: 512 << 10,
-        checkpoint_interval: 100_000,
-        gc_enabled: false,
-        writeback_threads: 4,
-        max_inflight_puts: 4,
-        ..VolumeConfig::default()
-    };
-    let latency = Arc::new(LatencyStore::new(
-        MemStore::new(),
-        Duration::ZERO,
-        Duration::from_millis(5),
-    ));
-    let store: Arc<dyn ObjectStore> = latency.clone();
-    let cache = Arc::new(RamDisk::new(64 << 20));
-    let mut vol =
-        Volume::create(store.clone(), cache, "vol", 256 << 20, cfg.clone()).expect("create");
+fn a_cold_miss_costs_the_same_gets_at_any_writeback_width() {
+    // One 1 MiB extent read back cold at two offsets 256 KiB apart: each
+    // miss fetches its 512 KiB prefetch window in one ranged GET, whatever
+    // the number of writeback workers.
     let data: Vec<u8> = (0..(1u32 << 20)).map(|i| (i % 251) as u8).collect();
-    vol.write(0, &data).expect("write");
-    vol.shutdown().expect("shutdown");
+    let cold_miss_gets = |threads: usize| {
+        let cfg = VolumeConfig {
+            batch_bytes: 1 << 20,
+            prefetch_bytes: 512 << 10,
+            checkpoint_interval: 100_000,
+            gc_enabled: false,
+            writeback_threads: threads,
+            max_inflight_puts: 4,
+            ..VolumeConfig::default()
+        };
+        let latency = Arc::new(LatencyStore::new(
+            MemStore::new(),
+            Duration::ZERO,
+            Duration::from_millis(5),
+        ));
+        let store: Arc<dyn ObjectStore> = latency.clone();
+        let cache = Arc::new(RamDisk::new(64 << 20));
+        let mut vol =
+            Volume::create(store.clone(), cache, "vol", 256 << 20, cfg.clone()).expect("create");
+        vol.write(0, &data).expect("write");
+        vol.shutdown().expect("shutdown");
 
-    // Cold volume, empty caches: the first read misses and prefetches
-    // 512 KiB of the extent, which splits into parallel ranged GETs.
-    let mut vol = Volume::open(store, Arc::new(RamDisk::new(64 << 20)), "vol", cfg).expect("open");
-    let gets_before = latency.get_count();
-    let mut buf = vec![0u8; 4096];
-    vol.read(0, &mut buf).expect("read miss");
-    assert_eq!(buf, &data[..4096]);
-    assert!(vol.stats().scatter_gets >= 1, "prefetch used the pool");
-    assert!(
-        latency.get_count() - gets_before >= 2,
-        "the window was fetched in more than one ranged GET"
-    );
-    // And the prefetched bytes are correct past the miss itself.
-    let mut tail = vec![0u8; 4096];
-    vol.read(256 << 10, &mut tail).expect("read prefetched");
-    assert_eq!(tail, &data[(256 << 10)..(256 << 10) + 4096]);
+        let mut vol =
+            Volume::open(store, Arc::new(RamDisk::new(64 << 20)), "vol", cfg).expect("open");
+        let gets_before = latency.get_count();
+        for off in [0usize, 256 << 10] {
+            let mut buf = vec![0u8; 4096];
+            vol.read(off as u64, &mut buf).expect("read miss");
+            assert_eq!(
+                buf,
+                &data[off..off + 4096],
+                "{threads} threads, offset {off}"
+            );
+        }
+        latency.get_count() - gets_before
+    };
+    assert_eq!(cold_miss_gets(0), cold_miss_gets(4));
 }

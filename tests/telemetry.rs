@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use blkdev::RamDisk;
-use lsvd::config::VolumeConfig;
+use lsvd::config::{VolumeConfig, HDR_CACHE_ENTRIES};
 use lsvd::volume::Volume;
 use lsvd::{LsvdError, Span, Stage};
 use objstore::{
@@ -282,11 +282,14 @@ fn backend_latency_shows_in_histograms() {
 
 #[test]
 fn header_cache_eviction_is_counted() {
+    // One 4 KiB block per backend object: reading them all back cold
+    // cycles 88 more object headers than the header cache holds.
+    const BLOCK: u64 = 4096;
+    let objects = HDR_CACHE_ENTRIES as u64 + 88;
     let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
     let cfg = VolumeConfig {
-        batch_bytes: BATCH,
+        batch_bytes: BLOCK,
         prefetch_bytes: 4 << 10,
-        hdr_cache_entries: 2,
         ..VolumeConfig::small_for_tests()
     };
     let mut vol = Volume::create(
@@ -297,19 +300,19 @@ fn header_cache_eviction_is_counted() {
         cfg.clone(),
     )
     .expect("create");
-    let data = vec![0x7Eu8; BATCH as usize];
-    for i in 0..4u64 {
-        vol.write(i * BATCH, &data).expect("write");
+    let data = vec![0x7Eu8; BLOCK as usize];
+    for i in 0..objects {
+        vol.write(i * BLOCK, &data).expect("write");
     }
     vol.shutdown().expect("shutdown");
 
-    // Reopen with a fresh (empty) cache device: every read must fetch
-    // from the backend, cycling object headers through a 2-entry cache.
+    // Reopen with a fresh (empty) cache device: every first read must
+    // fetch from the backend, consulting its object's header.
     let mut vol = Volume::open(store, Arc::new(RamDisk::new(4 << 20)), "t", cfg).expect("open");
-    let mut buf = vec![0u8; 4096];
+    let mut buf = vec![0u8; BLOCK as usize];
     for pass in 0..2 {
-        for i in 0..4u64 {
-            vol.read(i * BATCH, &mut buf)
+        for i in 0..objects {
+            vol.read(i * BLOCK, &mut buf)
                 .unwrap_or_else(|e| panic!("pass {pass} read {i}: {e}"));
         }
     }
@@ -317,7 +320,7 @@ fn header_cache_eviction_is_counted() {
     assert!(snap.cache.hdr_misses > 0, "no header fetches recorded");
     assert!(
         snap.cache.hdr_evictions > 0,
-        "4 objects round-robined through a 2-entry header cache must evict \
+        "{objects} objects through a {HDR_CACHE_ENTRIES}-entry header cache must evict \
          (misses {}, hits {})",
         snap.cache.hdr_misses,
         snap.cache.hdr_hits
