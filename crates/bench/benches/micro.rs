@@ -758,7 +758,7 @@ fn bench_gc(c: &mut Criterion) {
 /// open on one reactor and round-trips a 4K read on one of them per
 /// iteration: the price of an idle-heavy poll set.
 fn bench_fleet(c: &mut Criterion) {
-    use lsvd::fleet::{ExportRegistry, QosLimits};
+    use lsvd::fleet::ExportRegistry;
     use lsvd::shared::SharedVolume;
     use nbd::server::ServerConfig;
 
@@ -781,11 +781,7 @@ fn bench_fleet(c: &mut Criterion) {
             )
             .unwrap();
             registry
-                .attach(
-                    &format!("vol{i}"),
-                    SharedVolume::new(vol),
-                    QosLimits::default(),
-                )
+                .attach(&format!("vol{i}"), SharedVolume::new(vol))
                 .unwrap();
         }
         let handle = nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default())
@@ -830,9 +826,7 @@ fn bench_fleet(c: &mut Criterion) {
             },
         )
         .unwrap();
-        registry
-            .attach("vol0", SharedVolume::new(vol), QosLimits::default())
-            .unwrap();
+        registry.attach("vol0", SharedVolume::new(vol)).unwrap();
         let handle = nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default())
             .expect("bind fleet server");
         let addr = handle.addr();

@@ -564,7 +564,7 @@ fn run(opts: &Opts) -> CmdResult {
 /// line-oriented control socket so `lsvdctl export ...` can create,
 /// attach and detach exports while the node runs.
 fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
-    use lsvd::fleet::{ControlServer, ExportRegistry, Provisioner, QosLimits};
+    use lsvd::fleet::{ControlServer, ExportRegistry, Provisioner};
 
     // Reject a bad command line before opening (and mutating) any image.
     validate_addr(&opts.addr, "--addr")?;
@@ -587,7 +587,7 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
     for image in images {
         let vol = open_volume(opts, bucket, image)?;
         registry
-            .attach(image, SharedVolume::new(vol), QosLimits::default())
+            .attach(image, SharedVolume::new(vol))
             .map_err(|e| format!("attach {image}: {e}"))?;
     }
     let exports = registry.exports();
@@ -655,7 +655,6 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
     let cfg = ServerConfig {
         oneshot: opts.oneshot,
         recorder,
-        ..ServerConfig::default()
     };
     let handle = nbd::serve_fleet(&opts.addr, registry.clone(), cfg)
         .map_err(|e| format!("serve {}: {e}", opts.addr))?;

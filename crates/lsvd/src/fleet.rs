@@ -31,22 +31,11 @@ use telemetry::{ServingRecorders, TelemetrySnapshot, TenantTelemetry};
 use crate::shared::SharedVolume;
 use crate::types::{LsvdError, Result};
 
-/// Per-tenant QoS ceilings enforced by the serving plane's token buckets.
-/// `0` means unlimited on that axis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QosLimits {
-    /// Requests per second (all NBD commands count).
-    pub iops: u64,
-    /// Payload bytes per second (READ reply + WRITE request bytes).
-    pub bytes_per_sec: u64,
-}
-
 /// One named live volume on a fleet node.
 pub struct Export {
     name: String,
     volume: SharedVolume,
     recorders: ServingRecorders,
-    qos: Mutex<QosLimits>,
     /// Set by detach: no new jobs may begin, existing ones drain.
     fenced: AtomicBool,
     /// Jobs between [`Export::job_begin`] and [`Export::job_done`].
@@ -67,16 +56,6 @@ impl Export {
     /// The export's serving-plane recorders (per-tenant counters).
     pub fn recorders(&self) -> &ServingRecorders {
         &self.recorders
-    }
-
-    /// Current QoS ceilings.
-    pub fn qos(&self) -> QosLimits {
-        *self.qos.lock()
-    }
-
-    /// Replaces the QoS ceilings (takes effect on the next refill).
-    pub fn set_qos(&self, limits: QosLimits) {
-        *self.qos.lock() = limits;
     }
 
     /// Marks one serving job as started. Returns `false` when the export
@@ -168,11 +147,11 @@ impl ExportRegistry {
         }
     }
 
-    /// Attaches `volume` under `name` with the given QoS ceilings. The
-    /// volume's serving telemetry is wired to the export's recorders so
-    /// per-tenant counters appear in its snapshots. Fails with
-    /// [`LsvdError::BadVolume`] on a duplicate name.
-    pub fn attach(&self, name: &str, volume: SharedVolume, qos: QosLimits) -> Result<Arc<Export>> {
+    /// Attaches `volume` under `name`. The volume's serving telemetry is
+    /// wired to the export's recorders so per-tenant counters appear in
+    /// its snapshots. Fails with [`LsvdError::BadVolume`] on a duplicate
+    /// name.
+    pub fn attach(&self, name: &str, volume: SharedVolume) -> Result<Arc<Export>> {
         if name.is_empty() || name.len() > 255 || name.contains(['\n', ' ']) {
             return Err(LsvdError::BadVolume(format!("bad export name {name:?}")));
         }
@@ -180,7 +159,6 @@ impl ExportRegistry {
             name: name.to_string(),
             volume,
             recorders: ServingRecorders::new(),
-            qos: Mutex::new(qos),
             fenced: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
         });
@@ -427,7 +405,7 @@ fn handle_control_line(
                 return format!("ERR export {name:?} already attached\n");
             }
             match prov(name, size) {
-                Ok(volume) => match registry.attach(name, volume, QosLimits::default()) {
+                Ok(volume) => match registry.attach(name, volume) {
                     Ok(_) => format!("OK attached {name}\n"),
                     Err(e) => format!("ERR {e}\n"),
                 },
@@ -478,21 +456,19 @@ mod tests {
     fn attach_detach_lifecycle() {
         let reg = ExportRegistry::new();
         assert!(reg.is_empty());
-        reg.attach("a", mkvol("a"), QosLimits::default()).unwrap();
-        reg.attach("b", mkvol("b"), QosLimits::default()).unwrap();
+        reg.attach("a", mkvol("a")).unwrap();
+        reg.attach("b", mkvol("b")).unwrap();
         assert_eq!(reg.list(), vec!["a".to_string(), "b".to_string()]);
         assert_eq!(reg.len(), 2);
         assert!(reg.sole_export().is_none());
         // Duplicate rejected.
         assert!(matches!(
-            reg.attach("a", mkvol("a2"), QosLimits::default()),
+            reg.attach("a", mkvol("a2")),
             Err(LsvdError::BadVolume(_))
         ));
         // Bad names rejected.
-        assert!(reg.attach("", mkvol("e"), QosLimits::default()).is_err());
-        assert!(reg
-            .attach("two words", mkvol("w"), QosLimits::default())
-            .is_err());
+        assert!(reg.attach("", mkvol("e")).is_err());
+        assert!(reg.attach("two words", mkvol("w")).is_err());
         reg.detach("a").unwrap();
         assert!(reg.get("a").is_none());
         assert!(matches!(reg.detach("a"), Err(LsvdError::BadVolume(_))));
@@ -503,7 +479,7 @@ mod tests {
     #[test]
     fn detach_fences_jobs_and_shuts_volume_down() {
         let reg = Arc::new(ExportRegistry::new());
-        let e = reg.attach("v", mkvol("v"), QosLimits::default()).unwrap();
+        let e = reg.attach("v", mkvol("v")).unwrap();
         let vol = e.volume().clone();
         vol.write(0, &[7u8; 4096]).unwrap();
 
@@ -533,7 +509,7 @@ mod tests {
         reg.set_notify(Box::new(move || {
             fired2.fetch_add(1, Ordering::Relaxed);
         }));
-        reg.attach("n", mkvol("n"), QosLimits::default()).unwrap();
+        reg.attach("n", mkvol("n")).unwrap();
         assert_eq!(fired.load(Ordering::Relaxed), 1);
         reg.detach("n").unwrap();
         // Detach notifies twice: at fence and after removal.
@@ -541,32 +517,10 @@ mod tests {
     }
 
     #[test]
-    fn qos_limits_update_in_place() {
-        let reg = ExportRegistry::new();
-        let e = reg
-            .attach(
-                "q",
-                mkvol("q"),
-                QosLimits {
-                    iops: 100,
-                    bytes_per_sec: 0,
-                },
-            )
-            .unwrap();
-        assert_eq!(e.qos().iops, 100);
-        e.set_qos(QosLimits {
-            iops: 0,
-            bytes_per_sec: 1 << 20,
-        });
-        assert_eq!(e.qos().bytes_per_sec, 1 << 20);
-        assert_eq!(e.qos().iops, 0);
-    }
-
-    #[test]
     fn telemetry_aggregates_and_labels_tenants() {
         let reg = ExportRegistry::new();
-        let a = reg.attach("a", mkvol("a"), QosLimits::default()).unwrap();
-        let b = reg.attach("b", mkvol("b"), QosLimits::default()).unwrap();
+        let a = reg.attach("a", mkvol("a")).unwrap();
+        let b = reg.attach("b", mkvol("b")).unwrap();
         a.volume().write(0, &[1u8; 4096]).unwrap();
         b.volume().write(0, &[2u8; 4096]).unwrap();
         a.recorders().count_read();
@@ -589,8 +543,7 @@ mod tests {
     #[test]
     fn control_socket_round_trip() {
         let reg = Arc::new(ExportRegistry::new());
-        reg.attach("pre", mkvol("pre"), QosLimits::default())
-            .unwrap();
+        reg.attach("pre", mkvol("pre")).unwrap();
         let prov: Provisioner = Box::new(|name, size| {
             let store = Arc::new(MemStore::new());
             let dev = Arc::new(RamDisk::new(16 << 20));

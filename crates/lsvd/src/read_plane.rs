@@ -551,7 +551,11 @@ impl ReadPlane {
     // The read path
     // ------------------------------------------------------------------
 
-    fn check_access(&self, offset: u64, len: usize) -> Result<(Lba, u64)> {
+    /// Checks a byte range against the volume: 512-byte aligned and
+    /// inside it, even when `offset + len` would overflow (the offset of
+    /// an NBD request comes from the client). Returns its first sector and
+    /// its sector count.
+    pub(crate) fn check_access(&self, offset: u64, len: usize) -> Result<(Lba, u64)> {
         let len = len as u64;
         if !offset.is_multiple_of(SECTOR) || !len.is_multiple_of(SECTOR) {
             return Err(LsvdError::InvalidAccess {
@@ -560,7 +564,10 @@ impl ReadPlane {
                 reason: "offset and length must be 512-byte aligned",
             });
         }
-        if offset + len > self.size_sectors * SECTOR {
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > self.size_sectors * SECTOR)
+        {
             return Err(LsvdError::InvalidAccess {
                 offset,
                 len,

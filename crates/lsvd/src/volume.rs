@@ -253,7 +253,6 @@ pub struct Volume {
     dev: Arc<dyn BlockDevice>,
     sb: Superblock,
     cfg: VolumeConfig,
-    size_sectors: u64,
 
     wlog: WriteLog,
     /// The concurrent read plane: write-back cache map, read cache, object
@@ -618,7 +617,6 @@ impl Volume {
                 let mut vol = Volume {
                     store: stack.store,
                     dev,
-                    size_sectors: rb.superblock.size_bytes / SECTOR,
                     sb: rb.superblock,
                     cfg,
                     wlog,
@@ -743,7 +741,6 @@ impl Volume {
         Ok(Volume {
             store: stack.store,
             dev,
-            size_sectors: sb.size_bytes / SECTOR,
             sb,
             cfg,
             wlog,
@@ -838,25 +835,6 @@ impl Volume {
     // Block-device operations
     // ------------------------------------------------------------------
 
-    fn check_access(&self, offset: u64, len: usize) -> Result<(Lba, u64)> {
-        let len = len as u64;
-        if !offset.is_multiple_of(SECTOR) || !len.is_multiple_of(SECTOR) {
-            return Err(LsvdError::InvalidAccess {
-                offset,
-                len,
-                reason: "offset and length must be 512-byte aligned",
-            });
-        }
-        if offset + len > self.size_sectors * SECTOR {
-            return Err(LsvdError::InvalidAccess {
-                offset,
-                len,
-                reason: "beyond end of volume",
-            });
-        }
-        Ok((offset / SECTOR, len / SECTOR))
-    }
-
     /// Writes `data` at byte `offset`. Completion means the data is durable
     /// in the local cache log (commit semantics per §2.2: call
     /// [`Volume::flush`] for a barrier).
@@ -868,7 +846,7 @@ impl Volume {
                 reason: "volume is read-only",
             });
         }
-        let (mut lba, _) = self.check_access(offset, data.len())?;
+        let (mut lba, _) = self.plane.check_access(offset, data.len())?;
         if data.is_empty() {
             return Ok(());
         }
@@ -946,23 +924,7 @@ impl Volume {
                 });
             }
         }
-        // Make room: push the current batch out and release log records.
-        while !self.wlog.has_room(data.len() as u64) {
-            let before = self.wlog.free_sectors();
-            self.writeback_now()?;
-            if self.wlog.free_sectors() == before {
-                // No progress. Distinguish "backend down, queue jammed"
-                // from a genuinely undersized cache.
-                if !self.writeback_idle() {
-                    self.stats.backpressure_rejections += 1;
-                    return Err(LsvdError::Backpressure {
-                        pending: self.writeback_backlog(),
-                        limit: self.cfg.max_pending_batches,
-                    });
-                }
-                return Err(LsvdError::CacheFull);
-            }
-        }
+        self.make_room(data.len() as u64)?;
         let (req, parent) = self.span_ctx;
         let span = if req != 0 {
             self.spans.begin(req, parent, Stage::WlogAppend)
@@ -1030,7 +992,7 @@ impl Volume {
                 reason: "volume is read-only",
             });
         }
-        let (lba, sectors) = self.check_access(offset, len as usize)?;
+        let (lba, sectors) = self.plane.check_access(offset, len as usize)?;
         if sectors == 0 {
             return Ok(());
         }
@@ -1057,14 +1019,16 @@ impl Volume {
         Ok(())
     }
 
-    fn discard_extent(&mut self, lba: Lba, sectors: u32) -> Result<()> {
-        // Make room for the one-sector trim record (same recovery ladder
-        // as the write path: push batches out, distinguish a jammed
-        // backend from an undersized cache).
-        while !self.wlog.has_room(0) {
+    /// Makes room in the cache log for a record of `bytes` of payload
+    /// (0 for a one-sector trim record): pushes the current batch out
+    /// and releases log records until it fits.
+    fn make_room(&mut self, bytes: u64) -> Result<()> {
+        while !self.wlog.has_room(bytes) {
             let before = self.wlog.free_sectors();
             self.writeback_now()?;
             if self.wlog.free_sectors() == before {
+                // No progress. Distinguish "backend down, queue jammed"
+                // from a genuinely undersized cache.
                 if !self.writeback_idle() {
                     self.stats.backpressure_rejections += 1;
                     return Err(LsvdError::Backpressure {
@@ -1075,6 +1039,11 @@ impl Volume {
                 return Err(LsvdError::CacheFull);
             }
         }
+        Ok(())
+    }
+
+    fn discard_extent(&mut self, lba: Lba, sectors: u32) -> Result<()> {
+        self.make_room(0)?;
         let seq = self.wlog.append_trim(&[(lba, sectors)])?;
         {
             let mut st = self.plane.write_state();
@@ -2144,7 +2113,7 @@ impl Volume {
 
     /// Volume size in bytes.
     pub fn size(&self) -> u64 {
-        self.size_sectors * SECTOR
+        self.sb.size_bytes
     }
 
     /// The image name.
@@ -2575,6 +2544,11 @@ mod tests {
         let mut b = [0u8; 512];
         assert!(vol.read((1 << 20) - 512, &mut b).is_ok());
         assert!(vol.read(1 << 20, &mut b).is_err());
+        // An offset whose end overflows u64 is out of bounds too.
+        let wrap = u64::MAX - 511;
+        assert!(vol.write(wrap, &[0u8; 512]).is_err());
+        assert!(vol.read(wrap, &mut b).is_err());
+        assert!(vol.discard(wrap, 512).is_err());
     }
 
     #[test]

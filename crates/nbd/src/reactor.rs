@@ -19,8 +19,8 @@
 //!   reactor's;
 //! - **a small worker pool** (see `server.rs`) for everything else —
 //!   FLUSH, TRIM, FUA writes, writes that seal, clean or ship, and jobs
-//!   queued behind a busy lane or a QoS bucket — and **fetch threads**
-//!   that finish read misses, so a GET never holds a worker;
+//!   queued behind a busy lane — and **fetch threads** that finish read
+//!   misses, so a GET never holds a worker;
 //! - **direct replies**: each connection's socket, output queue and
 //!   in-flight window live in a shared [`ConnIo`], and whichever thread
 //!   finishes a request writes its reply with one `writev`;
@@ -36,13 +36,13 @@
 //! [`ExportRegistry`](lsvd::fleet::ExportRegistry) (empty name = sole
 //! export), answers `NBD_OPT_LIST` from the same registry, and rejects
 //! unknown names with `NBD_REP_ERR_UNKNOWN` while keeping the
-//! negotiation alive. Backpressure is the in-flight window: a connection
-//! at its window simply loses `POLLIN` until replies drain, so a
-//! pipelining client is throttled by not being read — no queue can grow
-//! without bound. Detached (fenced) exports get their connections moved
-//! to `Draining`: already-accepted jobs finish and their replies flush,
-//! then the socket closes, which is exactly the detach contract (every
-//! acknowledged write completes).
+//! negotiation alive. Backpressure is the in-flight window
+//! (`CONN_WINDOW`): a connection at its window simply loses `POLLIN`
+//! until replies drain, so a pipelining client is throttled by not being
+//! read — no queue can grow without bound. Detached (fenced) exports get
+//! their connections moved to `Draining`: already-accepted jobs finish
+//! and their replies flush, then the socket closes, which is exactly the
+//! detach contract (every acknowledged write completes).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -60,7 +60,7 @@ use telemetry::{OpenSpan, ServingRecorders, SpanRing, Stage};
 
 use crate::proto::*;
 use crate::sched::Job;
-use crate::server::{execute, Ctx, Runner, MAX_IO_BYTES};
+use crate::server::{execute, Ctx, Runner, CONN_WINDOW, MAX_IO_BYTES};
 
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
@@ -103,7 +103,6 @@ const IN_CAP: usize = REQUEST_LEN + 2 * MAX_IO_BYTES as usize;
 pub(crate) struct ConnIo {
     pub(crate) id: u64,
     stream: TcpStream,
-    window: usize,
     out: Mutex<Out>,
 }
 
@@ -146,11 +145,10 @@ impl Out {
 }
 
 impl ConnIo {
-    pub(crate) fn new(id: u64, stream: TcpStream, window: usize) -> ConnIo {
+    pub(crate) fn new(id: u64, stream: TcpStream) -> ConnIo {
         ConnIo {
             id,
             stream,
-            window,
             out: Mutex::new(Out::default()),
         }
     }
@@ -184,7 +182,7 @@ impl ConnIo {
     ) -> bool {
         let hdr = encode_simple_reply(&SimpleReply { error, cookie });
         let mut out = self.lock();
-        let freed = out.inflight == self.window;
+        let freed = out.inflight == CONN_WINDOW;
         out.inflight -= 1;
         if out.dead {
             return false;
@@ -378,7 +376,7 @@ impl Conn {
             Phase::Flags | Phase::Options => {
                 self.avail() < OPTION_HDR_LEN + MAX_OPTION_LEN as usize + 64
             }
-            Phase::Transmission => inflight < self.io.window && self.avail() < IN_CAP,
+            Phase::Transmission => inflight < CONN_WINDOW && self.avail() < IN_CAP,
             Phase::Draining => false,
         }
     }
@@ -394,7 +392,6 @@ pub(crate) struct Reactor {
     waker_rx: UnixStream,
     ctx: Ctx,
     registry: Arc<ExportRegistry>,
-    window: usize,
     oneshot: bool,
     accepted: bool,
     conns: HashMap<u64, Conn>,
@@ -409,7 +406,6 @@ impl Reactor {
         waker_rx: UnixStream,
         ctx: Ctx,
         registry: Arc<ExportRegistry>,
-        window: usize,
         oneshot: bool,
     ) -> Reactor {
         Reactor {
@@ -417,7 +413,6 @@ impl Reactor {
             waker_rx,
             ctx,
             registry,
-            window,
             oneshot,
             accepted: false,
             conns: HashMap::new(),
@@ -530,7 +525,7 @@ impl Reactor {
                     }
                     let id = self.next_conn;
                     self.next_conn += 1;
-                    let c = Conn::new(Arc::new(ConnIo::new(id, stream, self.window)));
+                    let c = Conn::new(Arc::new(ConnIo::new(id, stream)));
                     let mut hello = Vec::with_capacity(18);
                     hello.extend_from_slice(&MAGIC_NBD.to_be_bytes());
                     hello.extend_from_slice(&MAGIC_IHAVEOPT.to_be_bytes());
@@ -699,7 +694,7 @@ impl Reactor {
                     if self.ctx.shared.stopping() {
                         return true;
                     }
-                    if c.io.status().0 >= self.window {
+                    if c.io.status().0 >= CONN_WINDOW {
                         return true;
                     }
                     if c.avail() < REQUEST_LEN {
@@ -771,7 +766,7 @@ impl Reactor {
                         continue;
                     }
                     let job = Job::new(c.io.clone(), req, data, export, spans, req_id, decode_id);
-                    if self.run_or_queue(job, runs < self.window) {
+                    if self.run_or_queue(job, runs < CONN_WINDOW) {
                         runs += 1;
                     }
                 }

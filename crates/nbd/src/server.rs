@@ -9,28 +9,26 @@
 //! thousand small buffers, not three thousand threads. Decoded requests
 //! become jobs for the [`FleetScheduler`](crate::sched): per-export
 //! two-lane queues (ordered mutations / concurrent reads) drained by a
-//! fixed pool of 4 + 1 **workers** under deficit-round-robin fairness and
-//! per-export QoS token buckets.
+//! fixed pool of 4 + 1 **workers** under deficit-round-robin fairness.
 //!
 //! **The thread that reads a request finishes it** whenever finishing
 //! needs only memory and the cache device, and the scheduler would
-//! dispatch it right now (its lane free and empty, its QoS bucket and
-//! deficit charged exactly as a worker's pick charges them). That covers
-//! a READ's local phase and a WRITE without FUA that the volume confirms
-//! stays in the cache log ([`SharedVolume::write_if_local`]): no seal, no
-//! cleaning step, no PUT — each of at most 1 MiB. FLUSH, TRIM, FUA
+//! dispatch it right now (its lane free and empty, its deficit charged
+//! exactly as a worker's pick charges it). That covers a READ's local
+//! phase and a WRITE without FUA that the volume confirms stays in the
+//! cache log ([`SharedVolume::write_if_local`]): no seal, no cleaning
+//! step, no PUT — each of at most 1 MiB. FLUSH, TRIM, FUA
 //! writes, the rare write that would seal, clean or ship, larger
-//! requests, and jobs behind a busy lane or an empty bucket go to the
-//! workers, so the reactor never waits on the backend or on a device
-//! flush.
+//! requests, and jobs behind a busy lane go to the workers, so the
+//! reactor never waits on the backend or on a device flush.
 //!
 //! A read runs in two phases. Its *local* phase (cache hits, holes) runs
 //! on the reactor or a worker; when pieces remain on the backend, the
 //! [`PendingRead`] goes to a **fetch thread**, which waits for the GETs.
 //! So a miss never holds the reactor or a worker: hits, writes and other
 //! tenants keep flowing while GETs are outstanding. Fetch threads are
-//! parked and reused, and need no cap of their own — the per-connection
-//! window already bounds how many reads can wait on the backend.
+//! parked and reused, up to `FETCH_THREADS` of them; past that, misses
+//! queue for the next free one.
 //!
 //! **Whichever thread finishes a request writes its reply** — header and
 //! payload in one `writev` on the connection's shared
@@ -47,8 +45,8 @@
 //! releases the lane as soon as its volume call returns, before it
 //! writes the reply. Reads overlap freely with each other and with the
 //! ordered stream via the volume's lock-split read plane. Backpressure is
-//! the per-connection in-flight window, enforced by the reactor simply
-//! not reading a connection at its window.
+//! the per-connection in-flight window (`CONN_WINDOW`), enforced by the
+//! reactor simply not reading a connection at its window.
 //!
 //! [`serve`] keeps the classic single-volume API (it builds a one-entry
 //! registry); [`serve_fleet`] serves a whole registry, with named-export
@@ -64,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use bytes::Bytes;
-use lsvd::fleet::{Export, ExportRegistry, QosLimits};
+use lsvd::fleet::{Export, ExportRegistry};
 use lsvd::read_plane::{PendingRead, ReadStart};
 use lsvd::shared::SharedVolume;
 use lsvd::LsvdError;
@@ -85,26 +83,31 @@ pub const MAX_IO_BYTES: u32 = 32 << 20;
 /// wake.
 const WORKERS: usize = 4 + 1;
 
+/// Requests one connection may have in flight. At this many unanswered
+/// requests the reactor stops reading the connection, so TCP flow
+/// control holds a pipelining client back and no queue grows without
+/// bound. 32 is well above perfbench's deepest workload (QD8); a client
+/// that pipelines deeper is slowed, never refused.
+pub(crate) const CONN_WINDOW: usize = 32;
+
+/// Most fetch threads one server runs. Each connection's window bounds
+/// only its own reads waiting on the backend, so without a cap a node
+/// could start `CONN_WINDOW` threads per connection. 64 is ample:
+/// perfbench's `read-miss` keeps at most 8 misses in flight. Past the
+/// cap a miss queues for the next free thread. That cannot deadlock: a
+/// single-flight follower waits only on a leader that is already
+/// fetching on another thread, since a read registers its fetch only
+/// once a thread runs it.
+const FETCH_THREADS: usize = 64;
+
 /// Server tunables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Per-connection in-flight request window.
-    pub window: usize,
     /// Serve exactly one connection, then stop (CI smoke / tests).
     pub oneshot: bool,
     /// Flight recorder to dump on terminal I/O errors and connection
     /// aborts (the serving plane's black-box triggers). `None` disables.
     pub recorder: Option<Arc<FlightRecorder>>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            window: 32,
-            oneshot: false,
-            recorder: None,
-        }
-    }
 }
 
 /// A running NBD server. Dropping the handle does *not* stop it; call
@@ -166,8 +169,8 @@ impl ServerHandle {
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
-        // Workers were the only source of fetches; with them gone, every
-        // fetch thread can finish its read and exit.
+        // The reactor and the workers were the only sources of fetches;
+        // with both gone, every fetch thread can finish its read and exit.
         self.fetchers.stop();
     }
 }
@@ -197,7 +200,7 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     let registry = Arc::new(ExportRegistry::new());
     registry
-        .attach(export, volume, QosLimits::default())
+        .attach(export, volume)
         .map_err(|e| io::Error::other(e.to_string()))?;
     serve_fleet(addr, registry, cfg)
 }
@@ -246,14 +249,7 @@ pub fn serve_fleet(
         );
     }
     let reactor = {
-        let r = Reactor::new(
-            listener,
-            waker_rx,
-            ctx,
-            registry.clone(),
-            cfg.window.max(1),
-            cfg.oneshot,
-        );
+        let r = Reactor::new(listener, waker_rx, ctx, registry.clone(), cfg.oneshot);
         std::thread::Builder::new()
             .name("nbd-reactor".into())
             .spawn(move || r.run())?
@@ -501,9 +497,8 @@ type Task = Box<dyn FnOnce() + Send>;
 
 /// The fetch threads, which finish read misses so neither the reactor nor
 /// a worker waits on a GET. A parked thread is reused and a new one
-/// starts only when none is free; each task wakes at most one thread.
-/// There is no size option: each connection's in-flight window already
-/// bounds how many reads can wait on the backend at once.
+/// starts only when none is free and fewer than [`FETCH_THREADS`] run;
+/// each task wakes at most one thread.
 #[derive(Default)]
 struct Fetchers {
     state: Mutex<FetchState>,
@@ -542,15 +537,17 @@ impl Fetchers {
 
     /// Runs `task` on a parked fetch thread, or on a new one when every
     /// parked thread already has a task to take. Never on the caller,
-    /// which may be the reactor: when no thread can be started, the task
-    /// waits for a busy one — late rather than lost.
+    /// which may be the reactor: at the cap, or when no thread can be
+    /// started, the task waits for a busy one — late rather than lost.
     fn run(self: &Arc<Self>, task: Task) {
         let mut s = self.state.lock().expect(POISONED);
         s.tasks.push_back(task);
         if s.tasks.len() <= s.parked {
             self.cv.notify_one();
-        } else if let Ok(t) = self.spawn(s.threads.len()) {
-            s.threads.push(t);
+        } else if s.threads.len() < FETCH_THREADS {
+            if let Ok(t) = self.spawn(s.threads.len()) {
+                s.threads.push(t);
+            }
         }
     }
 
@@ -642,6 +639,7 @@ mod tests {
         // connection.
         assert!(c.write(100, &[0u8; 512]).is_err());
         assert!(c.read((32 << 20) - 512, &mut [0u8; 4096]).is_err());
+        assert!(c.write(u64::MAX - 4095, &[0u8; 4096]).is_err());
         let mut ok = [0u8; 4096];
         c.read(0, &mut ok).unwrap();
         assert_eq!(ok, [3u8; 4096]);
@@ -706,12 +704,8 @@ mod tests {
     #[test]
     fn fleet_routes_by_export_name_and_lists() {
         let registry = Arc::new(ExportRegistry::new());
-        registry
-            .attach("alpha", shared_volume(16), QosLimits::default())
-            .unwrap();
-        registry
-            .attach("beta", shared_volume(32), QosLimits::default())
-            .unwrap();
+        registry.attach("alpha", shared_volume(16)).unwrap();
+        registry.attach("beta", shared_volume(32)).unwrap();
         let handle = serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
         let addr = handle.addr();
 
@@ -757,12 +751,8 @@ mod tests {
     #[test]
     fn detach_drains_connected_clients() {
         let registry = Arc::new(ExportRegistry::new());
-        registry
-            .attach("going", shared_volume(16), QosLimits::default())
-            .unwrap();
-        registry
-            .attach("staying", shared_volume(16), QosLimits::default())
-            .unwrap();
+        registry.attach("going", shared_volume(16)).unwrap();
+        registry.attach("staying", shared_volume(16)).unwrap();
         let handle = serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
         let addr = handle.addr();
 
@@ -826,6 +816,141 @@ mod tests {
         );
     }
 
+    /// A backend whose ranged GETs park while its gate is closed. A parked
+    /// GET passes on its own after 30 s, so a regression fails the test
+    /// instead of hanging it, with no watchdog thread.
+    #[derive(Default)]
+    struct GatedStore {
+        inner: MemStore,
+        /// `(closed, GETs parked right now)`.
+        gate: Mutex<(bool, usize)>,
+        cv: Condvar,
+    }
+
+    impl GatedStore {
+        fn set_closed(&self, closed: bool) {
+            self.gate.lock().unwrap().0 = closed;
+            self.cv.notify_all();
+        }
+
+        fn parked(&self) -> usize {
+            self.gate.lock().unwrap().1
+        }
+    }
+
+    impl objstore::ObjectStore for GatedStore {
+        fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+            self.inner.put(name, data)
+        }
+        fn get(&self, name: &str) -> objstore::Result<Bytes> {
+            self.inner.get(name)
+        }
+        fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+            let mut g = self.gate.lock().unwrap();
+            g.1 += 1;
+            g = self
+                .cv
+                .wait_timeout_while(g, std::time::Duration::from_secs(30), |g| g.0)
+                .unwrap()
+                .0;
+            g.1 -= 1;
+            drop(g);
+            self.inner.get_range(name, offset, len)
+        }
+        fn head(&self, name: &str) -> objstore::Result<u64> {
+            self.inner.head(name)
+        }
+        fn delete(&self, name: &str) -> objstore::Result<()> {
+            self.inner.delete(name)
+        }
+        fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+            self.inner.list(prefix)
+        }
+    }
+
+    #[test]
+    fn fetch_threads_stop_at_the_cap_and_queued_misses_still_finish() {
+        // More misses than the cap, on as many connections as their
+        // windows need, each block drained into its own object.
+        const CONNS: usize = FETCH_THREADS / CONN_WINDOW + 1;
+        const MISSES: usize = CONNS * CONN_WINDOW;
+        let store = Arc::new(GatedStore::default());
+        let cfg = VolumeConfig {
+            gc_enabled: false,
+            ..VolumeConfig::small_for_tests()
+        };
+        let block = |i: usize| (i as u64) << 20;
+        let mut vol = Volume::create(
+            store.clone(),
+            Arc::new(RamDisk::new(16 << 20)),
+            "vol",
+            block(MISSES),
+            cfg,
+        )
+        .unwrap();
+        for i in 0..MISSES {
+            vol.write(block(i), &[i as u8 + 1; 4096]).unwrap();
+            vol.drain().unwrap();
+        }
+        let sv = SharedVolume::new(vol);
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), ServerConfig::default()).unwrap();
+        let fetchers = handle.fetchers.clone();
+        let mut conns: Vec<_> = (0..CONNS)
+            .map(|_| Client::connect(handle.addr(), "vol").unwrap().into_raw())
+            .collect();
+
+        store.set_closed(true);
+        for i in 0..MISSES {
+            let req = Request {
+                flags: 0,
+                cmd: CMD_READ,
+                cookie: i as u64 + 1,
+                offset: block(i),
+                length: 4096,
+            };
+            std::io::Write::write_all(&mut conns[i % CONNS], &encode_request(&req)).unwrap();
+        }
+        // The pool grows to the cap, every thread parks on a GET, and the
+        // rest of the misses queue.
+        let t0 = Instant::now();
+        loop {
+            let (threads, queued) = {
+                let s = fetchers.state.lock().unwrap();
+                (s.threads.len(), s.tasks.len())
+            };
+            assert!(threads <= FETCH_THREADS, "{threads} fetch threads");
+            if threads == FETCH_THREADS
+                && store.parked() == FETCH_THREADS
+                && queued == MISSES - FETCH_THREADS
+            {
+                break;
+            }
+            assert!(
+                t0.elapsed().as_secs() < 20,
+                "{threads} threads, {} parked GETs, {queued} queued misses",
+                store.parked()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        store.set_closed(false);
+        for conn in &mut conns {
+            for _ in 0..CONN_WINDOW {
+                let mut hdr = [0u8; SIMPLE_REPLY_LEN];
+                std::io::Read::read_exact(conn, &mut hdr).unwrap();
+                let reply = decode_simple_reply(&hdr).unwrap();
+                assert_eq!(reply.error, 0, "miss {} failed", reply.cookie);
+                let mut data = [0u8; 4096];
+                std::io::Read::read_exact(conn, &mut data).unwrap();
+                assert_eq!(data, [reply.cookie as u8; 4096], "miss {}", reply.cookie);
+            }
+        }
+        assert_eq!(fetchers.state.lock().unwrap().threads.len(), FETCH_THREADS);
+        drop(conns);
+        handle.stop();
+        sv.shutdown().unwrap();
+    }
+
     #[test]
     fn stop_joins_every_fetch_thread() {
         let store = Arc::new(MemStore::new());
@@ -867,13 +992,9 @@ mod tests {
         // A client that pipelines far past the server window exercises
         // the reactor's read-gating backpressure rather than any queue.
         let sv = shared_volume(32);
-        let cfg = ServerConfig {
-            window: 4,
-            ..ServerConfig::default()
-        };
-        let handle = serve("127.0.0.1:0", "vol", sv.clone(), cfg).unwrap();
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), ServerConfig::default()).unwrap();
         let c = Client::connect(handle.addr(), "vol").unwrap();
-        let n = 64usize;
+        let n = 4 * CONN_WINDOW;
         let mut raw = c.into_raw();
         // Fire n writes back-to-back without reading replies.
         crate::client::pipeline_writes(&mut raw, 0, 4096, n).unwrap();

@@ -23,7 +23,6 @@ struct Counters {
     errors: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    throttle_waits: AtomicU64,
     reactor_runs: AtomicU64,
 }
 
@@ -92,11 +91,6 @@ impl ServingRecorders {
         self.counters.bytes_written.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts one QoS token-bucket stall (the request waited for refill).
-    pub fn count_throttle_wait(&self) {
-        self.counters.throttle_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one request the reactor ran to completion itself.
     pub fn count_reactor_run(&self) {
         self.counters.reactor_runs.fetch_add(1, Ordering::Relaxed);
@@ -117,7 +111,6 @@ impl ServingRecorders {
             errors: self.counters.errors.load(Ordering::Relaxed),
             bytes_read: self.counters.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.counters.bytes_written.load(Ordering::Relaxed),
-            throttle_waits: self.counters.throttle_waits.load(Ordering::Relaxed),
             reactor_runs: self.counters.reactor_runs.load(Ordering::Relaxed),
         }
     }
@@ -141,7 +134,6 @@ mod tests {
         a.count_error();
         a.add_bytes_read(4096);
         b.add_bytes_written(8192);
-        a.count_throttle_wait();
         b.count_reactor_run();
         b.queue_wait.record_ns(1_000);
         let s = a.snapshot();
@@ -154,7 +146,6 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert_eq!(s.bytes_read, 4096);
         assert_eq!(s.bytes_written, 8192);
-        assert_eq!(s.throttle_waits, 1);
         assert_eq!(s.reactor_runs, 1);
         assert_eq!(s.queue_wait.count, 1);
     }

@@ -42,8 +42,9 @@ use crate::recorder::LatencySnapshot;
 /// volume), per-tenant byte and throttle counters in `serving`, and the
 /// read plane's `quota_bypassed_sectors`. v5 drops the read-cache quota:
 /// `read_plane.quota_bypassed_sectors` and the tenants'
-/// `cache_quota_bytes` are gone.
-pub const SCHEMA: &str = "lsvd-telemetry-v5";
+/// `cache_quota_bytes` are gone. v6 drops per-export QoS, and with it
+/// the serving section's and the tenants' token-bucket stall counters.
+pub const SCHEMA: &str = "lsvd-telemetry-v6";
 
 /// One table row bound to its current value: what the JSON encoder, the
 /// Prometheus exposition and the report read.
@@ -382,7 +383,8 @@ metric_table! {
     cache:
     /// Cache-layer counters: backend header cache, read cache, write log.
     pub struct CacheTelemetry {
-        /// Backend object-header cache hits (fetch_extent fast path).
+        /// Backend object-header cache hits (a read miss found the
+        /// object's header in memory).
         hdr_hits: u64, sum, counter lsvd_cache_hdr_hits_total
             "Backend object-header cache hits.";
         /// Header cache misses (header GET issued).
@@ -611,9 +613,6 @@ metric_table! {
         /// Bytes accepted from WRITE requests.
         bytes_written: u64, sum, counter lsvd_serving_bytes_written_total
             "Bytes accepted from NBD WRITE requests.";
-        /// Requests that stalled on a QoS token bucket before dispatch.
-        throttle_waits: u64, sum, counter lsvd_serving_throttle_waits_total
-            "Requests that stalled on a QoS token bucket.";
         /// Requests the reactor ran to completion itself, reply included,
         /// with no hand-off to a worker or a fetch thread.
         reactor_runs: u64, sum, counter lsvd_serving_reactor_runs_total
@@ -1040,7 +1039,6 @@ mod tests {
                 errors: 1,
                 bytes_read: 8 << 20,
                 bytes_written: 6 << 20,
-                throttle_waits: 23,
                 reactor_runs: 3_100,
             },
             trace: TraceTelemetry {
@@ -1071,7 +1069,6 @@ mod tests {
                         errors: 1,
                         bytes_read: 5 << 20,
                         bytes_written: 4 << 20,
-                        throttle_waits: 20,
                         reactor_runs: 1_900,
                     },
                     cache_resident_bytes: 9 << 20,
@@ -1091,7 +1088,6 @@ mod tests {
                         errors: 0,
                         bytes_read: 3 << 20,
                         bytes_written: 2 << 20,
-                        throttle_waits: 3,
                         reactor_runs: 1_200,
                     },
                     cache_resident_bytes: 2 << 20,
@@ -1112,7 +1108,7 @@ mod tests {
     fn schema_key_is_first_and_validated() {
         let text = sample().to_json().render();
         assert!(
-            text.starts_with("{\"schema\":\"lsvd-telemetry-v5\""),
+            text.starts_with("{\"schema\":\"lsvd-telemetry-v6\""),
             "{text}"
         );
         let tampered = text.replace(SCHEMA, "lsvd-telemetry-v0");

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Print the non-test Rust line count per crate and in total.
 
-Counts every line of each `crates/*/src/**/*.rs` file up to the file's
-first line starting with `#[cfg(test)]` (inline unit-test modules sit at
-the end of a file by convention). Integration tests, benches, examples,
+Counts every line of each `crates/*/src/**/*.rs` file up to the
+`#[cfg(test)]` line that opens its `mod tests` (inline unit-test modules
+sit at the end of a file by convention). A `#[cfg(test)]` on anything
+else, such as a test-only helper, is counted with the code around it.
+Integration tests, benches, examples,
 `third_party/` and `perfbench/` live outside `crates/*/src` and are not
 counted.
 
@@ -15,13 +17,12 @@ import sys
 
 
 def non_test_lines(path):
-    n = 0
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.startswith("#[cfg(test)]"):
-                break
-            n += 1
-    return n
+        lines = f.readlines()
+    for i, line in enumerate(lines):
+        if line.startswith("#[cfg(test)]") and lines[i + 1 : i + 2] == ["mod tests {\n"]:
+            return i
+    return len(lines)
 
 
 def main():

@@ -2,17 +2,17 @@
 //!
 //! Acceptance for multi-tenant serving: many named exports multiplexed
 //! over one poll reactor and a shared worker pool, with exact readback
-//! under concurrent mixed traffic, per-tenant telemetry, QoS ceilings
-//! that actually cap throughput, fair shares under a saturating
-//! neighbor, hot detach that drains acknowledged writes durably, and
-//! connection counts far beyond the old thread-per-connection plane.
+//! under concurrent mixed traffic, per-tenant telemetry, fair shares
+//! under a saturating neighbor, hot detach that drains acknowledged
+//! writes durably, and connection counts far beyond the old
+//! thread-per-connection plane.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blkdev::RamDisk;
 use lsvd::config::VolumeConfig;
-use lsvd::fleet::{ExportRegistry, QosLimits};
+use lsvd::fleet::ExportRegistry;
 use lsvd::shared::SharedVolume;
 use lsvd::volume::Volume;
 use nbd::server::ServerConfig;
@@ -54,7 +54,7 @@ fn fleet_rig(n_vols: usize, vol_bytes: u64, cache_bytes: u64) -> FleetRig {
         )
         .expect("create volume");
         registry
-            .attach(&name, SharedVolume::new(vol), QosLimits::default())
+            .attach(&name, SharedVolume::new(vol))
             .expect("attach");
         caches.push(cache);
     }
@@ -154,51 +154,6 @@ fn eight_tenants_thirty_two_connections_mixed_traffic_exact_readback() {
         total_writes >= VOLS as u64 * CONNS_PER_VOL * BLOCKS,
         "aggregate writes: {total_writes}"
     );
-    r.teardown();
-}
-
-/// A tenant's QoS IOPS ceiling actually caps its throughput: with the
-/// bucket at 50 IOPS, a 150-request burst must take well over a second
-/// (the first ~50 ride the initial burst allowance), and the node
-/// records throttle waits for the tenant.
-#[test]
-fn qos_iops_ceiling_caps_a_tenants_throughput() {
-    let r = fleet_rig(2, 16 << 20, 8 << 20);
-    let addr = r.addr;
-    r.registry.get("vol0").unwrap().set_qos(QosLimits {
-        iops: 50,
-        bytes_per_sec: 0,
-    });
-
-    let mut c = Client::connect(addr, "vol0").expect("connect");
-    let start = Instant::now();
-    for i in 0..150u64 {
-        c.write(i * 4096, &[0x5Au8; 4096]).expect("write");
-    }
-    let elapsed = start.elapsed();
-    c.disconnect().expect("disconnect");
-    // 150 requests at 50/s with a 50-token initial burst needs >= 2s of
-    // refill; allow wide margins for a loaded 1-core box in both
-    // directions (the floor is the assertion that matters).
-    assert!(
-        elapsed >= Duration::from_millis(1200),
-        "throttled burst finished too fast: {elapsed:?}"
-    );
-    let s = r.registry.get("vol0").unwrap().recorders().snapshot();
-    assert!(s.throttle_waits > 0, "throttle waits recorded");
-
-    // The unthrottled neighbor is not slowed by vol0's ceiling.
-    let mut c = Client::connect(addr, "vol1").expect("connect vol1");
-    let start = Instant::now();
-    for i in 0..150u64 {
-        c.write(i * 4096, &[0xA5u8; 4096]).expect("write");
-    }
-    assert!(
-        start.elapsed() < Duration::from_millis(1200),
-        "unthrottled tenant slowed: {:?}",
-        start.elapsed()
-    );
-    c.disconnect().expect("disconnect");
     r.teardown();
 }
 

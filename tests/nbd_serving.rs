@@ -11,8 +11,8 @@
 //! parked reads. The reactor runs hits and log-only writes itself, but
 //! never a request that waits on the backend: with a sealing write parked
 //! on its PUT, hits and other tenants still complete. Replies keep their
-//! order across the reactor and the workers, drain through a full socket,
-//! and QoS still limits what the reactor runs.
+//! order across the reactor and the workers, and drain through a full
+//! socket.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -23,7 +23,7 @@ use std::time::Duration;
 use blkdev::RamDisk;
 use bytes::Bytes;
 use lsvd::config::VolumeConfig;
-use lsvd::fleet::{ExportRegistry, QosLimits};
+use lsvd::fleet::ExportRegistry;
 use lsvd::shared::SharedVolume;
 use lsvd::verify::{History, Verdict, VBLOCK};
 use lsvd::volume::Volume;
@@ -480,8 +480,8 @@ fn read_misses_do_not_hold_the_serving_workers() {
         SharedVolume::new(vol)
     };
     let registry = Arc::new(ExportRegistry::new());
-    registry.attach("cold", cold, QosLimits::default()).unwrap();
-    registry.attach("warm", warm, QosLimits::default()).unwrap();
+    registry.attach("cold", cold).unwrap();
+    registry.attach("warm", warm).unwrap();
     let handle =
         nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
     let addr = handle.addr();
@@ -538,7 +538,7 @@ fn read_misses_do_not_hold_the_serving_workers() {
 fn detach_drains_a_read_parked_on_its_get() {
     let (store, cold) = cold_volume(1);
     let registry = Arc::new(ExportRegistry::new());
-    let export = registry.attach("cold", cold, QosLimits::default()).unwrap();
+    let export = registry.attach("cold", cold).unwrap();
     let handle =
         nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
     let mut conn = Client::connect(handle.addr(), "cold").unwrap().into_raw();
@@ -652,11 +652,9 @@ fn a_write_that_seals_never_runs_on_the_reactor() {
     sealing.write(hot, &[0xC3; 4096]).unwrap();
     let batch = cfg.batch_bytes as usize;
     let registry = Arc::new(ExportRegistry::new());
+    registry.attach("sealing", sealing).unwrap();
     registry
-        .attach("sealing", sealing, QosLimits::default())
-        .unwrap();
-    registry
-        .attach("other", plain_volume(cfg, 8 << 20), QosLimits::default())
+        .attach("other", plain_volume(cfg, 8 << 20))
         .unwrap();
     let handle =
         nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
@@ -725,10 +723,7 @@ fn pipelined_writes_to_one_block_keep_their_order() {
         "127.0.0.1:0",
         "vol",
         volume.clone(),
-        ServerConfig {
-            window: 32,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
     let mut conn = Client::connect(handle.addr(), "vol").unwrap().into_raw();
@@ -810,43 +805,4 @@ fn replies_drain_through_a_full_socket() {
     drop(conn);
     handle.stop();
     volume.shutdown().unwrap();
-}
-
-#[test]
-fn qos_limits_requests_the_reactor_runs() {
-    const READS: u64 = 40;
-    let volume = plain_volume(VolumeConfig::small_for_tests(), 8 << 20);
-    volume.write(0, &pattern(9, 4096)).unwrap();
-    let registry = Arc::new(ExportRegistry::new());
-    let export = registry
-        .attach(
-            "slow",
-            volume,
-            QosLimits {
-                iops: 10,
-                bytes_per_sec: 0,
-            },
-        )
-        .unwrap();
-    let handle =
-        nbd::serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
-    let mut conn = Client::connect(handle.addr(), "slow").unwrap().into_raw();
-    for i in 0..READS {
-        send(&mut conn, CMD_READ, i + 1, 0, 4096, &[]);
-    }
-    for _ in 0..READS {
-        let (cookie, data) = recv(&mut conn, 4096);
-        assert!(
-            data == pattern(9, 4096),
-            "read {cookie} returned the wrong bytes"
-        );
-    }
-    let snap = export.recorders().snapshot();
-    assert!(snap.throttle_waits >= 1, "no read waited for a token");
-    assert!(snap.reactor_runs < READS, "every read bypassed the bucket");
-    drop(conn);
-    handle.stop();
-    for name in registry.list() {
-        registry.detach(&name).unwrap();
-    }
 }
