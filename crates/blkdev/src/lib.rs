@@ -4,17 +4,20 @@
 //!
 //! - **Functional devices** ([`BlockDevice`], [`RamDisk`], [`FileDisk`])
 //!   hold real bytes. The LSVD write-back cache and the crash-consistency
-//!   experiments run against these.
+//!   experiments run against these; [`CrashDisk`] also keeps the image a
+//!   power cut would leave, holding only flushed writes.
 //! - **Simulated devices** ([`model::DiskModel`]) hold no data at all; they
 //!   compute *when* an I/O would complete on a device with a given
 //!   performance profile, and account busy time and byte counters the way
 //!   `/proc/diskstats` does. The performance-plane engines use these to
 //!   regenerate the paper's throughput and utilization figures.
 
+pub mod crash;
 pub mod file;
 pub mod mem;
 pub mod model;
 
+pub use crash::CrashDisk;
 pub use file::FileDisk;
 pub use mem::RamDisk;
 pub use model::{DiskModel, DiskProfile, IoKind};

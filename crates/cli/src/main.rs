@@ -48,8 +48,9 @@
 //!          --cache-size <n>   cache file size (default 256M)
 //!          --addr <a>         serve listen address (default 127.0.0.1:10809)
 //!          --oneshot          serve one connection, then shut down cleanly
-//!          --metrics-addr <a> serve /metrics, /snapshot and /trace over HTTP;
-//!                             also enables request-span tracing
+//!          --metrics-addr <a> serve /metrics, /snapshot and
+//!                             /trace?export=NAME over HTTP; also enables
+//!                             request-span tracing
 //!          --blackbox-dir <d> arm the flight recorder: dump every export's
 //!                             span ring into <d> on terminal errors,
 //!                             connection aborts and panics
@@ -593,9 +594,11 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
     let exports = registry.exports();
 
     // Observability riders: either flag turns span tracing on for every
-    // export — the rings are sized for a sustained burst and cost nothing
-    // when idle, and both exporters are useless without spans.
-    if opts.metrics_addr.is_some() || opts.blackbox_dir.is_some() {
+    // export, those the control socket adds later included — the rings
+    // are sized for a sustained burst and cost nothing when idle, and
+    // both exporters are useless without spans.
+    let tracing = opts.metrics_addr.is_some() || opts.blackbox_dir.is_some();
+    if tracing {
         for e in &exports {
             e.volume().span_ring().set_enabled(true);
         }
@@ -636,10 +639,29 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
             // the per-tenant breakdown, so /metrics grows one labeled
             // family per export.
             let mreg = registry.clone();
+            // `/trace?export=NAME` reads that export's ring, looked up per
+            // request so exports attached later are traced too; without
+            // a name only a single-export node has a default.
+            let treg = registry.clone();
+            let trace: telemetry::TraceFn = Box::new(move |name| {
+                let export = if name.is_empty() {
+                    treg.sole_export()
+                } else {
+                    treg.get(name)
+                };
+                export.map(|e| e.volume().span_ring()).ok_or_else(|| {
+                    let code = if name.is_empty() { 400 } else { 404 };
+                    let names = treg.list().join(" ");
+                    (
+                        code,
+                        format!("name an export, /trace?export=NAME: {names}\n"),
+                    )
+                })
+            });
             let server = telemetry::MetricsServer::start(
                 maddr.as_str(),
                 Box::new(move || Some(mreg.telemetry())),
-                exports[0].volume().span_ring(),
+                trace,
             )
             .map_err(|e| format!("metrics {maddr}: {e}"))?;
             println!(
@@ -687,7 +709,9 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
                     }
                     None => Volume::open(store, cache, name, VolumeConfig::default())?,
                 };
-                Ok(SharedVolume::new(vol))
+                let sv = SharedVolume::new(vol);
+                sv.span_ring().set_enabled(tracing);
+                Ok(sv)
             });
             let ctl = ControlServer::serve(caddr.as_str(), registry.clone(), Some(prov))
                 .map_err(|e| format!("control {caddr}: {e}"))?;

@@ -9,7 +9,8 @@
 //!
 //! - incoming writes are persisted to a **log-structured write-back cache**
 //!   on a local SSD ([`wlog`]), which makes small random writes sequential
-//!   and turns commit barriers into a single device flush;
+//!   and turns commit barriers into a single device flush, shared by every
+//!   flush waiting on it ([`commit`]);
 //! - acknowledged writes are batched and shipped to the backend as a
 //!   **log-structured stream of immutable objects** ([`batch`], [`objfmt`]),
 //!   whose names encode their order, preserving end-to-end write ordering;
@@ -59,6 +60,7 @@
 pub mod batch;
 pub mod checkpoint;
 pub mod codec;
+pub mod commit;
 pub mod config;
 pub mod crc;
 pub mod engine;

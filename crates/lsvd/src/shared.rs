@@ -13,9 +13,14 @@
 //! the plane, so cache-hit reads run concurrently with each other and
 //! with whatever a mutation under the big mutex is doing *outside* its
 //! short map-update critical sections (socket I/O, cache-log appends,
-//! batch seals, backend PUTs). Mutations (`write`/`flush`/`discard`) stay
-//! serialized on the mutex, which preserves the write-ordering contract
-//! (writes acknowledged in cache-log order, flush as a full barrier).
+//! batch seals, backend PUTs). Writes and discards stay serialized on the
+//! mutex, which acknowledges them in cache-log order.
+//!
+//! **Flushes do not take that mutex either.** A flush reads the log's
+//! position ([`SharedVolume::flush_position`], one atomic load) and waits
+//! on the volume's [`GroupCommit`] for a device flush that covers it,
+//! shared with every flush waiting at the time — so writes keep appending
+//! while a device flush runs.
 //!
 //! Shutdown takes the volume *out* of the wrapper (`Option` inside the
 //! mutex) and flips a fence flag so the lock-free read path observes the
@@ -29,6 +34,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use telemetry::{SpanRing, TelemetrySnapshot};
 
+use crate::commit::GroupCommit;
 use crate::read_plane::{ReadPlane, ReadStart};
 use crate::types::{LsvdError, Result};
 use crate::volume::Volume;
@@ -42,6 +48,9 @@ pub struct SharedVolume {
     /// The volume's request-span ring, shared so direct callers can mint
     /// request ids (and exporters can drain spans) without the mutex.
     spans: Arc<SpanRing>,
+    /// The cache log's group committer, shared so flushes bypass the
+    /// mutex.
+    commit: Arc<GroupCommit>,
     /// Set by `shutdown` before the volume is torn down; checked by the
     /// lock-free read path so late reads fence exactly like mutations.
     closed: Arc<AtomicBool>,
@@ -55,10 +64,12 @@ impl SharedVolume {
         let size_bytes = vol.size();
         let plane = vol.read_plane();
         let spans = vol.span_ring();
+        let commit = vol.committer();
         SharedVolume {
             inner: Arc::new(Mutex::new(Some(vol))),
             plane,
             spans,
+            commit,
             closed: Arc::new(AtomicBool::new(false)),
             size_bytes,
         }
@@ -153,14 +164,28 @@ impl SharedVolume {
         }
     }
 
-    /// Serialized [`Volume::flush`].
+    /// [`Volume::flush`] without the volume mutex: every write that
+    /// returned before this call is durable on the cache device when it
+    /// returns.
     pub fn flush(&self) -> Result<()> {
-        self.flush_traced(self.spans.mint_request(), 0)
+        self.flush_to(self.flush_position(), self.spans.mint_request(), 0)
     }
 
-    /// [`SharedVolume::flush`] under an existing request id.
-    pub fn flush_traced(&self, req: u64, parent: u64) -> Result<()> {
-        self.with(|v| traced(v, req, parent, Volume::flush))
+    /// The cache-log position a flush issued now must cover: the last
+    /// record appended. One atomic load, so a serving plane can take it
+    /// in request order and wait for it elsewhere.
+    pub fn flush_position(&self) -> u64 {
+        self.commit.position()
+    }
+
+    /// Waits until a cache-device flush that started after `pos` (from
+    /// [`SharedVolume::flush_position`]) was published has completed,
+    /// starting one when none is running. A device error fails every
+    /// flush it was meant to cover. Under a request id `req`, records the
+    /// `flush` span as a child of `parent`.
+    pub fn flush_to(&self, pos: u64, req: u64, parent: u64) -> Result<()> {
+        self.check_open()?;
+        self.commit.flush(pos, &self.spans, req, parent)
     }
 
     /// Serialized [`Volume::discard`].

@@ -6,8 +6,10 @@
 //! - **writes** are appended to the log-structured write-back cache
 //!   ([`crate::wlog`]), acknowledged, copied into the current batch, and
 //!   shipped to the backend as immutable objects when the batch fills;
-//! - **commit barriers** ([`Volume::flush`]) are a single cache-device
-//!   flush — all preceding writes are then durable locally;
+//! - **commit barriers** ([`Volume::flush`]) wait for one cache-device
+//!   flush that covers the log's position, shared with every other flush
+//!   waiting at the time ([`crate::commit`]) — all preceding writes are
+//!   then durable locally;
 //! - **reads** check the write-back cache, then the read cache, then the
 //!   backend (with temporal-locality prefetch);
 //! - **recovery** ([`Volume::open`]) rebuilds the backend map by the prefix
@@ -37,6 +39,7 @@ use telemetry::{
 use crate::batch::BatchBuilder;
 use crate::checkpoint::CheckpointData;
 use crate::codec::{ByteReader, ByteWriter};
+use crate::commit::GroupCommit;
 use crate::config::{
     VolumeConfig, GC_COMPACT_MAX_EXTENT_BYTES, GC_HIGH_WATERMARK, GC_LOW_WATERMARK,
     GC_RETRY_ATTEMPTS, WRITE_CACHE_FRACTION,
@@ -339,7 +342,6 @@ pub struct Volume {
 struct VolTelemetry {
     started: Instant,
     write_lat: LatencyRecorder,
-    flush_lat: LatencyRecorder,
     /// Backend service time of each batch PUT attempt.
     put_service: LatencyRecorder,
     /// Seal-to-durable wait minus the final attempt's service time.
@@ -377,7 +379,6 @@ impl VolTelemetry {
         VolTelemetry {
             started: Instant::now(),
             write_lat: LatencyRecorder::new(),
-            flush_lat: LatencyRecorder::new(),
             put_service: LatencyRecorder::new(),
             put_queue_wait: LatencyRecorder::new(),
             edge_hook: None,
@@ -960,23 +961,21 @@ impl Volume {
     }
 
     /// Commit barrier: all previously acknowledged writes are durable on
-    /// the cache device when this returns — one flush, no metadata writes
-    /// (§3.2).
+    /// the cache device when this returns — no metadata writes (§3.2).
+    /// It waits on the log's [`GroupCommit`] for a device flush that
+    /// started after the last record was appended, starting one itself
+    /// when none is running; seals and ships nothing.
     pub fn flush(&mut self) -> Result<()> {
         let (req, parent) = self.span_ctx;
-        let span = if req != 0 {
-            self.spans.begin(req, parent, Stage::Flush)
-        } else {
-            None
-        };
-        let t0 = Instant::now();
-        self.wlog.flush()?;
-        self.tel.flush_lat.observe(t0.elapsed());
-        self.stats.flushes += 1;
-        if let Some(open) = span {
-            self.spans.finish(open, 0, 0);
-        }
-        Ok(())
+        let commit = self.wlog.commit();
+        commit.flush(commit.position(), &self.spans, req, parent)
+    }
+
+    /// The log's group committer, shared with
+    /// [`SharedVolume`](crate::shared::SharedVolume) so a flush waits on it
+    /// without the volume mutex.
+    pub(crate) fn committer(&self) -> Arc<GroupCommit> {
+        self.wlog.commit().clone()
     }
 
     /// Discards (trims) `len` bytes at byte `offset`: the range is punched
@@ -2135,6 +2134,7 @@ impl Volume {
     /// pending writeback queue and (if attached) retry-layer counters.
     pub fn stats(&self) -> VolumeStats {
         let mut s = self.stats;
+        s.flushes = self.wlog.commit().counts().0;
         // Read-path counters live in the plane (shared with concurrent
         // `SharedVolume` readers); volume-side counters (GC GETs) add in.
         let p = self.plane.stats();
@@ -2174,12 +2174,14 @@ impl Volume {
         let frontier: u64 = self.durable.frontier().into();
         let backend_objects = stats.backend_puts + stats.gc_puts;
         let (live, total) = { self.plane.read_state().objmap.totals() };
+        let commit = self.wlog.commit();
+        let (_, device_flushes, shared_flushes) = commit.counts();
         TelemetrySnapshot {
             elapsed_secs: elapsed,
             ops: ClientOps {
                 read: self.plane.read_lat.snapshot(),
                 write: self.tel.write_lat.snapshot(),
-                flush: self.tel.flush_lat.snapshot(),
+                flush: commit.latency(),
             },
             backend: self.metrics.snapshot(),
             writeback: WritebackTelemetry {
@@ -2208,6 +2210,8 @@ impl Volume {
                 rcache_hit_ratio: rc.hit_ratio(),
                 wlog_used_sectors: self.wlog.used_sectors(),
                 wlog_capacity_sectors: self.wlog.capacity_sectors(),
+                device_flushes,
+                shared_flushes,
             },
             retry: RetryTelemetry {
                 attempts: stats.retry.attempts,

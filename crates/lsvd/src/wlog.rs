@@ -11,6 +11,10 @@
 //! 3. a commit barrier is a single device flush — no separate metadata
 //!    write is needed, unlike B-tree-indexed caches such as bcache.
 //!
+//! After each append the log publishes the record's sequence number to
+//! its [`GroupCommit`], so a commit barrier can wait for a device flush
+//! that covers a position instead of issuing one of its own.
+//!
 //! The log is circular. Records are *released* once their data is durable
 //! in a backend object; released space is reused by the head. A tiny
 //! two-slot checkpoint (tail position and sequence) bounds the recovery
@@ -24,6 +28,7 @@ use std::sync::Arc;
 use blkdev::BlockDevice;
 
 use crate::codec::{ByteReader, ByteWriter};
+use crate::commit::GroupCommit;
 use crate::crc::{crc32c, crc32c_append, crc32c_combine, crc32c_field_zeroed};
 use crate::types::{bytes_to_sectors, Lba, LsvdError, Plba, Result, SECTOR};
 
@@ -97,6 +102,8 @@ pub struct WriteLog {
     /// append (the fixed per-append allocation cost was what made 4 KiB
     /// appends ~8× worse per byte than 16 KiB ones).
     scratch: ByteWriter,
+    /// The commit barrier, to which each append publishes its record.
+    commit: Arc<GroupCommit>,
 }
 
 /// Encodes a record header into `w` (cleared first) with the CRC field
@@ -208,6 +215,7 @@ impl WriteLog {
         );
         assert!(first_seq >= 1, "sequence numbers start at 1");
         let mut log = WriteLog {
+            commit: Arc::new(GroupCommit::new(dev.clone(), first_seq - 1)),
             dev,
             region_start,
             log_start: region_start + CKPT_SLOTS,
@@ -344,6 +352,7 @@ impl WriteLog {
         });
         self.next_seq += 1;
         self.head = head + need;
+        self.commit.publish(seq);
         Ok(Appended {
             seq,
             placements,
@@ -377,13 +386,14 @@ impl WriteLog {
         });
         self.next_seq += 1;
         self.head = head + need;
+        self.commit.publish(seq);
         Ok(seq)
     }
 
-    /// Commit barrier: makes all appended records durable.
-    pub fn flush(&self) -> Result<()> {
-        self.dev.flush()?;
-        Ok(())
+    /// The log's commit barrier: a flush waits on it for a device flush
+    /// that covers the records appended before it.
+    pub(crate) fn commit(&self) -> &Arc<GroupCommit> {
+        &self.commit
     }
 
     /// Reads back record data (the writeback path reads outgoing data from
@@ -551,6 +561,7 @@ impl WriteLog {
         };
         let head = pos;
         let mut log = WriteLog {
+            commit: Arc::new(GroupCommit::new(dev.clone(), next_seq - 1)),
             dev,
             region_start,
             log_start,
@@ -639,7 +650,7 @@ mod tests {
             for i in 0..5u8 {
                 log.append(&[(i as u64 * 8, &data(i, 4))]).unwrap();
             }
-            log.flush().unwrap();
+            log.commit().wait(log.next_seq() - 1).unwrap();
         }
         let (log, pending) = WriteLog::recover(dev, 0, 1024, 0).unwrap();
         assert_eq!(pending.len(), 5);
@@ -798,7 +809,7 @@ mod tests {
             let seq = log.append_trim(&[(0, 2), (100, 8)]).unwrap();
             assert_eq!(seq, 2);
             log.append(&[(64, &data(2, 4))]).unwrap();
-            log.flush().unwrap();
+            log.commit().wait(log.next_seq() - 1).unwrap();
         }
         let (log, pending) = WriteLog::recover(dev, 0, 1024, 0).unwrap();
         assert_eq!(pending.len(), 3);

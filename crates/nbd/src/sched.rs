@@ -7,7 +7,9 @@
 //!   export is in service at a time (`ordered_active`), and jobs leave in
 //!   arrival order — so per-export acknowledgement order equals cache-log
 //!   order, the prefix-consistency contract, while two *different*
-//!   tenants' mutations proceed in parallel on different volumes;
+//!   tenants' mutations proceed in parallel on different volumes. A job
+//!   holds the lane only through its volume call; a FLUSH only while it
+//!   takes its cache-log position, never across a device flush;
 //! - the **read lane**: any number of jobs in service concurrently (the
 //!   volume read plane is lock-split for exactly this).
 //!

@@ -5,9 +5,11 @@
 //!
 //! - `GET /metrics`  → Prometheus text exposition (scrapeable);
 //! - `GET /snapshot` → the full JSON [`TelemetrySnapshot`];
-//! - `GET /trace?n=K` → Chrome `trace_event` JSON of the newest `K`
-//!   spans (all buffered spans when `n` is omitted), loadable in
-//!   `about:tracing` or Perfetto.
+//! - `GET /trace?export=NAME&n=K` → Chrome `trace_event` JSON of the
+//!   newest `K` spans of export `NAME`'s span ring (all buffered spans
+//!   when `n` is omitted), loadable in `about:tracing` or Perfetto. The
+//!   ring is resolved per request, so exports attached later are traced
+//!   too; whether `export` may be omitted is up to the [`TraceFn`].
 //!
 //! Each connection is served inline on the accept thread: requests are
 //! one-line GETs and responses are small, so a scraper or a browser tab
@@ -27,6 +29,11 @@ use crate::span::SpanRing;
 /// volume is gone (shutting down), which the server reports as a 503.
 pub type SnapshotFn = Box<dyn Fn() -> Option<TelemetrySnapshot> + Send + Sync>;
 
+/// Resolves `/trace`'s span ring per request from its `export=` value
+/// (`""` when absent). `Err` carries the HTTP status and the body that
+/// explains the miss.
+pub type TraceFn = Box<dyn Fn(&str) -> Result<Arc<SpanRing>, (u16, String)> + Send + Sync>;
+
 /// The live metrics endpoint. Stops (and joins its accept thread) on
 /// [`MetricsServer::stop`] or drop.
 pub struct MetricsServer {
@@ -41,7 +48,7 @@ impl MetricsServer {
     pub fn start(
         addr: impl ToSocketAddrs,
         snapshot: SnapshotFn,
-        spans: Arc<SpanRing>,
+        trace: TraceFn,
     ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -55,7 +62,7 @@ impl MetricsServer {
                         break;
                     }
                     if let Ok(stream) = conn {
-                        let _ = serve_one(stream, &snapshot, &spans);
+                        let _ = serve_one(stream, &snapshot, &trace);
                     }
                 }
             })?;
@@ -89,11 +96,7 @@ impl Drop for MetricsServer {
 }
 
 /// Reads the request line, routes it, writes one HTTP/1.0 response.
-fn serve_one(
-    mut stream: TcpStream,
-    snapshot: &SnapshotFn,
-    spans: &Arc<SpanRing>,
-) -> std::io::Result<()> {
+fn serve_one(mut stream: TcpStream, snapshot: &SnapshotFn, trace: &TraceFn) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     // Read until the end of the request head (or 4 KiB, whichever comes
@@ -145,17 +148,19 @@ fn serve_one(
             None => respond(&mut stream, 503, "text/plain", "volume closed\n"),
         },
         "/trace" => {
-            let n = query
-                .split('&')
-                .find_map(|kv| kv.strip_prefix("n="))
+            let param = |key: &str| query.split('&').find_map(|kv| kv.strip_prefix(key));
+            let n = param("n=")
                 .and_then(|v| v.parse::<usize>().ok())
                 .unwrap_or(0);
-            respond(
-                &mut stream,
-                200,
-                "application/json",
-                &spans.to_chrome_trace(n),
-            )
+            match trace(param("export=").unwrap_or("")) {
+                Ok(spans) => respond(
+                    &mut stream,
+                    200,
+                    "application/json",
+                    &spans.to_chrome_trace(n),
+                ),
+                Err((code, body)) => respond(&mut stream, code, "text/plain", &body),
+            }
         }
         _ => respond(&mut stream, 404, "text/plain", "not found\n"),
     }
@@ -169,6 +174,7 @@ fn respond(
 ) -> std::io::Result<()> {
     let reason = match code {
         200 => "OK",
+        400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
         503 => "Service Unavailable",
@@ -206,13 +212,20 @@ mod tests {
 
     #[test]
     fn serves_all_three_endpoints_and_404s_the_rest() {
+        // `/trace` reads the ring its `export=` names; without a name the
+        // trace source here answers 400, as a multi-export node does.
         let spans = Arc::new(SpanRing::new(64, 2));
         spans.set_enabled(true);
         let req = spans.mint_request();
         let open = spans.begin(req, 0, Stage::Read).unwrap();
         spans.finish(open, 0, 4096);
         let snap: SnapshotFn = Box::new(|| Some(TelemetrySnapshot::default()));
-        let mut srv = MetricsServer::start("127.0.0.1:0", snap, spans).unwrap();
+        let trace: TraceFn = Box::new(move |export| match export {
+            "a" => Ok(spans.clone()),
+            "" => Err((400, "name one: a b\n".to_string())),
+            _ => Err((404, "no such export\n".to_string())),
+        });
+        let mut srv = MetricsServer::start("127.0.0.1:0", snap, trace).unwrap();
         let addr = srv.addr();
 
         let (code, body) = http_get(addr, "/metrics");
@@ -225,6 +238,9 @@ mod tests {
         assert!(parsed.get("schema").is_some());
 
         let (code, body) = http_get(addr, "/trace?n=10");
+        assert_eq!((code, body.as_str()), (400, "name one: a b\n"));
+        assert_eq!(http_get(addr, "/trace?export=b").0, 404);
+        let (code, body) = http_get(addr, "/trace?n=10&export=a");
         assert_eq!(code, 200);
         let parsed = crate::json::Json::parse(&body).expect("trace json");
         let events = parsed
@@ -247,7 +263,8 @@ mod tests {
     fn reports_503_when_the_volume_is_gone() {
         let spans = Arc::new(SpanRing::new(8, 1));
         let snap: SnapshotFn = Box::new(|| None);
-        let mut srv = MetricsServer::start("127.0.0.1:0", snap, spans).unwrap();
+        let trace: TraceFn = Box::new(move |_| Ok(spans.clone()));
+        let mut srv = MetricsServer::start("127.0.0.1:0", snap, trace).unwrap();
         let (code, _) = http_get(srv.addr(), "/metrics");
         assert_eq!(code, 503);
         srv.stop();

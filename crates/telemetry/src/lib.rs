@@ -42,7 +42,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use blackbox::{render_blackbox, FlightRecorder, BLACKBOX_SCHEMA};
-pub use http::{MetricsServer, SnapshotFn};
+pub use http::{MetricsServer, SnapshotFn, TraceFn};
 pub use json::Json;
 pub use recorder::{LatencyRecorder, LatencySnapshot};
 pub use serving::ServingRecorders;
