@@ -22,7 +22,7 @@
 //! prototype pipelines these stages across kernel and userspace, which the
 //! simulation plane ([`crate::engine`]) models for performance experiments.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ use crate::types::{
     Result, SECTOR,
 };
 use crate::wlog::{RecordInfo, WriteLog};
-use crate::writeback::{DurableFrontier, WritebackPool};
+use crate::writeback::WritebackPool;
 
 /// Cache-device superblock location and size (sectors).
 const CACHE_SB_SECTORS: u64 = 8;
@@ -86,6 +86,27 @@ enum FlushOutcome {
     /// A transient backend failure stopped the pump; the failed batch is
     /// back in the queue, and the error that stalled it is carried here.
     Stalled(ObjError),
+}
+
+/// A sealed object in the writeback backlog, from its seal until it is
+/// applied to the object map.
+struct Sealed {
+    payload: PutPayload,
+    state: PutState,
+    /// Seal time, for the PUT queue-wait split.
+    sealed_at: Instant,
+}
+
+/// Where a sealed object stands on its way to the object map.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum PutState {
+    /// Waiting for a slot in the PUT window: newly sealed, or back after a
+    /// failed PUT.
+    Queued,
+    /// Handed to the writeback pool.
+    InFlight,
+    /// Durable in the backend, waiting for an older object to apply first.
+    Landed,
 }
 
 /// A sealed unit awaiting its backend PUT: a foreground data batch or a
@@ -265,25 +286,19 @@ pub struct Volume {
     /// [`crate::read_plane`].
     plane: Arc<ReadPlane>,
     batch: BatchBuilder,
-    /// Sealed batches awaiting PUT, oldest first. Normally the queue is
-    /// empty (a batch is PUT as soon as it seals); it grows only while the
-    /// backend fails transiently — degraded mode. Batches are shipped
-    /// strictly in sequence order; the queue is bounded by
+    /// Every sealed object not yet applied to the object map, by
+    /// sequence: queued, in flight on the pool, or landed behind an older
+    /// one. PUTs are submitted oldest queued first, and objects apply
+    /// only from the front of the map once landed — the §3.3 prefix rule,
+    /// so `last_seq` is the durable frontier. The backlog is bounded by
     /// `VolumeConfig::max_pending_batches`, past which writes that would
     /// seal another batch fail with [`LsvdError::Backpressure`].
-    pending_puts: VecDeque<(ObjSeq, PutPayload)>,
+    backlog: BTreeMap<ObjSeq, Sealed>,
     /// The PUT executor: `writeback_threads` workers, or the inline
     /// executor (zero workers, window 1) that runs each PUT on the
     /// submitting thread. Both drive the same seal → submit → harvest →
     /// apply path.
     pool: WritebackPool,
-    /// Payloads handed to the pool and not yet completed, by sequence.
-    inflight: BTreeMap<ObjSeq, PutPayload>,
-    /// Payloads whose PUT completed *out of order*: durable in the backend
-    /// but stranded behind a gap, so not yet applied to the object map.
-    landed: BTreeMap<ObjSeq, PutPayload>,
-    /// Gate that releases landed batches in contiguous sequence order.
-    durable: DurableFrontier,
     /// A transient PUT failure has been observed and its batch requeued;
     /// cleared when a PUT completes successfully or the backlog empties.
     put_stalled: bool,
@@ -348,8 +363,6 @@ struct VolTelemetry {
     put_queue_wait: LatencyRecorder,
     /// Observer of every lifecycle edge (see [`Volume::set_edge_hook`]).
     edge_hook: Option<EdgeHook>,
-    /// Seal time per queued/in-flight sequence, for the queue-wait split.
-    enqueued_at: HashMap<ObjSeq, Instant>,
     /// Last degraded-mode state observed, for its edges.
     was_degraded: bool,
     /// Payload bytes checksummed on the hot write path (once, at wlog
@@ -382,7 +395,6 @@ impl VolTelemetry {
             put_service: LatencyRecorder::new(),
             put_queue_wait: LatencyRecorder::new(),
             edge_hook: None,
-            enqueued_at: HashMap::new(),
             was_degraded: false,
             payload_crc_bytes: 0,
             crc_recomputed_bytes: 0,
@@ -623,11 +635,8 @@ impl Volume {
                     wlog,
                     plane,
                     batch: BatchBuilder::new(),
-                    pending_puts: VecDeque::new(),
+                    backlog: BTreeMap::new(),
                     pool,
-                    inflight: BTreeMap::new(),
-                    landed: BTreeMap::new(),
-                    durable: DurableFrontier::new(rb.last_seq),
                     put_stalled: false,
                     retry_handle: stack.retry,
                     metrics: stack.metrics,
@@ -747,11 +756,8 @@ impl Volume {
             wlog,
             plane,
             batch: BatchBuilder::new(),
-            pending_puts: VecDeque::new(),
+            backlog: BTreeMap::new(),
             pool,
-            inflight: BTreeMap::new(),
-            landed: BTreeMap::new(),
-            durable: DurableFrontier::new(last_seq),
             put_stalled: false,
             retry_handle: stack.retry,
             metrics: stack.metrics,
@@ -813,7 +819,7 @@ impl Volume {
         // Settle the replayed tail before returning, so an open with a
         // healthy backend ships it synchronously. A stalling backend
         // leaves it queued — degraded mode.
-        while !self.inflight.is_empty() {
+        while self.count(PutState::InFlight) > 0 {
             if let FlushOutcome::Stalled(_) = self.pump(true)? {
                 break;
             }
@@ -871,7 +877,7 @@ impl Volume {
     pub fn write_stays_local(&self, len: u64) -> bool {
         len <= MAX_WRITE_SECTORS * SECTOR
             && self.gc.is_none()
-            && self.writeback_idle()
+            && self.backlog.is_empty()
             && self.wlog.has_room(len)
             && self.batch.live_bytes() + len < self.cfg.batch_bytes
     }
@@ -899,18 +905,18 @@ impl Volume {
         // limit) a write that would seal yet another batch is refused
         // *before* touching the cache log, so a rejected write leaves no
         // partial state behind.
-        if self.writeback_backlog() >= self.cfg.max_pending_batches
+        if self.backlog.len() >= self.cfg.max_pending_batches
             && self.batch.live_bytes() + data.len() as u64 >= self.cfg.batch_bytes
         {
             // A full window over a healthy backend is throttling, not
             // failure: ship the queue and block until the durable prefix
             // advances enough to admit another batch. Harvesting an
-            // out-of-order completion parks it in `landed` without
-            // shrinking the backlog, so one ship is not always enough —
+            // out-of-order completion leaves it landed in the backlog
+            // without shrinking it, so one ship is not always enough —
             // keep shipping while the pipe is healthy and moving. A stall
             // rejects the write.
             let cleared = loop {
-                if self.writeback_backlog() < self.cfg.max_pending_batches {
+                if self.backlog.len() < self.cfg.max_pending_batches {
                     break true;
                 }
                 if let FlushOutcome::Stalled(_) = self.ship(true)? {
@@ -920,7 +926,7 @@ impl Volume {
             if !cleared {
                 self.stats.backpressure_rejections += 1;
                 return Err(LsvdError::Backpressure {
-                    pending: self.writeback_backlog(),
+                    pending: self.backlog.len(),
                     limit: self.cfg.max_pending_batches,
                 });
             }
@@ -953,7 +959,7 @@ impl Volume {
             self.spans.finish(open, appended.seq, data.len() as u64);
         }
         if self.batch.live_bytes() >= self.cfg.batch_bytes
-            && self.writeback_backlog() < self.cfg.max_pending_batches
+            && self.backlog.len() < self.cfg.max_pending_batches
         {
             self.put_batch()?;
         }
@@ -1028,10 +1034,10 @@ impl Volume {
             if self.wlog.free_sectors() == before {
                 // No progress. Distinguish "backend down, queue jammed"
                 // from a genuinely undersized cache.
-                if !self.writeback_idle() {
+                if !self.backlog.is_empty() {
                     self.stats.backpressure_rejections += 1;
                     return Err(LsvdError::Backpressure {
-                        pending: self.writeback_backlog(),
+                        pending: self.backlog.len(),
                         limit: self.cfg.max_pending_batches,
                     });
                 }
@@ -1098,7 +1104,7 @@ impl Volume {
     /// Forces the current batch to the backend even if not full.
     fn writeback_now(&mut self) -> Result<()> {
         self.put_batch()?;
-        if !self.inflight.is_empty() {
+        if self.count(PutState::InFlight) > 0 {
             // Block for at least one completion so the caller (the
             // cache-full loop) can observe released log records.
             self.pump(true)?;
@@ -1106,16 +1112,17 @@ impl Volume {
         Ok(())
     }
 
-    /// Sealed batches not yet applied to the object map: queued, in
-    /// flight on the pool, and landed out of order. This is the unit
-    /// backpressure counts.
-    fn writeback_backlog(&self) -> usize {
-        self.pending_puts.len() + self.inflight.len() + self.landed.len()
+    /// Backlog entries in `state`.
+    fn count(&self, state: PutState) -> usize {
+        self.backlog.values().filter(|s| s.state == state).count()
     }
 
-    /// Whether every sealed batch has been shipped *and* applied.
-    fn writeback_idle(&self) -> bool {
-        self.pending_puts.is_empty() && self.inflight.is_empty() && self.landed.is_empty()
+    /// Object bytes in the backlog.
+    fn backlog_bytes(&self) -> u64 {
+        self.backlog
+            .values()
+            .map(|s| s.payload.object().len() as u64)
+            .sum()
     }
 
     /// Records one lifecycle edge in the span ring, then shows it to the
@@ -1144,26 +1151,14 @@ impl Volume {
         }
     }
 
-    /// Records one finished PUT's service time and the queue-wait split
-    /// (time from seal to completion, minus the final attempt's service).
-    fn record_put_timing(&mut self, seq: ObjSeq, service: std::time::Duration) {
-        self.tel.put_service.observe(service);
-        if let Some(sealed_at) = self.tel.enqueued_at.remove(&seq) {
-            let total = sealed_at.elapsed();
-            self.tel
-                .put_queue_wait
-                .observe(total.saturating_sub(service));
-        }
-    }
-
     /// Harvests PUT completions (blocking for the first one when
-    /// `block`), applies the newly contiguous durable prefix in sequence
+    /// `block`), applies the landed front of the backlog in sequence
     /// order, and refills the window after each harvest — until no
     /// completion is ready. On the inline executor every submitted PUT has
     /// already run, so a pump applies it before returning.
     ///
-    /// A failed PUT goes back to the queue at its sequence position and
-    /// stops the pump without resubmitting: the next ship retries it.
+    /// A failed PUT goes back to the queued state in place and stops the
+    /// pump without resubmitting: the next ship retries it.
     /// Returns `Stalled` when this pump saw a transient failure. On a
     /// permanent failure (or an error applying a landed object) every
     /// other harvested completion is still accounted for, and then the
@@ -1184,27 +1179,43 @@ impl Volume {
             }
             for c in completions {
                 let seq = c.seq;
-                let payload = self
-                    .inflight
-                    .remove(&seq)
+                let entry = self
+                    .backlog
+                    .get_mut(&seq)
                     .expect("completion for an unknown sequence");
+                debug_assert_eq!(entry.state, PutState::InFlight);
+                let sealed_at = entry.sealed_at;
+                // A failed PUT is requeued in place. FIFO visibility is
+                // safe: nothing at or beyond this sequence can apply
+                // until its PUT eventually lands.
+                entry.state = if c.result.is_ok() {
+                    PutState::Landed
+                } else {
+                    PutState::Queued
+                };
                 match c.result {
                     Ok(()) => {
                         self.put_stalled = false;
                         self.edge(None, Stage::PutDone, seq.into(), 0);
-                        self.record_put_timing(seq, c.service);
-                        self.landed.insert(seq, payload);
+                        // Queue wait: seal to completion, minus the final
+                        // attempt's service time.
+                        self.tel.put_service.observe(c.service);
+                        self.tel
+                            .put_queue_wait
+                            .observe(sealed_at.elapsed().saturating_sub(c.service));
                         // Only the gap-free prefix may touch metadata:
-                        // apply exactly the sequences the frontier
-                        // releases, in order. Anything beyond a gap stays
-                        // in `landed`.
-                        for ready in self.durable.complete(seq) {
-                            let payload = self.landed.remove(&ready).expect("ready batch landed");
-                            if let Err(e) = self.finish_put(ready, payload) {
+                        // apply landed objects from the front of the
+                        // backlog, in order. Anything beyond a gap stays
+                        // landed.
+                        while let Some(front) = self.backlog.first_entry() {
+                            if front.get().state != PutState::Landed {
+                                break;
+                            }
+                            let (ready, sealed) = front.remove_entry();
+                            if let Err(e) = self.finish_put(ready, sealed.payload) {
                                 fatal.get_or_insert(e);
                             }
                         }
-                        continue;
                     }
                     Err(e) if e.is_transient() => {
                         self.stats.put_transient_failures += 1;
@@ -1217,11 +1228,6 @@ impl Volume {
                         fatal.get_or_insert(e.into());
                     }
                 }
-                // Requeue at its sequence position. FIFO visibility is
-                // safe: nothing at or beyond this sequence can apply
-                // until its PUT eventually lands.
-                let pos = self.pending_puts.partition_point(|&(s, _)| s < seq);
-                self.pending_puts.insert(pos, (seq, payload));
             }
             if stall.is_some() || fatal.is_some() {
                 break;
@@ -1254,19 +1260,40 @@ impl Volume {
         }
     }
 
-    /// Moves queued batches onto the pool up to the in-flight window.
+    /// Moves queued objects onto the pool, oldest first, up to the
+    /// in-flight window.
     fn submit_ready(&mut self) {
-        while self.inflight.len() < self.put_window() && !self.pending_puts.is_empty() {
-            let (seq, payload) = self.pending_puts.pop_front().expect("checked nonempty");
+        let room = self
+            .put_window()
+            .saturating_sub(self.count(PutState::InFlight));
+        let ready: Vec<ObjSeq> = self
+            .backlog
+            .iter()
+            .filter(|(_, s)| s.state == PutState::Queued)
+            .map(|(&seq, _)| seq)
+            .take(room)
+            .collect();
+        for seq in ready {
             let name = self.resolve_name(seq);
             self.edge(None, Stage::PutStart, seq.into(), 0);
-            let object = payload.object().clone();
-            self.inflight.insert(seq, payload);
-            self.pool.submit_put(seq, name, object);
+            let entry = self.backlog.get_mut(&seq).expect("queued entry");
+            entry.state = PutState::InFlight;
+            self.pool
+                .submit_put(seq, name, entry.payload.object().clone());
         }
     }
 
-    /// Seals the current batch into the pending queue, allocating its
+    /// Adds a sealed object to the backlog, queued for its PUT.
+    fn enqueue(&mut self, seq: ObjSeq, payload: PutPayload) {
+        let sealed = Sealed {
+            payload,
+            state: PutState::Queued,
+            sealed_at: Instant::now(),
+        };
+        self.backlog.insert(seq, sealed);
+    }
+
+    /// Seals the current batch into the backlog, allocating its
     /// sequence number. Sequences are assigned at seal time, so queued
     /// batches carry strictly increasing sequences and FIFO shipping
     /// preserves the backend's prefix rule.
@@ -1278,9 +1305,7 @@ impl Volume {
         self.tel.crc_recomputed_bytes += sealed.crc_recomputed_bytes;
         self.tel.crc_combine_ops += sealed.crc_combine_ops;
         self.tel.copied_bytes += sealed.data_bytes;
-        self.pending_puts
-            .push_back((seq, PutPayload::Batch(sealed)));
-        self.tel.enqueued_at.insert(seq, Instant::now());
+        self.enqueue(seq, PutPayload::Batch(sealed));
         // Requests join this edge through the data key: a wlog span with
         // `arg_a` (cache seq) ≤ its `arg_b` (last cache seq) was carried
         // by this object.
@@ -1295,7 +1320,7 @@ impl Volume {
     /// propagate.
     fn put_batch(&mut self) -> Result<()> {
         let stalled = matches!(self.ship(false)?, FlushOutcome::Stalled(_));
-        if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
+        if !self.batch.is_empty() && self.backlog.len() < self.cfg.max_pending_batches {
             self.seal_into_queue();
             if !stalled {
                 self.ship(false)?;
@@ -1382,7 +1407,7 @@ impl Volume {
         // through later write-path steps, with its relocation carriers
         // interleaved into the same PUT window as foreground batches.
         if self.objects_since_ckpt >= self.cfg.checkpoint_interval
-            && self.writeback_idle()
+            && self.backlog.is_empty()
             && self.pending_trims.is_empty()
         {
             match self.write_checkpoint() {
@@ -1462,7 +1487,7 @@ impl Volume {
         loop {
             match self.ship(true)? {
                 FlushOutcome::Stalled(e) => {
-                    let at = self.durable.frontier();
+                    let at = self.last_seq;
                     if stalled_at != Some(at) {
                         stalled_at = Some(at);
                         stalls = 0;
@@ -1476,7 +1501,7 @@ impl Volume {
                     stalled_at = None;
                     if !self.batch.is_empty() {
                         self.seal_into_queue();
-                    } else if self.writeback_idle() {
+                    } else if self.backlog.is_empty() {
                         break;
                     }
                 }
@@ -1490,14 +1515,14 @@ impl Volume {
     /// transient PUT failure is unresolved and the backlog is not empty.
     /// A non-empty backlog alone is normal (PUTs in flight).
     pub fn is_degraded(&self) -> bool {
-        self.put_stalled && !self.writeback_idle()
+        self.put_stalled && !self.backlog.is_empty()
     }
 
     /// The last object sequence inside the contiguous durable prefix —
     /// everything up to and including it is applied to the object map and
     /// coverable by a checkpoint.
     pub fn durable_frontier(&self) -> ObjSeq {
-        self.durable.frontier()
+        self.last_seq
     }
 
     /// Surfaces the live counters of a [`RetryStore`](objstore::RetryStore)
@@ -1607,7 +1632,7 @@ impl Volume {
         let mut fruitless = 0u32;
         let mut last_stall: Option<ObjError> = None;
         while self.gc.is_some() {
-            let before = (self.durable.frontier(), self.gc_progress());
+            let before = (self.last_seq, self.gc_progress());
             self.gc_step_inner(true)?;
             if self.gc.is_some() {
                 // Carriers (or foreground batches ahead of them) still
@@ -1617,7 +1642,7 @@ impl Volume {
                     last_stall = Some(e);
                 }
             }
-            if (self.durable.frontier(), self.gc_progress()) == before {
+            if (self.last_seq, self.gc_progress()) == before {
                 fruitless += 1;
                 if fruitless > self.cfg.max_inflight_puts as u32 + 1 {
                     // The pass cannot advance (backend down, most
@@ -1755,9 +1780,9 @@ impl Volume {
                 break;
             }
             // A carrier needs a backlog slot, same as a foreground seal.
-            if self.writeback_backlog() >= self.cfg.max_pending_batches {
+            if self.backlog.len() >= self.cfg.max_pending_batches {
                 self.pump(false)?;
-                if self.writeback_backlog() >= self.cfg.max_pending_batches {
+                if self.backlog.len() >= self.cfg.max_pending_batches {
                     break;
                 }
             }
@@ -1958,17 +1983,14 @@ impl Volume {
                 }
             }
         }
-        self.tel.enqueued_at.insert(seq, Instant::now());
+        let carrier = GcCarrier {
+            object: obj,
+            hdr_sectors,
+            pieces,
+            victim_sources,
+        };
+        self.enqueue(seq, PutPayload::Gc(carrier));
         self.edge(None, Stage::GcRelocate, seq.into(), bytes);
-        self.pending_puts.push_back((
-            seq,
-            PutPayload::Gc(GcCarrier {
-                object: obj,
-                hdr_sectors,
-                pieces,
-                victim_sources,
-            }),
-        ));
     }
 
     /// Retires a fully-relocated victim: unmaps it and defers its delete
@@ -2143,17 +2165,11 @@ impl Volume {
         s.backend_gets += p.backend_gets;
         s.backend_get_bytes += p.backend_get_bytes;
         s.degraded = self.is_degraded();
-        s.pending_batches = self.writeback_backlog() as u64;
-        s.pending_bytes = self
-            .pending_puts
-            .iter()
-            .map(|(_, p)| p.object().len() as u64)
-            .chain(self.inflight.values().map(|p| p.object().len() as u64))
-            .chain(self.landed.values().map(|p| p.object().len() as u64))
-            .sum();
-        s.inflight_puts = self.inflight.len() as u64;
-        s.queued_batches = self.pending_puts.len() as u64;
-        s.landed_gapped = self.landed.len() as u64;
+        s.pending_batches = self.backlog.len() as u64;
+        s.pending_bytes = self.backlog_bytes();
+        s.inflight_puts = self.count(PutState::InFlight) as u64;
+        s.queued_batches = self.count(PutState::Queued) as u64;
+        s.landed_gapped = self.count(PutState::Landed) as u64;
         if let Some(h) = &self.retry_handle {
             s.retry = h.snapshot();
         }
@@ -2169,9 +2185,9 @@ impl Volume {
         let rc = { self.plane.read_state().rcache.stats() };
         let elapsed = self.tel.started.elapsed().as_secs_f64();
         let window = self.put_window() as u64;
-        let occupancy = self.inflight.len() as f64 / window as f64;
+        let occupancy = stats.inflight_puts as f64 / window as f64;
         let sealed_seq: u64 = self.next_obj_seq.saturating_sub(1).into();
-        let frontier: u64 = self.durable.frontier().into();
+        let frontier: u64 = self.last_seq.into();
         let backend_objects = stats.backend_puts + stats.gc_puts;
         let (live, total) = { self.plane.read_state().objmap.totals() };
         let commit = self.wlog.commit();
@@ -2353,14 +2369,7 @@ impl Volume {
     /// ("dirty"): the open batch plus every sealed batch still queued, in
     /// flight, or landed out of order.
     pub fn dirty_bytes(&self) -> u64 {
-        self.batch.live_bytes()
-            + self
-                .pending_puts
-                .iter()
-                .map(|(_, p)| p.object().len() as u64)
-                .chain(self.inflight.values().map(|p| p.object().len() as u64))
-                .chain(self.landed.values().map(|p| p.object().len() as u64))
-                .sum::<u64>()
+        self.batch.live_bytes() + self.backlog_bytes()
     }
 
     /// `(live, total)` sectors across backend objects.

@@ -1,26 +1,20 @@
-//! Backend writeback: a PUT executor and a durable-frontier tracker.
+//! Backend writeback: the PUT executor.
 //!
 //! The paper's prototype overlaps batch PUTs with foreground I/O (§3.1,
 //! Fig. 1): writes are acknowledged from the SSD log while sealed batches
-//! ship to the object store in the background. This module provides the
-//! two pieces the [`Volume`](crate::volume::Volume) needs to do the same:
+//! ship to the object store in the background. [`WritebackPool`] runs
+//! those PUTs against the shared [`ObjectStore`]. With `n > 0` workers it
+//! runs them on a small fixed thread pool; with zero workers it runs each
+//! PUT inline on the submitting thread and parks the completion for the
+//! next harvest. Either way the [`Volume`](crate::volume::Volume) drives
+//! it through the same submit/harvest calls.
 //!
-//! - [`WritebackPool`] — the executor for batch PUTs against the shared
-//!   [`ObjectStore`]. With `n > 0` workers it runs them on a small fixed
-//!   thread pool; with zero workers it runs each PUT inline on the
-//!   submitting thread and parks the completion for the next harvest.
-//!   Either way the volume drives it through the same submit/harvest
-//!   calls. The pool is pure transport: it never touches volume
-//!   metadata, so all map/checkpoint mutation stays on the foreground
-//!   thread.
-//! - [`DurableFrontier`] — tracks which object sequences have completed
-//!   their PUT and yields them back *in contiguous order*. PUTs issued
-//!   concurrently complete out of order, but the object map, the cache-log
-//!   release point and checkpoints may only advance over a gap-free prefix
-//!   of the object stream (§3.3's prefix rule); the frontier is the gate
-//!   that enforces this.
+//! The pool is pure transport: it never touches volume metadata. PUTs
+//! complete out of order, and the volume's writeback backlog applies them
+//! to the object map only as a gap-free prefix of the object stream
+//! (§3.3), all on the foreground thread.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -209,117 +203,10 @@ fn worker(shared: Arc<Shared>) {
     }
 }
 
-/// Tracks the contiguous durable prefix of the object stream.
-///
-/// PUTs complete out of order; [`DurableFrontier::complete`] records each
-/// durable sequence and returns the (possibly empty) run of sequences
-/// that just became part of the gap-free prefix, in order. Only those may
-/// be applied to the object map, release cache-log records, or be covered
-/// by a checkpoint — the §3.3 prefix rule, mechanized.
-#[derive(Debug)]
-pub struct DurableFrontier {
-    /// The next sequence the prefix is waiting on.
-    next: ObjSeq,
-    /// Durable sequences beyond `next` (the out-of-order stash).
-    done: BTreeSet<ObjSeq>,
-}
-
-impl DurableFrontier {
-    /// A frontier whose prefix currently ends at `last_applied`.
-    pub fn new(last_applied: ObjSeq) -> Self {
-        DurableFrontier {
-            next: last_applied + 1,
-            done: BTreeSet::new(),
-        }
-    }
-
-    /// The last sequence inside the contiguous durable prefix.
-    pub fn frontier(&self) -> ObjSeq {
-        self.next - 1
-    }
-
-    /// Durable sequences stranded beyond the first gap.
-    pub fn gap_count(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Records `seq` as durable; returns every sequence that just became
-    /// contiguous with the prefix, oldest first (empty while a gap
-    /// remains).
-    pub fn complete(&mut self, seq: ObjSeq) -> Vec<ObjSeq> {
-        debug_assert!(seq >= self.next, "sequence {seq} already applied");
-        debug_assert!(!self.done.contains(&seq), "sequence {seq} completed twice");
-        self.done.insert(seq);
-        let mut ready = Vec::new();
-        while self.done.remove(&self.next) {
-            ready.push(self.next);
-            self.next += 1;
-        }
-        ready
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use objstore::MemStore;
-
-    #[test]
-    fn frontier_holds_until_gap_fills() {
-        let mut f = DurableFrontier::new(0);
-        assert_eq!(f.frontier(), 0);
-        assert_eq!(f.complete(3), vec![]);
-        assert_eq!(f.complete(2), vec![]);
-        assert_eq!(f.gap_count(), 2);
-        assert_eq!(f.complete(1), vec![1, 2, 3]);
-        assert_eq!(f.frontier(), 3);
-        assert_eq!(f.gap_count(), 0);
-        assert_eq!(f.complete(4), vec![4]);
-    }
-
-    #[test]
-    fn frontier_is_ordered_under_threaded_completion() {
-        // Barrier-driven ordering test: many threads race to complete a
-        // shuffled set of sequences; the ready-runs observed under the
-        // lock must concatenate to exactly 1..=N in order.
-        use std::sync::Barrier;
-
-        const N: u32 = 96;
-        const THREADS: u32 = 8;
-        let shared = Arc::new((
-            Mutex::new((DurableFrontier::new(0), Vec::<ObjSeq>::new())),
-            Barrier::new(THREADS as usize),
-        ));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let shared = shared.clone();
-                std::thread::spawn(move || {
-                    let (lock, barrier) = &*shared;
-                    barrier.wait();
-                    // Thread t completes seqs t+1, t+1+THREADS, ... —
-                    // maximally interleaved with its peers.
-                    let mut seq = t + 1;
-                    while seq <= N {
-                        let mut g = lock.lock();
-                        let (frontier, applied) = &mut *g;
-                        let ready = frontier.complete(seq);
-                        applied.extend(ready);
-                        drop(g);
-                        seq += THREADS;
-                        std::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let g = shared.0.lock();
-        let expect: Vec<ObjSeq> = (1..=N).collect();
-        assert_eq!(g.1, expect, "applied order must be the exact prefix order");
-        assert_eq!(g.0.frontier(), N);
-        assert_eq!(g.0.gap_count(), 0);
-    }
 
     #[test]
     fn pool_puts_complete_and_poll_harvests() {
