@@ -370,7 +370,7 @@ pub fn parse_data_header(obj: &[u8]) -> Result<DataHeader> {
 pub const MAX_HEADER_BYTES: u64 = 256 * 1024;
 
 /// Volume identity, written once at create time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Superblock {
     /// Volume UUID (random at create).
     pub uuid: u64,

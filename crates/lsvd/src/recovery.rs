@@ -34,8 +34,9 @@ use crate::types::{object_name, parse_object_seq, superblock_name, LsvdError, Ob
 /// Most header fetches recovery keeps in flight at once.
 pub const FETCH_WORKERS: usize = 32;
 
-/// The outcome of backend recovery.
-#[derive(Debug)]
+/// The outcome of backend recovery. The default is an empty backend, as
+/// [`Volume::create`](crate::volume::Volume::create) leaves it.
+#[derive(Debug, Default)]
 pub struct RecoveredBackend {
     /// Volume identity.
     pub superblock: Superblock,

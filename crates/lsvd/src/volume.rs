@@ -51,7 +51,7 @@ use crate::objfmt::{self, Superblock};
 use crate::objmap::{ObjLoc, ObjectMap};
 use crate::rcache::ReadCache;
 use crate::read_plane::ReadPlane;
-use crate::recovery::{self, fetch_header};
+use crate::recovery::{self, fetch_header, RecoveredBackend};
 use crate::types::{
     bytes_to_sectors, checkpoint_name, object_name, superblock_name, Lba, LsvdError, ObjSeq,
     Result, SECTOR,
@@ -541,18 +541,11 @@ impl Volume {
         stack
             .store
             .put(&checkpoint_name(image, 0), ck.build(uuid))?;
-        Self::attach_fresh_cache(
-            stack,
-            dev,
-            sb,
-            cfg,
-            ObjectMap::new(),
-            0,
-            0,
-            vec![],
-            vec![],
-            0,
-        )
+        let empty = RecoveredBackend {
+            superblock: sb,
+            ..RecoveredBackend::default()
+        };
+        Self::attach_fresh_cache(stack, dev, cfg, empty)
     }
 
     /// Clones `base_image` (optionally at one of its snapshots) into a new
@@ -616,65 +609,14 @@ impl Volume {
                 // Restore the persisted read-cache map if present (§3.2);
                 // a cold cache is always safe.
                 let rcache = ReadCache::load(dev.clone(), c.rc_start, c.rc_sectors);
-                let pool = WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads);
-                let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
-                let plane = Arc::new(ReadPlane::new(
-                    dev.clone(),
-                    stack.store.clone(),
-                    rb.superblock.clone(),
-                    &cfg,
-                    rcache,
-                    rb.objmap,
-                    spans.clone(),
-                ));
-                let mut vol = Volume {
-                    store: stack.store,
-                    dev,
-                    sb: rb.superblock,
-                    cfg,
-                    wlog,
-                    plane,
-                    batch: BatchBuilder::new(),
-                    backlog: BTreeMap::new(),
-                    pool,
-                    put_stalled: false,
-                    retry_handle: stack.retry,
-                    metrics: stack.metrics,
-                    tel: VolTelemetry::new(),
-                    next_obj_seq: rb.last_seq + 1,
-                    last_seq: rb.last_seq,
-                    last_ckpt_seq: rb.ckpt_seq,
-                    objects_since_ckpt: 0,
-                    frontier: rb.frontier,
-                    snapshots: rb.snapshots,
-                    deferred_deletes: rb.deferred_deletes,
-                    gc: None,
-                    gc_last_collected: 0,
-                    gc_stepping: false,
-                    pending_trims: Vec::new(),
-                    read_only: false,
-                    stats: VolumeStats::default(),
-                    spans,
-                    span_ctx: (0, 0),
-                };
+                let mut vol = Self::assemble(stack, dev, cfg, rb, wlog, rcache);
                 vol.replay_cache_tail(pending)?;
                 Ok(vol)
             }
             None => {
                 // Cache lost (or foreign): prefix-consistent recovery from
                 // the backend alone.
-                Self::attach_fresh_cache(
-                    stack,
-                    dev,
-                    rb.superblock,
-                    cfg,
-                    rb.objmap,
-                    rb.last_seq,
-                    rb.frontier,
-                    rb.snapshots,
-                    rb.deferred_deletes,
-                    rb.ckpt_seq,
-                )
+                Self::attach_fresh_cache(stack, dev, cfg, rb)
             }
         }
     }
@@ -693,39 +635,23 @@ impl Volume {
         let stack = build_store_stack(store, &cfg);
         let seq = snapshot_seq(stack.store.as_ref(), image, snapshot)?;
         let rb = recovery::recover_backend(stack.store.as_ref(), image, Some(seq))?;
-        let mut vol = Self::attach_fresh_cache(
-            stack,
-            dev,
-            rb.superblock,
-            cfg,
-            rb.objmap,
-            rb.last_seq,
-            rb.frontier,
-            rb.snapshots,
-            rb.deferred_deletes,
-            rb.ckpt_seq,
-        )?;
+        let mut vol = Self::attach_fresh_cache(stack, dev, cfg, rb)?;
         vol.read_only = true;
         Ok(vol)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Formats the cache device for the recovered backend state: a cache
+    /// superblock, an empty write log and an empty read cache.
     fn attach_fresh_cache(
         stack: StoreStack,
         dev: Arc<dyn BlockDevice>,
-        sb: Superblock,
         cfg: VolumeConfig,
-        objmap: ObjectMap,
-        last_seq: ObjSeq,
-        frontier: u64,
-        snapshots: Vec<(String, ObjSeq)>,
-        deferred_deletes: Vec<(ObjSeq, ObjSeq)>,
-        last_ckpt_seq: ObjSeq,
+        rb: RecoveredBackend,
     ) -> Result<Volume> {
         let (wc_start, wc_sectors, rc_start, rc_sectors) = cache_layout(&dev);
         let cache_sb = CacheSb {
-            uuid: sb.uuid,
-            image: sb.image.clone(),
+            uuid: rb.superblock.uuid,
+            image: rb.superblock.image.clone(),
             wc_start,
             wc_sectors,
             rc_start,
@@ -734,24 +660,37 @@ impl Volume {
         dev.write_at(0, &cache_sb.build())?;
         // Cache sequences continue above the recovered frontier so that a
         // later crash recovery cannot mistake new records for shipped ones.
-        let wlog = WriteLog::format(dev.clone(), wc_start, wc_sectors, frontier + 1)?;
+        let wlog = WriteLog::format(dev.clone(), wc_start, wc_sectors, rb.frontier + 1)?;
         let rcache = ReadCache::new(dev.clone(), rc_start, rc_sectors);
         dev.flush()?;
+        Ok(Self::assemble(stack, dev, cfg, rb, wlog, rcache))
+    }
+
+    /// Builds the volume over the recovered backend state and a write log
+    /// and read cache on `dev`, with an empty writeback backlog.
+    fn assemble(
+        stack: StoreStack,
+        dev: Arc<dyn BlockDevice>,
+        cfg: VolumeConfig,
+        rb: RecoveredBackend,
+        wlog: WriteLog,
+        rcache: ReadCache,
+    ) -> Volume {
         let pool = WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads);
         let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
         let plane = Arc::new(ReadPlane::new(
             dev.clone(),
             stack.store.clone(),
-            sb.clone(),
+            rb.superblock.clone(),
             &cfg,
             rcache,
-            objmap,
+            rb.objmap,
             spans.clone(),
         ));
-        Ok(Volume {
+        Volume {
             store: stack.store,
             dev,
-            sb,
+            sb: rb.superblock,
             cfg,
             wlog,
             plane,
@@ -762,13 +701,13 @@ impl Volume {
             retry_handle: stack.retry,
             metrics: stack.metrics,
             tel: VolTelemetry::new(),
-            next_obj_seq: last_seq + 1,
-            last_seq,
-            last_ckpt_seq,
+            next_obj_seq: rb.last_seq + 1,
+            last_seq: rb.last_seq,
+            last_ckpt_seq: rb.ckpt_seq,
             objects_since_ckpt: 0,
-            frontier,
-            snapshots,
-            deferred_deletes,
+            frontier: rb.frontier,
+            snapshots: rb.snapshots,
+            deferred_deletes: rb.deferred_deletes,
             gc: None,
             gc_last_collected: 0,
             gc_stepping: false,
@@ -777,7 +716,7 @@ impl Volume {
             stats: VolumeStats::default(),
             spans,
             span_ctx: (0, 0),
-        })
+        }
     }
 
     /// Replays recovered cache records newer than the backend frontier:
