@@ -829,16 +829,9 @@ impl Volume {
         // Drive any in-progress cleaning pass one budgeted increment:
         // its relocation carriers share the PUT window with this write's
         // batches, so cleaning progresses without ever gating the
-        // foreground on an idle writeback path. A transient backend
-        // failure just pauses the pass; it resumes on a later step.
+        // foreground on an idle writeback path.
         if self.gc.is_some() {
-            match self.gc_step() {
-                Ok(_) => {}
-                Err(LsvdError::Backend(e)) if e.is_transient() => {
-                    self.stats.gc_aborts += 1;
-                }
-                Err(e) => return Err(e),
-            }
+            self.step_cleaner()?;
         }
         // Past the dirty watermark (queued + in-flight batches at the
         // limit) a write that would seal yet another batch is refused
@@ -1331,47 +1324,59 @@ impl Volume {
             }
         }
         self.objects_since_ckpt += 1;
-        // Checkpoints run only with a fully idle writeback path (nothing
-        // queued, in flight, or landed-but-unapplied): a checkpoint must
-        // not reference sequences that are not yet part of the durable
-        // prefix. `pending_trims` must be empty too: trims punch the
-        // object map eagerly at discard time, so a checkpoint taken while
-        // a trim's carrier object is still unsealed would make the trim
-        // durable ahead of older writes sitting in the batch builder —
-        // after cache loss, recovery would show the trim applied but the
-        // earlier acknowledged write missing (not a prefix).
-        //
-        // The cleaner is *not* idle-gated: a successful checkpoint merely
-        // kicks one budgeted step. The pass it starts keeps running
-        // through later write-path steps, with its relocation carriers
-        // interleaved into the same PUT window as foreground batches.
-        if self.objects_since_ckpt >= self.cfg.checkpoint_interval
-            && self.backlog.is_empty()
-            && self.pending_trims.is_empty()
+        self.checkpoint_if_due()
+    }
+
+    /// Writes a checkpoint once `checkpoint_interval` data objects have
+    /// applied since the last one, then kicks the cleaner.
+    ///
+    /// Checkpoints run only with a fully idle writeback path (nothing
+    /// queued, in flight, or landed-but-unapplied): a checkpoint must
+    /// not reference sequences that are not yet part of the durable
+    /// prefix. `pending_trims` must be empty too: trims punch the
+    /// object map eagerly at discard time, so a checkpoint taken while
+    /// a trim's carrier object is still unsealed would make the trim
+    /// durable ahead of older writes sitting in the batch builder —
+    /// after cache loss, recovery would show the trim applied but the
+    /// earlier acknowledged write missing (not a prefix).
+    ///
+    /// The cleaner is *not* idle-gated: a successful checkpoint merely
+    /// kicks one budgeted step. The pass it starts keeps running
+    /// through later write-path steps, with its relocation carriers
+    /// interleaved into the same PUT window as foreground batches.
+    fn checkpoint_if_due(&mut self) -> Result<()> {
+        if self.objects_since_ckpt < self.cfg.checkpoint_interval
+            || !self.backlog.is_empty()
+            || !self.pending_trims.is_empty()
         {
-            match self.write_checkpoint() {
-                Ok(()) => {
-                    if self.cfg.gc_enabled {
-                        match self.gc_step() {
-                            Ok(_) => {}
-                            Err(LsvdError::Backend(e)) if e.is_transient() => {
-                                // Paused cleanly; resumed by a later step.
-                                self.stats.gc_aborts += 1;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Err(LsvdError::Backend(e)) if e.is_transient() => {
-                    // Skipped; `objects_since_ckpt` stays high, so the next
-                    // finished PUT tries again. Recovery rolls forward from
-                    // the previous checkpoint either way.
-                    self.stats.checkpoint_failures += 1;
-                }
-                Err(e) => return Err(e),
-            }
+            return Ok(());
         }
-        Ok(())
+        match self.write_checkpoint() {
+            Ok(()) if self.cfg.gc_enabled => self.step_cleaner(),
+            Ok(()) => Ok(()),
+            Err(LsvdError::Backend(e)) if e.is_transient() => {
+                // Skipped; `objects_since_ckpt` stays high, so the next
+                // finished PUT tries again. Recovery rolls forward from
+                // the previous checkpoint either way.
+                self.stats.checkpoint_failures += 1;
+                Ok(())
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// One budgeted cleaner step ([`Volume::gc_step`]). A transient
+    /// backend failure pauses the pass cleanly, counted in `gc_aborts`;
+    /// a later step resumes it.
+    fn step_cleaner(&mut self) -> Result<()> {
+        match self.gc_step() {
+            Ok(_) => Ok(()),
+            Err(LsvdError::Backend(e)) if e.is_transient() => {
+                self.stats.gc_aborts += 1;
+                Ok(())
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Applies a relocation carrier that just became part of the durable
