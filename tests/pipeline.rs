@@ -9,7 +9,8 @@
 //! - overlap actually hides backend PUT latency (the ≥2× acceptance
 //!   demo, against a store that really sleeps);
 //! - completions may land out of order, but the object map only ever
-//!   advances along the contiguous durable prefix;
+//!   advances along the contiguous durable prefix: an object that lands
+//!   early waits, landed, until its predecessor applies;
 //! - transient PUT failures requeue without reordering the stream and
 //!   without losing acknowledged data;
 //! - backpressure counts queued *and* in-flight batches;
@@ -28,7 +29,7 @@ use blkdev::RamDisk;
 use bytes::Bytes;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
-use lsvd::LsvdError;
+use lsvd::{LsvdError, Stage};
 use objstore::{ChaosStore, LatencyStore, MemStore, ObjError, ObjectStore};
 
 const BATCH: u64 = 64 << 10;
@@ -129,6 +130,102 @@ fn durable_frontier_trails_inflight_puts_and_catches_up() {
     assert_eq!(st.pending_batches, 0);
     assert_eq!(st.inflight_puts, 0);
     assert!(!st.degraded);
+}
+
+/// Parks the first PUT of one object until the test opens the gate. The
+/// gate opens by itself after 30 s, so a regression fails instead of
+/// hanging.
+struct GatedPut {
+    inner: MemStore,
+    name: &'static str,
+    gate: Mutex<Option<mpsc::Receiver<()>>>,
+}
+
+impl ObjectStore for GatedPut {
+    fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
+        if name == self.name {
+            let gate = self.gate.lock().unwrap().take();
+            if let Some(gate) = gate {
+                let _ = gate.recv_timeout(Duration::from_secs(30));
+            }
+        }
+        self.inner.put(name, data)
+    }
+    fn get(&self, name: &str) -> objstore::Result<Bytes> {
+        self.inner.get(name)
+    }
+    fn get_range(&self, name: &str, offset: u64, len: u64) -> objstore::Result<Bytes> {
+        self.inner.get_range(name, offset, len)
+    }
+    fn head(&self, name: &str) -> objstore::Result<u64> {
+        self.inner.head(name)
+    }
+    fn delete(&self, name: &str) -> objstore::Result<()> {
+        self.inner.delete(name)
+    }
+    fn list(&self, prefix: &str) -> objstore::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+}
+
+/// Object 1's PUT is parked while object 2's lands. Object 2 must wait,
+/// landed and unapplied, until object 1 lands; then both apply in order.
+#[test]
+fn an_object_that_lands_early_waits_for_its_predecessor() {
+    let (open_gate, gate) = mpsc::channel();
+    let store = Arc::new(GatedPut {
+        inner: MemStore::new(),
+        name: "vol.00000001",
+        gate: Mutex::new(Some(gate)),
+    });
+    let cache = Arc::new(RamDisk::new(64 << 20));
+    let mut vol =
+        Volume::create(store, cache, "vol", 256 << 20, pipeline_cfg(2, 2)).expect("create");
+    let applied = Arc::new(Mutex::new(Vec::new()));
+    let log = applied.clone();
+    vol.set_edge_hook(Box::new(move |_, span| {
+        if span.stage == Stage::FrontierAdvance {
+            log.lock().unwrap().push(span.arg_a);
+        }
+    }));
+    let first = vec![1u8; BATCH as usize];
+    let second = vec![2u8; BATCH as usize];
+    vol.write(0, &first).expect("write object 1");
+    vol.write(BATCH, &second).expect("write object 2");
+
+    // Object 2's completion is harvested by a later write's pump; a 4 KiB
+    // overwrite of one block never fills the open batch.
+    let probe = vec![9u8; 4096];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while vol.stats().landed_gapped == 0 && applied.lock().unwrap().is_empty() {
+        assert!(Instant::now() < deadline, "object 2 never landed");
+        std::thread::sleep(Duration::from_millis(1));
+        vol.write(4 * BATCH, &probe).expect("probe write");
+    }
+    assert_eq!(*applied.lock().unwrap(), [0u64; 0], "applied behind a gap");
+    assert!(vol.durable_frontier() < 1, "frontier passed the gap");
+    let st = vol.stats();
+    assert_eq!(st.landed_gapped, 1, "{st:?}");
+    assert_eq!(st.inflight_puts, 1, "object 1 is still parked: {st:?}");
+    let mut buf = vec![0u8; BATCH as usize];
+    vol.read(0, &mut buf).expect("read object 1's write");
+    assert_eq!(buf, first);
+    vol.read(BATCH, &mut buf).expect("read object 2's write");
+    assert_eq!(buf, second);
+
+    open_gate.send(()).expect("gate still armed");
+    vol.drain().expect("drain");
+    let last = vol.last_object_seq();
+    assert_eq!(vol.durable_frontier(), last);
+    assert_eq!(
+        *applied.lock().unwrap(),
+        (1..=u64::from(last)).collect::<Vec<_>>(),
+        "objects apply in sequence order"
+    );
+    vol.read(0, &mut buf).expect("read object 1");
+    assert_eq!(buf, first);
+    vol.read(BATCH, &mut buf).expect("read object 2");
+    assert_eq!(buf, second);
 }
 
 #[test]
