@@ -603,8 +603,9 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
             e.volume().span_ring().set_enabled(true);
         }
     }
-    // The flight recorder dumps every export's span ring, edges
-    // included; the fingerprint names the first export.
+    // The flight recorder dumps the span ring of every export live at
+    // the time, edges included, those the control socket adds later too;
+    // the fingerprint names the first export.
     let recorder = match &opts.blackbox_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("blackbox dir {dir}: {e}"))?;
@@ -621,10 +622,13 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
                     )
                 })
                 .map_err(|e| format!("fingerprint: {e}"))?;
-            let rings = exports
-                .iter()
-                .map(|e| (e.name().to_string(), e.volume().span_ring()))
-                .collect();
+            let rreg = registry.clone();
+            let rings: telemetry::RingsFn = Box::new(move || {
+                rreg.exports()
+                    .iter()
+                    .map(|e| (e.name().to_string(), e.volume().span_ring()))
+                    .collect()
+            });
             let rec = telemetry::FlightRecorder::new(rings, fingerprint, dir.clone(), 1024);
             // Catch panics anywhere in the process.
             rec.install_panic_hook();

@@ -1,14 +1,16 @@
 //! Crash flight recorder: a fixed-size black box dumped on the way down.
 //!
-//! Aviation-style: the recorder holds every export's span ring and a
-//! config fingerprint. Each ring already keeps its volume's newest
-//! lifecycle edges and request spans, bounded and lock-cheap, so the
-//! recorder mirrors nothing. When the process hits a terminal path — an
-//! `LsvdError` that will error a client request, an NBD connection dying
-//! mid-frame, or a panic (via [`FlightRecorder::install_panic_hook`]) —
-//! [`FlightRecorder::dump`] writes the newest spans of every ring to a
-//! timestamped JSON file that survives the process. `lsvdctl blackbox
-//! <file>` ([`render_blackbox`]) pretty-prints it for the post-mortem.
+//! Aviation-style: the recorder holds a config fingerprint and looks up
+//! every export's span ring on each dump ([`RingsFn`]), so exports
+//! attached after it was built are dumped too. Each ring already keeps
+//! its volume's newest lifecycle edges and request spans, bounded and
+//! lock-cheap, so the recorder mirrors nothing. When the process hits a
+//! terminal path — an `LsvdError` that will error a client request, an
+//! NBD connection dying mid-frame, or a panic (via
+//! [`FlightRecorder::install_panic_hook`]) — [`FlightRecorder::dump`]
+//! writes the newest spans of every ring to a timestamped JSON file that
+//! survives the process. `lsvdctl blackbox <file>` ([`render_blackbox`])
+//! pretty-prints it for the post-mortem.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -22,11 +24,14 @@ use crate::span::{Span, SpanRing, Stage};
 /// Schema tag written into every blackbox file.
 pub const BLACKBOX_SCHEMA: &str = "lsvd-blackbox-v2";
 
+/// Lists the named span rings (one per export) that a dump writes,
+/// resolved on each dump.
+pub type RingsFn = Box<dyn Fn() -> Vec<(String, Arc<SpanRing>)> + Send + Sync>;
+
 /// The black box. Shared (`Arc`) between the serving plane and the
 /// process panic hook.
-#[derive(Debug)]
 pub struct FlightRecorder {
-    rings: Vec<(String, Arc<SpanRing>)>,
+    rings: RingsFn,
     span_limit: usize,
     config: String,
     dir: PathBuf,
@@ -34,12 +39,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a recorder over named span rings (one per export),
-    /// dumping at most `span_limit` of each ring's newest spans into
-    /// files in `dir`. `config` is an opaque fingerprint (volume config +
-    /// identity) echoed verbatim into every dump.
+    /// Creates a recorder over the named span rings `rings` lists on
+    /// each dump, writing at most `span_limit` of each ring's newest spans
+    /// into files in `dir`. `config` is an opaque fingerprint (volume
+    /// config + identity) echoed verbatim into every dump.
     pub fn new(
-        rings: Vec<(String, Arc<SpanRing>)>,
+        rings: RingsFn,
         config: String,
         dir: impl Into<PathBuf>,
         span_limit: usize,
@@ -77,15 +82,14 @@ impl FlightRecorder {
             .dir
             .join(format!("lsvd-blackbox-{unix_ms}-{n}-{slug}.json"));
 
-        let rings = self
-            .rings
-            .iter()
+        let rings = (self.rings)()
+            .into_iter()
             .map(|(name, ring)| {
                 let mut spans = ring.snapshot();
                 spans.drain(..spans.len().saturating_sub(self.span_limit));
                 let dropped = ring.dropped() + ring.edges_dropped();
                 Json::Obj(vec![
-                    ("name".into(), Json::Str(name.clone())),
+                    ("name".into(), Json::Str(name)),
                     ("dropped".into(), Json::Num(dropped as f64)),
                     (
                         "spans".into(),
@@ -125,6 +129,15 @@ impl FlightRecorder {
             }
             previous(info);
         }));
+    }
+}
+
+impl std::fmt::Debug for FlightRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlightRecorder")
+            .field("dir", &self.dir)
+            .field("dumps", &self.dumps())
+            .finish_non_exhaustive()
     }
 }
 
@@ -245,7 +258,12 @@ mod tests {
         let disk1 = Arc::new(SpanRing::new(64, 2));
         disk1.edge(None, Stage::BatchSeal, 2, 5);
         let rings = vec![("disk0".to_string(), disk0), ("disk1".to_string(), disk1)];
-        FlightRecorder::new(rings, "cfg: test".to_string(), dir, 8)
+        FlightRecorder::new(
+            Box::new(move || rings.clone()),
+            "cfg: test".to_string(),
+            dir,
+            8,
+        )
     }
 
     #[test]
@@ -293,6 +311,33 @@ mod tests {
         assert!(render_blackbox("{\"schema\":\"something-else\"}").is_err());
         assert!(render_blackbox("{\"schema\":\"lsvd-blackbox-v1\"}").is_err());
         assert!(render_blackbox("{}").is_err());
+    }
+
+    #[test]
+    fn a_ring_added_after_start_is_in_the_next_dump() {
+        let dir = temp_dir("late-ring");
+        let late: Arc<std::sync::OnceLock<Arc<SpanRing>>> = Arc::default();
+        let listed = late.clone();
+        let rec = FlightRecorder::new(
+            Box::new(move || {
+                let ring = listed.get().cloned();
+                ring.map(|r| ("disk3".to_string(), r)).into_iter().collect()
+            }),
+            "cfg: test".to_string(),
+            &dir,
+            8,
+        );
+        let before = std::fs::read_to_string(rec.dump("empty").unwrap()).unwrap();
+        assert!(!render_blackbox(&before).unwrap().contains("== ring"));
+
+        let disk3 = Arc::new(SpanRing::new(64, 2));
+        disk3.edge(None, Stage::ConnOpen, 1, 0);
+        late.set(disk3).expect("set once");
+        let after = std::fs::read_to_string(rec.dump("conn abort").unwrap()).unwrap();
+        let rendered = render_blackbox(&after).unwrap();
+        assert!(rendered.contains("== ring disk3"), "{rendered}");
+        assert!(rendered.contains("conn_open"), "{rendered}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod sketch;
 pub mod snapshot;
 pub mod span;
 
-pub use blackbox::{render_blackbox, FlightRecorder, BLACKBOX_SCHEMA};
+pub use blackbox::{render_blackbox, FlightRecorder, RingsFn, BLACKBOX_SCHEMA};
 pub use http::{MetricsServer, SnapshotFn, TraceFn};
 pub use json::Json;
 pub use recorder::{LatencyRecorder, LatencySnapshot};
