@@ -6,17 +6,14 @@
 //! [`ChaosStore`] provides them. Beyond black holes and the one-shot
 //! "fail the next N ops" counters, it runs a seeded [`ChaosSchedule`]
 //! that injects per-operation failure probabilities,
-//! timed outage windows that heal on their own, corrupted GET payloads,
-//! and simulated per-operation latency. Every decision is drawn from a
-//! [`SmallRng`] seeded from the schedule, so a fixed seed reproduces the
-//! exact same fault sequence — the property the fault-sweep torture
-//! harness depends on.
+//! timed outage windows that heal on their own, and corrupted GET
+//! payloads. Every decision is drawn from a [`SmallRng`] seeded from the
+//! schedule, so a fixed seed reproduces the exact same fault sequence —
+//! the property the fault-sweep torture harness depends on.
 //!
 //! Time is an **operation clock**: each store call advances one tick.
 //! Outage windows are expressed in ticks, so "the backend is down for 40
 //! ops, then heals" is deterministic regardless of wall-clock speed.
-//! Injected latency is likewise accounted virtually (a counter of
-//! simulated nanoseconds) rather than slept.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +47,7 @@ impl OutageWindow {
 ///
 /// All probabilities are per-operation in `[0, 1]`. The default schedule
 /// injects nothing; callers arm only the dimensions they want.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosSchedule {
     /// Seed for every probabilistic decision the store makes.
     pub seed: u64,
@@ -70,27 +67,6 @@ pub struct ChaosSchedule {
     pub corrupt_get_p: f64,
     /// Operation-clock windows during which every call times out.
     pub outages: Vec<OutageWindow>,
-    /// Fixed simulated latency added per operation, in nanoseconds.
-    pub latency_base_ns: u64,
-    /// Upper bound of additional uniform random latency per operation.
-    pub latency_jitter_ns: u64,
-}
-
-impl Default for ChaosSchedule {
-    fn default() -> Self {
-        ChaosSchedule {
-            seed: 0,
-            put_fail_p: 0.0,
-            get_fail_p: 0.0,
-            head_fail_p: 0.0,
-            delete_fail_p: 0.0,
-            list_fail_p: 0.0,
-            corrupt_get_p: 0.0,
-            outages: Vec::new(),
-            latency_base_ns: 0,
-            latency_jitter_ns: 0,
-        }
-    }
 }
 
 impl ChaosSchedule {
@@ -149,7 +125,6 @@ pub struct ChaosStore<S> {
     puts_dropped: AtomicU64,
     faults_injected: AtomicU64,
     gets_corrupted: AtomicU64,
-    latency_ns: AtomicU64,
 }
 
 impl<S: ObjectStore> ChaosStore<S> {
@@ -176,7 +151,6 @@ impl<S: ObjectStore> ChaosStore<S> {
             puts_dropped: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             gets_corrupted: AtomicU64::new(0),
-            latency_ns: AtomicU64::new(0),
         }
     }
 
@@ -244,11 +218,6 @@ impl<S: ObjectStore> ChaosStore<S> {
         self.gets_corrupted.load(Ordering::SeqCst)
     }
 
-    /// Simulated latency accumulated so far, in nanoseconds.
-    pub fn simulated_latency_ns(&self) -> u64 {
-        self.latency_ns.load(Ordering::SeqCst)
-    }
-
     /// Access to the wrapped store.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -274,15 +243,6 @@ impl<S: ObjectStore> ChaosStore<S> {
     fn chaos_gate(&self, op: OpKind) -> Result<()> {
         let tick = self.op_clock.fetch_add(1, Ordering::SeqCst);
         let schedule = self.schedule.lock().clone();
-        if schedule.latency_base_ns > 0 || schedule.latency_jitter_ns > 0 {
-            let jitter = if schedule.latency_jitter_ns > 0 {
-                self.rng.lock().gen_range(0..schedule.latency_jitter_ns)
-            } else {
-                0
-            };
-            self.latency_ns
-                .fetch_add(schedule.latency_base_ns + jitter, Ordering::SeqCst);
-        }
         if schedule.outages.iter().any(|w| w.contains(tick)) {
             self.faults_injected.fetch_add(1, Ordering::SeqCst);
             return Err(ObjError::Timeout(format!(
@@ -574,23 +534,5 @@ mod tests {
         assert!(s.put("b", Bytes::from_static(b"y")).is_ok());
         assert!(s.exists("b").unwrap(), "heal must clear black holes");
         assert!(s.get("a").is_ok(), "heal must clear armed counters");
-    }
-
-    #[test]
-    fn latency_is_accounted_not_slept() {
-        let s = ChaosStore::with_schedule(
-            MemStore::new(),
-            ChaosSchedule {
-                seed: 2,
-                latency_base_ns: 1000,
-                latency_jitter_ns: 500,
-                ..ChaosSchedule::default()
-            },
-        );
-        for i in 0..10 {
-            s.put(&format!("o.{i}"), Bytes::from_static(b"x")).unwrap();
-        }
-        let total = s.simulated_latency_ns();
-        assert!((10_000..15_000).contains(&total), "latency {total}");
     }
 }

@@ -5,9 +5,8 @@
 //! pipeline gauges, cache/retry counters, and the derived paper-figure
 //! observables (write amplification as in Figure 13, backend objects/s as
 //! in Figure 10, GC dead-space ratio as in Figure 14). It serializes to
-//! JSON ([`TelemetrySnapshot::to_json`] / [`TelemetrySnapshot::from_json`])
-//! and Prometheus-style text ([`TelemetrySnapshot::to_prometheus`]) with
-//! no external dependencies.
+//! JSON ([`TelemetrySnapshot::to_json`]) and Prometheus-style text
+//! ([`TelemetrySnapshot::to_prometheus`]) with no external dependencies.
 //!
 //! Every metric is declared once, as one row of the `metric_table!`
 //! invocation below:
@@ -23,8 +22,8 @@
 //! recomputes), its Prometheus kind (`counter`, `gauge`, or `lat` for a
 //! latency family set) and family name, and its HELP text. The macro
 //! generates the section structs, [`TelemetrySnapshot`] itself, and for
-//! each section its JSON parser, its merge and its rows; the JSON encoder,
-//! the Prometheus exposition and the report are loops over those rows.
+//! each section its merge and its rows; the JSON encoder, the Prometheus
+//! exposition and the report are loops over those rows.
 
 use std::fmt::{self, Write as _};
 
@@ -121,53 +120,28 @@ fn lat_fields(l: &LatencySnapshot) -> [(&'static str, f64); 5] {
 
 /// The types a table row can hold.
 trait Metric: Copy {
-    /// Reads the value under its JSON key; absent or mistyped reads as 0.
-    fn parse(j: Option<&Json>) -> Self;
     fn value(self) -> Value;
 }
 
 impl Metric for u64 {
-    fn parse(j: Option<&Json>) -> Self {
-        j.and_then(Json::as_u64).unwrap_or(0)
-    }
-
     fn value(self) -> Value {
         Value::U64(self)
     }
 }
 
 impl Metric for f64 {
-    fn parse(j: Option<&Json>) -> Self {
-        j.and_then(Json::as_f64).unwrap_or(0.0)
-    }
-
     fn value(self) -> Value {
         Value::F64(self)
     }
 }
 
 impl Metric for bool {
-    fn parse(j: Option<&Json>) -> Self {
-        j.and_then(Json::as_bool).unwrap_or(false)
-    }
-
     fn value(self) -> Value {
         Value::Bool(self)
     }
 }
 
 impl Metric for LatencySnapshot {
-    fn parse(j: Option<&Json>) -> Self {
-        let get = |key| j.and_then(|j| j.get(key));
-        LatencySnapshot {
-            count: u64::parse(get("count")),
-            mean_ns: f64::parse(get("mean_ns")),
-            p50_ns: f64::parse(get("p50_ns")),
-            p99_ns: f64::parse(get("p99_ns")),
-            max_ns: f64::parse(get("max_ns")),
-        }
-    }
-
     fn value(self) -> Value {
         Value::Lat(self)
     }
@@ -246,12 +220,6 @@ macro_rules! metric_table {
                     }),*]
                 }
 
-                fn parse(j: Option<&Json>) -> Self {
-                    Self {
-                        $($field: Metric::parse(j.and_then(|j| j.get(stringify!($field)))),)*
-                    }
-                }
-
                 fn merge(&mut self, other: &Self) {
                     $(merge::$merge(&mut self.$field, other.$field);)*
                 }
@@ -274,13 +242,6 @@ macro_rules! metric_table {
             /// Every section's rows under its JSON key, in schema order.
             fn sections(&self) -> Vec<(&'static str, Vec<Row>)> {
                 vec![$((stringify!($sec), self.$sec.rows())),*]
-            }
-
-            fn parse_sections(j: &Json) -> Self {
-                Self {
-                    $($sec: $ty::parse(j.get(stringify!($sec))),)*
-                    ..Self::default()
-                }
             }
 
             fn merge_sections(&mut self, other: &Self) {
@@ -687,18 +648,6 @@ impl TenantTelemetry {
         ])
     }
 
-    fn parse(j: &Json) -> Self {
-        TenantTelemetry {
-            export: j
-                .get("export")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            serving: ServingTelemetry::parse(j.get(stringify!(serving))),
-            cache_resident_bytes: u64::parse(j.get("cache_resident_bytes")),
-        }
-    }
-
     /// The Prometheus label set naming this tenant.
     fn label(&self) -> String {
         let export = self
@@ -739,24 +688,6 @@ impl TelemetrySnapshot {
         let tenants = self.tenants.iter().map(TenantTelemetry::json).collect();
         obj.push(("tenants".into(), Json::Arr(tenants)));
         Json::Obj(obj)
-    }
-
-    /// Parses a snapshot from JSON text; rejects unknown schemas.
-    pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
-        let j = Json::parse(text)?;
-        match j.get("schema").and_then(Json::as_str) {
-            Some(s) if s == SCHEMA => {}
-            other => return Err(format!("unknown snapshot schema {other:?}")),
-        }
-        let tenants = j
-            .get("tenants")
-            .and_then(Json::as_array)
-            .unwrap_or_default();
-        Ok(TelemetrySnapshot {
-            elapsed_secs: f64::parse(j.get("elapsed_secs")),
-            tenants: tenants.iter().map(TenantTelemetry::parse).collect(),
-            ..Self::parse_sections(&j)
-        })
     }
 
     /// Folds `other` into `self` for fleet-level aggregation: every row
@@ -1107,29 +1038,12 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_lossless() {
-        let snap = sample();
-        let text = snap.to_json().render();
-        let back = TelemetrySnapshot::from_json(&text).unwrap();
-        assert_eq!(snap, back);
-    }
-
-    #[test]
     fn schema_key_is_first_and_validated() {
         let text = sample().to_json().render();
         assert!(
             text.starts_with("{\"schema\":\"lsvd-telemetry-v6\""),
             "{text}"
         );
-        let tampered = text.replace(SCHEMA, "lsvd-telemetry-v0");
-        assert!(TelemetrySnapshot::from_json(&tampered).is_err());
-    }
-
-    #[test]
-    fn default_round_trips_too() {
-        let snap = TelemetrySnapshot::default();
-        let text = snap.to_json().render();
-        assert_eq!(TelemetrySnapshot::from_json(&text).unwrap(), snap);
     }
 
     #[test]
