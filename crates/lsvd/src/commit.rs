@@ -9,7 +9,7 @@
 //!   written record (its **position**) after every append, starting at
 //!   open from the log's last record;
 //! - a flush reads the position it must cover — one atomic load — and
-//!   [`GroupCommit::wait`] returns once a device flush that *started*
+//!   `GroupCommit::wait` returns once a device flush that *started*
 //!   after that position was published has completed;
 //! - a caller that finds no such flush running starts the next one
 //!   itself, so callers arriving while a flush runs share the next one.

@@ -54,11 +54,11 @@ pub struct VolumeConfig {
     pub prefetch_bytes: u64,
     /// Whether the garbage collector runs.
     pub gc_enabled: bool,
-    /// Budget for one incremental cleaner step ([`Volume::gc_step`]
-    /// (crate::volume::Volume::gc_step)): the step stops issuing
-    /// relocations once it has moved this many bytes, leaving a resumable
-    /// cursor. `0` means unbudgeted — every step drives the pass to
-    /// completion (the one-shot behavior).
+    /// Budget for one incremental cleaner step
+    /// ([`Volume::gc_step`](crate::volume::Volume::gc_step)): the step
+    /// stops issuing relocations once it has moved this many bytes,
+    /// leaving a resumable cursor. `0` means unbudgeted — every step drives
+    /// the pass to completion (the one-shot behavior).
     pub gc_step_budget_bytes: u64,
     /// Cold-extent compaction: when nonzero, a cleaning pass also scans
     /// the extent map for LBA-contiguous runs of at least this many map

@@ -164,7 +164,7 @@ pub enum Segment<V> {
 /// Point lookups keep a one-entry last-hit cursor: sequential access
 /// patterns (streaming reads, writeback sweeps) revisit the same extent
 /// many times, and the cursor answers those repeats without rescanning
-/// the tree. The cursor is an atomics-only seqlock ([`Cursor`]), so the
+/// the tree. The cursor is an atomics-only seqlock (`Cursor`), so the
 /// map is `Sync` and concurrent shared-lock readers (the read plane) can
 /// race on it safely; mutations invalidate it through `&mut` paths.
 pub struct ExtentMap<V> {

@@ -361,7 +361,7 @@ pub(crate) struct PlaneCounters {
     pub excl_lock_acqs: AtomicU64,
 }
 
-/// A snapshot of [`PlaneCounters`] plus the lock-wait recorders, consumed
+/// A snapshot of `PlaneCounters` plus the lock-wait recorders, consumed
 /// by `Volume::telemetry`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadPlaneStats {

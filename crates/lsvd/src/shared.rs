@@ -1,6 +1,6 @@
 //! Thread-safe volume handle for serving planes.
 //!
-//! [`Volume`](crate::volume::Volume) is single-threaded by design
+//! [`Volume`] is single-threaded by design
 //! (`&mut self` everywhere): the paper's client runs one dispatch loop per
 //! disk. A network serving plane (the `nbd` crate) has many connection
 //! threads that all need the same disk, so [`SharedVolume`] wraps the
@@ -8,7 +8,7 @@
 //! receivers.
 //!
 //! **Reads do not take that mutex.** The volume's read state lives in a
-//! [`ReadPlane`](crate::read_plane::ReadPlane) behind a `RwLock`:
+//! [`ReadPlane`] behind a `RwLock`:
 //! [`SharedVolume::read`] and [`SharedVolume::read_bytes`] go straight to
 //! the plane, so cache-hit reads run concurrently with each other and
 //! with whatever a mutation under the big mutex is doing *outside* its

@@ -304,7 +304,7 @@ impl Volume {
     /// One incremental cleaning step: starts a pass if eligible
     /// utilization is below the low watermark (or a compaction scan finds
     /// work), then relocates up to
-    /// [`gc_step_budget_bytes`](VolumeConfig::gc_step_budget_bytes) of
+    /// [`gc_step_budget_bytes`](crate::config::VolumeConfig::gc_step_budget_bytes) of
     /// live data — everything remaining when the budget is 0 — leaving a
     /// resumable cursor. Sealed carriers ride the writeback window;
     /// foreground writes keep flowing while they are in flight. Returns

@@ -144,7 +144,7 @@ pub struct VolumeStats {
     /// GC passes aborted on a transient backend failure.
     pub gc_aborts: u64,
     /// Retry-layer counters, populated when a
-    /// [`RetryStore`](objstore::RetryStore) handle is attached via
+    /// [`RetryStore`] handle is attached via
     /// [`Volume::attach_retry_counters`].
     pub retry: RetryCounters,
 }
@@ -919,7 +919,7 @@ impl Volume {
         }
     }
 
-    /// Surfaces the live counters of a [`RetryStore`](objstore::RetryStore)
+    /// Surfaces the live counters of a [`RetryStore`]
     /// layered beneath this volume in [`Volume::stats`].
     pub fn attach_retry_counters(&mut self, handle: RetryHandle) {
         self.retry_handle = Some(handle);

@@ -3,11 +3,11 @@
 //!
 //! ## Threading model
 //!
-//! One **reactor** thread ([`crate::reactor`]) owns the listener, every
+//! One **reactor** thread (`crate::reactor`) owns the listener, every
 //! connection socket (nonblocking), the fixed-newstyle handshake state
 //! machines and request framing — a thousand connections cost a
 //! thousand small buffers, not three thousand threads. Decoded requests
-//! become jobs for the [`FleetScheduler`](crate::sched): per-export
+//! become jobs for the `FleetScheduler` (`crate::sched`): per-export
 //! two-lane queues (ordered mutations / concurrent reads) drained by a
 //! fixed pool of 4 + 1 **workers** under deficit-round-robin fairness.
 //!

@@ -1,10 +1,10 @@
 //! A retrying object store wrapper with deterministic backoff.
 //!
 //! [`RetryStore`] re-issues operations that fail with a *transient*
-//! error ([`ObjError::is_transient`]) up to a bounded number of attempts,
-//! with exponential backoff and seeded jitter. Permanent errors are
-//! returned immediately — retrying a `NotFound` or a corrupt payload
-//! cannot help and only hides bugs.
+//! error ([`ObjError::is_transient`](crate::ObjError::is_transient)) up
+//! to a bounded number of attempts, with exponential backoff and seeded
+//! jitter. Permanent errors are returned immediately — retrying a
+//! `NotFound` or a corrupt payload cannot help and only hides bugs.
 //!
 //! Backoff is **virtual**: the wrapper accounts the nanoseconds it would
 //! have slept instead of sleeping, so tests that push thousands of faults

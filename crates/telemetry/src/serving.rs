@@ -1,7 +1,7 @@
 //! Shared serving-plane recorders.
 //!
 //! [`ServingRecorders`] is the live, thread-safe counterpart of
-//! [`ServingTelemetry`](crate::ServingTelemetry): the NBD server clones it
+//! [`ServingTelemetry`]: the NBD server clones it
 //! into every connection and worker thread, and the volume snapshots it
 //! into its aggregate telemetry. Latencies go through
 //! [`LatencyRecorder`] sketches; gauges are plain atomics.
