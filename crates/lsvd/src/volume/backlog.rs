@@ -20,10 +20,10 @@ use crate::types::{LsvdError, ObjSeq, Result};
 /// Outcome of a pump (or a ship).
 pub(super) enum FlushOutcome {
     /// No transient PUT failure was harvested. On the inline executor a
-    /// ship that ends `Drained` has emptied the queue.
+    /// ship that ends `Drained` has emptied the backlog.
     Drained,
-    /// A transient backend failure stopped the pump; the failed batch is
-    /// back in the queue, and the error that stalled it is carried here.
+    /// A transient backend failure stopped the pump; the failed object is
+    /// queued again, and the error that stalled it is carried here.
     Stalled(ObjError),
 }
 

@@ -124,9 +124,10 @@ pub struct VolumeStats {
     pub checkpoints: u64,
     /// Whether sealed batches are queued awaiting a healthy backend.
     pub degraded: bool,
-    /// Sealed batches currently queued for PUT.
+    /// Sealed objects not yet applied to the object map: queued, in
+    /// flight or landed (the writeback backlog).
     pub pending_batches: u64,
-    /// Object bytes in queued sealed batches.
+    /// Object bytes in the writeback backlog.
     pub pending_bytes: u64,
     /// Transient PUT failures absorbed by the writeback queue.
     pub put_transient_failures: u64,
@@ -134,8 +135,8 @@ pub struct VolumeStats {
     pub inflight_puts: u64,
     /// Sealed batches waiting locally, not yet handed to the pool.
     pub queued_batches: u64,
-    /// Batches whose PUT landed out of order, awaiting the durable
-    /// frontier (the "gapped" portion of the backlog).
+    /// Batches whose PUT landed out of order, waiting for an older
+    /// object to apply first (the "gapped" portion of the backlog).
     pub landed_gapped: u64,
     /// Writes rejected with [`LsvdError::Backpressure`].
     pub backpressure_rejections: u64,
