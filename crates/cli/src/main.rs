@@ -603,9 +603,9 @@ fn cmd_serve(opts: &Opts, bucket: &str, images: &[&str]) -> CmdResult {
             e.volume().span_ring().set_enabled(true);
         }
     }
-    // The flight recorder dumps the span ring of every export live at
-    // the time, edges included, those the control socket adds later too;
-    // the fingerprint names the first export.
+    // The flight recorder dumps the span ring of every export attached
+    // at dump time, edges included, so exports the control socket adds
+    // later are dumped too; the fingerprint names the first export.
     let recorder = match &opts.blackbox_dir {
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("blackbox dir {dir}: {e}"))?;
