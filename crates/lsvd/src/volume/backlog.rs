@@ -1,4 +1,4 @@
-//! The writeback driver: sealed objects on their way to the object map.
+//! Writeback: sealed objects on their way to the object map.
 //!
 //! A sealed batch or relocation carrier enters the volume's backlog under
 //! its object sequence. PUTs go to the

@@ -1,4 +1,4 @@
-//! The maintenance driver: checkpoints, deferred deletes, the cleaner and
+//! Maintenance: checkpoints, deferred deletes, the cleaner and
 //! compaction runs (§3.5).
 //!
 //! A checkpoint is written once `checkpoint_interval` data objects have
