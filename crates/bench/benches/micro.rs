@@ -4,8 +4,11 @@
 //! tables and figures) by pinning the costs the §6.1 "In-memory Map"
 //! discussion cares about: extent-map operations at realistic map sizes,
 //! CRC32C throughput, cache-log appends, batch sealing, and the
-//! functional volume's write path.
+//! functional volume's write path. Every result also reports the heap
+//! allocations and bytes per iteration, counted by [`CountingAlloc`].
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
@@ -890,6 +893,42 @@ criterion_group!(
     bench_gcsim
 );
 
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting allocations and allocated bytes (a
+/// reallocation counts once, at its new size) across every thread, so
+/// the server threads of the NBD benches count too.
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// are plain atomics.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
 /// Keeps the allocator's pages resident for the whole suite. The hosts
 /// these benches run on demand-page lazily (microVMs with free-page
 /// reporting re-chill memory the guest frees), so without this the
@@ -897,6 +936,12 @@ criterion_group!(
 /// tens of microseconds per 4 KiB on a cold host — instead of the write
 /// path. Serving every allocation from a pre-faulted sbrk heap that is
 /// never trimmed makes the numbers reflect the code under test.
+///
+/// It also hides what the serving binaries pay: they run on a cold
+/// heap, where every fresh 8 MiB allocation takes first-touch faults.
+/// That is why a second copy of each sealed object into fresh memory
+/// never showed in `batch/*`'s times. The per-iteration allocation
+/// counts are the check that sees such a copy.
 #[cfg(target_env = "gnu")]
 fn pin_heap() {
     extern "C" {
@@ -920,6 +965,7 @@ fn pin_heap() {}
 
 fn main() {
     pin_heap();
+    criterion::count_allocations(|| (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed)));
     benches();
     criterion::finalize();
 }

@@ -425,7 +425,9 @@ impl WriteLog {
             // Persist the new tail before any append can reuse the freed
             // space: a recovery scan must never start inside overwritten
             // sectors. Releases happen once per backend object, so this is
-            // one small write per ~8 MiB of data.
+            // one small write and one full device flush per ~8 MiB of
+            // data; the flush also carries every write still dirty in the
+            // device's cache.
             self.write_ckpt()?;
         }
         Ok(released)

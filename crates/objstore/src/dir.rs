@@ -14,8 +14,10 @@ use crate::{check_range, ObjError, ObjectStore, Result};
 ///
 /// Object names are used directly as file names; LSVD object names contain
 /// only `[A-Za-z0-9._-]`, which is filesystem-safe. PUT writes to a
-/// temporary file and renames, so a crash mid-PUT never leaves a partial
-/// object visible — matching S3's atomic-PUT semantics.
+/// temporary file and renames, so a process crash mid-PUT never leaves a
+/// partial object visible — matching S3's atomic-PUT semantics. Neither
+/// the file nor the directory is synced, so that holds across a process
+/// crash but not across a power cut.
 pub struct DirStore {
     root: PathBuf,
 }

@@ -468,7 +468,9 @@ metric_table! {
     /// Data-plane byte accounting: how many times payload bytes were
     /// checksummed and copied end to end. The write path's contract is one
     /// CRC pass and two copies per payload byte; these counters make that
-    /// auditable from the outside.
+    /// auditable from the outside. `copied_bytes` is counted at the two
+    /// copy sites, so it cannot see a copy made anywhere else; the
+    /// heap-byte bounds in `tests/data_plane.rs` can.
     pub struct DataPlaneTelemetry {
         /// Payload bytes checksummed once on the hot write path (at log
         /// append; the same CRC is reused by the batch and object header).

@@ -7,15 +7,59 @@
 //! GET payloads against the per-extent CRCs sealed into object headers,
 //! with the expected value folded by `crc32c_combine` rather than
 //! re-scanning anything.
+//!
+//! `copied_bytes` is counted by hand, so it cannot see a copy nobody
+//! counted. This binary's global allocator counts the heap bytes each
+//! thread allocates, and the `heap_*` tests bound them per sealed byte,
+//! per GET byte and per read: a payload copied into fresh memory a third
+//! time shows up there.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use blkdev::RamDisk;
 use bytes::Bytes;
+use lsvd::checkpoint::CheckpointData;
 use lsvd::config::VolumeConfig;
+use lsvd::objmap::ObjectMap;
+use lsvd::shared::SharedVolume;
 use lsvd::volume::Volume;
 use lsvd::LsvdError;
-use objstore::{MemStore, ObjectStore};
+use objstore::{DirStore, MemStore, ObjectStore};
+
+thread_local!(static HEAP_BYTES: Cell<u64> = const { Cell::new(0) });
+
+/// The system allocator, counting the bytes each thread allocates (a
+/// reallocation counts its new size).
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        HEAP_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        HEAP_BYTES.with(|n| n.set(n.get() + new_size as u64));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the heap bytes this thread
+/// allocated meanwhile.
+fn heap_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = HEAP_BYTES.with(Cell::get);
+    let out = f();
+    (out, HEAP_BYTES.with(Cell::get) - before)
+}
 
 const KIB: u64 = 1024;
 
@@ -108,4 +152,116 @@ fn get_verification_detects_backend_payload_corruption() {
         matches!(err, LsvdError::Corrupt(ref m) if m.contains("CRC mismatch")),
         "unexpected error: {err:?}"
     );
+}
+
+/// 4 KiB writes at pseudo-random aligned offsets of a 32 MiB volume.
+fn random_writes(vol: &mut Volume, n: u64, x: &mut u64, payload: &[u8]) {
+    for _ in 0..n {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let block = (*x >> 33) % (32 * KIB / 4);
+        vol.write(block * 4 * KIB, payload).expect("write");
+    }
+}
+
+#[test]
+fn heap_per_sealed_byte_stays_near_one_copy() {
+    let (_store, mut vol) = setup(false);
+    let payload = vec![0x5Au8; (4 * KIB) as usize];
+    let mut x = 7u64;
+    // Warm-up: one 64 KiB batch sizes the batch buffer and the log.
+    random_writes(&mut vol, 16, &mut x, &payload);
+    vol.drain().expect("drain");
+    let sealed_before = vol.stats().backend_put_bytes;
+    let ((), heap) = heap_bytes(|| {
+        random_writes(&mut vol, 1024, &mut x, &payload);
+        vol.drain().expect("drain");
+    });
+    let sealed = vol.stats().backend_put_bytes - sealed_before;
+    let per_byte = heap as f64 / sealed as f64;
+    // The sealed object is the one allocation a payload byte needs;
+    // headers, checkpoints (every 4 objects here) and bookkeeping add
+    // the rest. A second copy of each object would add a whole 1.0.
+    assert!(
+        per_byte <= 1.7,
+        "{heap} heap bytes for {sealed} sealed bytes: {per_byte:.3} per byte"
+    );
+}
+
+#[test]
+fn heap_per_dirstore_get_byte_is_one() {
+    let root = std::env::temp_dir().join(format!("data-plane-heap-{}", std::process::id()));
+    let store = DirStore::open(&root).expect("open");
+    let obj: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    store.put("obj", Bytes::from(obj)).expect("put");
+    store.get_range("obj", 0, 4 * KIB).expect("warm-up");
+    let (n, heap) = heap_bytes(|| {
+        let mut n = 0;
+        for i in 0..8u64 {
+            n += store
+                .get_range("obj", i * 128 * KIB, 64 * KIB)
+                .expect("get_range")
+                .len();
+        }
+        n
+    });
+    let (whole, get_heap) = heap_bytes(|| store.get("obj").expect("get").len());
+    std::fs::remove_dir_all(&root).expect("cleanup");
+    let (range_per_byte, get_per_byte) = (heap as f64 / n as f64, get_heap as f64 / whole as f64);
+    assert!(
+        range_per_byte <= 1.1,
+        "get_range: {range_per_byte:.3} heap bytes per byte"
+    );
+    assert!(
+        get_per_byte <= 1.1,
+        "get: {get_per_byte:.3} heap bytes per byte"
+    );
+}
+
+#[test]
+fn heap_per_4k_read_hit_stays_under_6k() {
+    let (_store, vol) = setup(false);
+    let sv = SharedVolume::new(vol);
+    sv.write(0, &[0xC3; (4 * KIB) as usize]).expect("write");
+    assert_eq!(
+        sv.read_bytes(0, (4 * KIB) as usize).expect("warm-up")[0],
+        0xC3
+    );
+    let ((), heap) = heap_bytes(|| {
+        for _ in 0..64 {
+            std::hint::black_box(sv.read_bytes(0, (4 * KIB) as usize).expect("read"));
+        }
+    });
+    let per_read = heap / 64;
+    assert!(per_read <= 6 * KIB, "{per_read} heap bytes per 4 KiB hit");
+}
+
+#[test]
+fn heap_per_checkpoint_byte_is_one() {
+    let mut map = ObjectMap::new();
+    for seq in 1..=64u32 {
+        let extents: Vec<(u64, u32)> = (0..512).map(|i| ((i * 64 + seq as u64) * 8, 8)).collect();
+        map.apply_object(seq, 1, &extents);
+    }
+    let data = CheckpointData::capture(&map, 64, 0, &[], &[]);
+    let (obj, heap) = heap_bytes(|| data.build(1));
+    // The writer is presized, so it neither reallocates while it grows
+    // nor hands its PUT a copy.
+    let per_byte = heap as f64 / obj.len() as f64;
+    assert!(
+        per_byte <= 1.01,
+        "{heap} heap bytes for a {} byte checkpoint",
+        obj.len()
+    );
+}
+
+#[test]
+fn empty_bytes_allocate_nothing() {
+    let ((), heap) = heap_bytes(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(Bytes::new());
+        }
+    });
+    assert_eq!(heap, 0, "Bytes::new() allocated");
 }
