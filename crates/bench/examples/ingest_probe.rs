@@ -7,7 +7,11 @@
 //! back to back, stopping early after 90 s. It prints one JSON line:
 //! throughput, writes done, write latency p50/p99/max, the writes over
 //! 100 ms, and the store's PUTs and GETs with the volume's checkpoints
-//! and cleaning passes.
+//! and cleaning passes. The cleaner's own cost follows: its GETs, the
+//! bytes they fetched, and `gc_cost`, the bytes it read and wrote per
+//! byte it reclaimed (Lomet & Luo's measure; reclaimed is the victims'
+//! freed bytes less the carriers' written bytes, so a victim at
+//! utilization `u` that is read whole costs `(1 + u) / (1 - u)`).
 //!
 //! ```text
 //! cargo run --release -p bench --example ingest_probe -- \
@@ -81,11 +85,14 @@ fn main() {
         .count();
     lat.sort_unstable();
     let pct = |p: usize| lat[(lat.len() * p / 100).min(lat.len() - 1)].as_secs_f64() * 1e3;
+    let gc_moved = stats.gc_get_bytes + stats.gc_cache_hit_bytes + stats.gc_put_bytes;
+    let gc_reclaimed = stats.gc_freed_bytes.saturating_sub(stats.gc_put_bytes);
     println!(
         "{{\"writeback_threads\": {threads}, \"gc_enabled\": {gc}, \"mb_per_s\": {:.1}, \
          \"writes\": {}, \"secs\": {secs:.2}, \"write_p50_ms\": {:.3}, \"write_p99_ms\": {:.3}, \
          \"write_max_ms\": {:.1}, \"writes_over_100ms\": {slow}, \"puts\": {}, \"gets\": {}, \
-         \"checkpoints\": {}, \"gc_passes\": {}}}",
+         \"checkpoints\": {}, \"gc_passes\": {}, \"gc_gets\": {}, \"gc_get_bytes\": {}, \
+         \"gc_cost\": {:.2}}}",
         (lat.len() as u64 * WRITE) as f64 / 1e6 / secs,
         lat.len(),
         pct(50),
@@ -95,5 +102,8 @@ fn main() {
         store.get_count(),
         stats.checkpoints,
         stats.gc_passes,
+        stats.gc_gets,
+        stats.gc_get_bytes,
+        gc_moved as f64 / gc_reclaimed.max(1) as f64,
     );
 }

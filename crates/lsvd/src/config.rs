@@ -19,12 +19,6 @@ pub const GC_LOW_WATERMARK: f64 = 0.70;
 /// above this (§3.5; 75 % in §4.1).
 pub const GC_HIGH_WATERMARK: f64 = 0.75;
 
-/// Size ceiling (bytes) for an extent to count as a fragment in a
-/// cold-extent compaction run ([`VolumeConfig::gc_compact_min_run`]);
-/// larger extents end the run. Compaction shrinks the extent map, Table
-/// 5's memory metric (§4.6).
-pub const GC_COMPACT_MAX_EXTENT_BYTES: u64 = 64 << 10;
-
 /// Attempts per backend operation in GC and maintenance paths (§3.5)
 /// before a transient failure aborts the pass. The client data path does
 /// not retry here: set [`VolumeConfig::retry_policy`] for that.
@@ -56,18 +50,10 @@ pub struct VolumeConfig {
     pub gc_enabled: bool,
     /// Budget for one incremental cleaner step
     /// ([`Volume::gc_step`](crate::volume::Volume::gc_step)): the step
-    /// stops issuing relocations once it has moved this many bytes,
-    /// leaving a resumable cursor. `0` means unbudgeted — every step drives
-    /// the pass to completion (the one-shot behavior).
+    /// takes whole victims until it has moved this many bytes, and the
+    /// rest of the pass waits for later steps. `0` means unbudgeted —
+    /// every step drives the pass to completion (the one-shot behavior).
     pub gc_step_budget_bytes: u64,
-    /// Cold-extent compaction: when nonzero, a cleaning pass also scans
-    /// the extent map for LBA-contiguous runs of at least this many map
-    /// entries, each no larger than [`GC_COMPACT_MAX_EXTENT_BYTES`], whose
-    /// source objects are all cold (at or below the last checkpoint), and
-    /// rewrites each run into one dense relocation object — collapsing the
-    /// run to a single extent-map entry (Table 5's memory metric). `0`
-    /// disables compaction.
-    pub gc_compact_min_run: usize,
     /// Write a map checkpoint to the backend every this many data objects.
     pub checkpoint_interval: u32,
     /// Degraded-mode dirty watermark: how many sealed batches may queue
@@ -123,7 +109,6 @@ impl Default for VolumeConfig {
             // One default batch per incremental step: each cleaner
             // invocation injects at most one extra PUT into the window.
             gc_step_budget_bytes: 8 << 20,
-            gc_compact_min_run: 0,
             checkpoint_interval: 64,
             max_pending_batches: 8,
             // Inline executor by default: PUT failures surface

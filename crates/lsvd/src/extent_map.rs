@@ -382,21 +382,7 @@ impl<V: ExtentValue> ExtentMap<V> {
         }
         let end = start + len;
         let mut pos = start;
-
-        // A left-straddling extent, then everything starting inside.
-        let first = self
-            .map
-            .range(..start)
-            .next_back()
-            .filter(|(&s, e)| s + e.len > start)
-            .map(|(&s, &e)| (s, e));
-        let iter = first
-            .into_iter()
-            .chain(self.map.range(start..end).map(|(&s, &e)| (s, e)));
-
-        for (s, e) in iter {
-            let seg_start = s.max(start);
-            let seg_end = (s + e.len).min(end);
+        for (seg_start, seg_len, val) in self.clipped(start, end) {
             if seg_start > pos {
                 out.push(Segment::Hole {
                     start: pos,
@@ -405,10 +391,10 @@ impl<V: ExtentValue> ExtentMap<V> {
             }
             out.push(Segment::Mapped {
                 start: seg_start,
-                len: seg_end - seg_start,
-                val: e.val.advance(seg_start - s),
+                len: seg_len,
+                val,
             });
-            pos = seg_end;
+            pos = seg_start + seg_len;
         }
         if pos < end {
             out.push(Segment::Hole {
@@ -433,16 +419,28 @@ impl<V: ExtentValue> ExtentMap<V> {
         self.map.iter().map(|(&s, e)| (s, e.len, e.val))
     }
 
-    /// Iterates only the mapped pieces overlapping `[start, start+len)`,
-    /// clipped to that range.
+    /// The mapped pieces overlapping `[start, start+len)`, clipped to that
+    /// range, in address order. A range with nothing mapped allocates
+    /// nothing.
     pub fn overlaps(&self, start: u64, len: u64) -> Vec<(u64, u64, V)> {
-        self.resolve(start, len)
-            .into_iter()
-            .filter_map(|seg| match seg {
-                Segment::Mapped { start, len, val } => Some((start, len, val)),
-                Segment::Hole { .. } => None,
+        self.clipped(start, start + len).collect()
+    }
+
+    /// The extents overlapping `[start, end)` as `(start, len, value)`,
+    /// clipped to it: a left-straddling extent, then every extent that
+    /// starts inside.
+    fn clipped(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64, V)> + '_ {
+        let left = self
+            .map
+            .range(..start)
+            .next_back()
+            .filter(|(&s, e)| start < end && s + e.len > start);
+        left.into_iter()
+            .chain(self.map.range(start..end))
+            .map(move |(&s, e)| {
+                let lo = s.max(start);
+                (lo, (s + e.len).min(end) - lo, e.val.advance(lo - s))
             })
-            .collect()
     }
 
     #[cfg(test)]

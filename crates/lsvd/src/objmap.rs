@@ -221,7 +221,7 @@ impl ObjectMap {
     }
 
     /// Live pieces of object `seq` within the given candidate extents
-    /// (typically the extent list from the object's header), as
+    /// (the cleaner passes the map extents it planned for `seq`), as
     /// `(vLBA, sectors, current location)` with locations inside `seq`.
     pub fn live_pieces_of(&self, seq: ObjSeq, extents: &[(Lba, u32)]) -> Vec<(Lba, u32, ObjLoc)> {
         let mut out = Vec::new();

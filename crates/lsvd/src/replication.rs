@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use objstore::{ObjError, ObjectStore};
+use objstore::{retry_transient, ObjError, ObjectStore};
 
 use crate::types::{object_name, parse_object_seq, superblock_name, ObjSeq, Result};
 
@@ -44,20 +44,6 @@ pub struct Replicator {
 
 /// Attempts per store call before a transient failure surfaces.
 const RETRY_ATTEMPTS: u32 = 3;
-
-/// Bounded immediate retry of transient store failures.
-fn retry_transient<T>(
-    attempts: u32,
-    mut f: impl FnMut() -> objstore::Result<T>,
-) -> objstore::Result<T> {
-    let mut tries = 1;
-    loop {
-        match f() {
-            Err(e) if e.is_transient() && tries < attempts => tries += 1,
-            other => return other,
-        }
-    }
-}
 
 impl Replicator {
     /// Creates a replicator for `image`.

@@ -1,28 +1,28 @@
-//! Maintenance: checkpoints, deferred deletes, the cleaner and
-//! compaction runs (§3.5).
+//! Maintenance: checkpoints, deferred deletes and the cleaner (§3.5).
 //!
 //! A checkpoint is written once `checkpoint_interval` data objects have
 //! applied with the writeback backlog idle, and each successful one kicks
 //! a cleaner step; every later write drives an active pass one budgeted
-//! step. Relocation carriers ride the writeback backlog like data batches,
-//! and a retired victim's delete waits for a checkpoint that covers it.
+//! step. The cleaner works on whole victims: a step reads a victim's live
+//! pieces (from the read cache, else with one ranged GET) and stages them
+//! into one relocation carrier, and the victim retires when that carrier
+//! applies. Carriers ride the writeback backlog like data batches, and a
+//! retired victim's delete waits for a checkpoint that covers it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use objstore::ObjError;
+use objstore::{retry_transient, ObjError};
 use telemetry::Stage;
 
 use super::backlog::{FlushOutcome, PutPayload};
 use super::Volume;
 use crate::checkpoint::CheckpointData;
-use crate::config::{
-    GC_COMPACT_MAX_EXTENT_BYTES, GC_HIGH_WATERMARK, GC_LOW_WATERMARK, GC_RETRY_ATTEMPTS,
-};
+use crate::config::{GC_HIGH_WATERMARK, GC_LOW_WATERMARK, GC_RETRY_ATTEMPTS};
 use crate::extent_map::Segment;
 use crate::gc::{self, GcPolicy};
 use crate::objfmt;
-use crate::objmap::{ObjLoc, ObjectMap};
-use crate::recovery::{self, fetch_header};
+use crate::objmap::ObjLoc;
+use crate::recovery;
 use crate::types::{checkpoint_name, Lba, LsvdError, ObjSeq, Result, SECTOR};
 
 /// A sealed GC relocation object queued behind the writeback window.
@@ -34,68 +34,46 @@ pub(super) struct GcCarrier {
     /// Applied with conditional-redirect semantics — a piece overwritten
     /// or trimmed after sealing is simply not redirected.
     pieces: Vec<(Lba, u32, ObjLoc)>,
-    /// Distinct whole-object victims with pieces in this carrier
-    /// (compaction sources are not listed — they are never retired).
-    victim_sources: Vec<ObjSeq>,
+    /// The victims whose live pieces this carrier holds, each whole; they
+    /// retire when it applies.
+    victims: Vec<ObjSeq>,
+}
+
+/// A victim planned for relocation: the map extents that pointed at it
+/// when its pass was planned.
+struct Victim {
+    seq: ObjSeq,
+    extents: Vec<(Lba, u32)>,
 }
 
 /// State of an in-progress incremental cleaning pass (§3.5). The pass
-/// survives across [`Volume::gc_step`] invocations: victims drain
-/// through a resumable cursor, relocation carriers ride the writeback
-/// window alongside foreground batches, and a victim is retired only
-/// after every carrier holding its pieces has been applied to the
-/// object map. A crash simply loses the pass — sources are still mapped
-/// or already safely deferred, so the next pass re-collects.
+/// survives across [`Volume::gc_step`] invocations: each step takes whole
+/// victims off the front of the plan, relocation carriers ride the
+/// writeback window alongside foreground batches, and a victim retires
+/// when the one carrier holding its pieces applies to the object map. A
+/// crash simply loses the pass — victims are still mapped or already
+/// safely deferred, so the next pass re-plans.
 pub(super) struct GcPass {
-    /// Whole-object victims not yet opened, in policy order.
-    pub(super) victims: VecDeque<ObjSeq>,
-    /// Cold fragmented runs to compact, each a ready piece list.
-    pub(super) compact_runs: VecDeque<Vec<(Lba, u32, ObjLoc)>>,
-    /// The victim (or compaction run) currently being read.
-    pub(super) cursor: Option<GcCursor>,
-    /// Per-victim retirement bookkeeping, keyed by source sequence.
-    sources: BTreeMap<ObjSeq, SourceProgress>,
-    /// Pieces read but not yet sealed into a carrier.
-    staged: Vec<(Lba, u32, ObjLoc, Vec<u8>)>,
-    staged_bytes: u64,
-    /// Victims whose every piece has been read, but whose last pieces
-    /// sit in `staged` awaiting the next carrier seal.
-    waiting_seal: Vec<ObjSeq>,
-    /// Sources retired so far in this pass.
+    /// Victims not yet staged, in policy order.
+    plan: VecDeque<Victim>,
+    /// The open carrier: its pieces, their data, and its victims.
+    staged: Vec<(Lba, u32, ObjLoc)>,
+    staged_data: Vec<u8>,
+    staged_victims: Vec<ObjSeq>,
+    /// Carriers sealed in this pass and not yet applied.
+    carriers: u32,
+    /// Victims retired so far in this pass.
     collected: u64,
 }
 
-/// A victim being read piece by piece. `seq == 0` marks a compaction
-/// cursor (object sequences start at 1): its pieces come from many
-/// sources and none of them is retired.
-pub(super) struct GcCursor {
-    seq: ObjSeq,
-    pieces: Vec<(Lba, u32, ObjLoc)>,
-    next: usize,
-}
-
-#[derive(Default)]
-struct SourceProgress {
-    /// Carriers holding this victim's pieces, sealed but not yet applied.
-    pending_carriers: u32,
-    /// Every live piece of this victim has been sealed into a carrier.
-    issued_all: bool,
-    /// Highest carrier sequence holding this victim's pieces.
-    last_carrier: ObjSeq,
+impl GcPass {
+    /// Victims the pass has yet to stage.
+    pub(super) fn victims_left(&self) -> usize {
+        self.plan.len()
+    }
 }
 
 impl Volume {
-    fn hdr_sectors_of(&mut self, seq: ObjSeq) -> Result<u64> {
-        if let Some(st) = self.plane.read_state().objmap.object_stat(seq) {
-            return Ok((st.total_sectors - st.data_sectors) as u64);
-        }
-        // Should not happen for mapped data; fall back to the header.
-        let name = self.resolve_name(seq);
-        let h = fetch_header(self.store.as_ref(), &name)?
-            .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))?;
-        Ok(h.data_offset as u64 / SECTOR)
-    }
-
     /// Writes a checkpoint once `checkpoint_interval` data objects have
     /// applied since the last one, then kicks the cleaner.
     ///
@@ -149,11 +127,10 @@ impl Volume {
     }
 
     /// Applies a relocation carrier that just became part of the durable
-    /// prefix: conditional redirects into the map, then retirement
-    /// bookkeeping for the victims whose pieces it held. Carriers carry
-    /// no cache records, so the cache frontier, the write log and the
-    /// pending-trim ledger are untouched — and they do not count toward
-    /// the checkpoint cadence.
+    /// prefix: conditional redirects into the map, then retirement of the
+    /// victims whose pieces it held. Carriers carry no cache records, so
+    /// the cache frontier, the write log and the pending-trim ledger are
+    /// untouched — and they do not count toward the checkpoint cadence.
     pub(super) fn finish_put_gc(&mut self, seq: ObjSeq, carrier: GcCarrier) -> Result<()> {
         self.stats.gc_puts += 1;
         self.stats.gc_put_bytes += carrier.object.len() as u64;
@@ -163,20 +140,11 @@ impl Volume {
             .write_state()
             .objmap
             .apply_gc_object(seq, carrier.hdr_sectors, &carrier.pieces);
-        let mut retired = Vec::new();
         if let Some(pass) = self.gc.as_mut() {
-            for &src in &carrier.victim_sources {
-                if let Some(p) = pass.sources.get_mut(&src) {
-                    p.pending_carriers -= 1;
-                    p.last_carrier = p.last_carrier.max(seq);
-                    if p.issued_all && p.pending_carriers == 0 {
-                        retired.push(src);
-                    }
-                }
-            }
+            pass.carriers -= 1;
         }
-        for src in retired {
-            self.gc_retire_source(src);
+        for victim in carrier.victims {
+            self.gc_retire_source(victim, seq);
         }
         self.gc_maybe_finish_pass();
         Ok(())
@@ -233,7 +201,7 @@ impl Volume {
             self.last_ckpt_seq,
         ) {
             let name = self.resolve_name(n0);
-            match retry_transient(|| self.store.delete(&name)) {
+            match retry_transient(GC_RETRY_ATTEMPTS, || self.store.delete(&name)) {
                 Ok(()) => self.stats.gc_deletes += 1,
                 Err(_) => self.deferred_deletes.push((n0, ngc)),
             }
@@ -302,14 +270,13 @@ impl Volume {
     }
 
     /// One incremental cleaning step: starts a pass if eligible
-    /// utilization is below the low watermark (or a compaction scan finds
-    /// work), then relocates up to
-    /// [`gc_step_budget_bytes`](crate::config::VolumeConfig::gc_step_budget_bytes) of
-    /// live data — everything remaining when the budget is 0 — leaving a
-    /// resumable cursor. Sealed carriers ride the writeback window;
-    /// foreground writes keep flowing while they are in flight. Returns
-    /// the number of sources retired if the pass completed during this
-    /// step, else 0.
+    /// utilization is below the low watermark, then relocates whole
+    /// victims until it has moved
+    /// [`gc_step_budget_bytes`](crate::config::VolumeConfig::gc_step_budget_bytes)
+    /// — every victim left when the budget is 0. Sealed carriers ride the
+    /// writeback window; foreground writes keep flowing while they are in
+    /// flight. Returns the number of sources retired if the pass
+    /// completed during this step, else 0.
     pub fn gc_step(&mut self) -> Result<usize> {
         if self.read_only || self.gc_stepping {
             return Ok(0);
@@ -331,80 +298,75 @@ impl Volume {
 
     /// A coarse progress marker for the active pass, used by the
     /// completion-drive loop's livelock guard.
-    fn gc_progress(&self) -> (u64, u64, usize, usize) {
+    fn gc_progress(&self) -> (u64, usize, usize, u32) {
         match &self.gc {
             None => (0, 0, 0, 0),
             Some(p) => (
                 p.collected,
-                p.staged_bytes,
-                p.victims.len() + p.compact_runs.len() + p.sources.len(),
-                p.cursor.as_ref().map(|c| c.next + 1).unwrap_or(0),
+                p.plan.len(),
+                p.staged_victims.len(),
+                p.carriers,
             ),
         }
     }
 
     /// Evaluates the GC trigger and, when warranted, plans a new pass:
-    /// cost-benefit (or greedy) victim selection over the checkpointed
-    /// prefix, plus cold-extent compaction runs when enabled. Returns
+    /// cost-benefit victim selection over the checkpointed prefix, then
+    /// one walk over the object map under the same guard to record each
+    /// victim's live extents, so no victim header is ever fetched. Returns
     /// whether a pass was started.
     fn gc_start_pass(&mut self) -> bool {
         let first = self.sb.own_first_seq();
         let upto = self.last_ckpt_seq;
-        let now = self.last_seq;
-        let (victims, compact_runs) = {
+        let plan = {
             let st = self.plane.read_state();
             let totals = gc::eligible_totals(&st.objmap, first, upto);
-            let victims: Vec<ObjSeq> = if gc::should_collect(totals, GC_LOW_WATERMARK) {
-                gc::select_candidates(
-                    &st.objmap,
-                    first,
-                    upto,
-                    GC_HIGH_WATERMARK,
-                    GcPolicy::CostBenefit,
-                    now,
-                    totals,
-                )
-                .into_iter()
-                .map(|(seq, _)| seq)
-                .collect()
-            } else {
-                Vec::new()
-            };
-            let compact_runs = if self.cfg.gc_compact_min_run > 0 {
-                find_compact_runs(
-                    &st.objmap,
-                    first,
-                    upto,
-                    self.cfg.gc_compact_min_run,
-                    GC_COMPACT_MAX_EXTENT_BYTES / SECTOR,
-                    self.cfg.batch_bytes / SECTOR,
-                    &victims,
-                )
-            } else {
-                Vec::new()
-            };
-            (victims, compact_runs)
+            if !gc::should_collect(totals, GC_LOW_WATERMARK) {
+                return false;
+            }
+            let mut plan: Vec<Victim> = gc::select_candidates(
+                &st.objmap,
+                first,
+                upto,
+                GC_HIGH_WATERMARK,
+                GcPolicy::CostBenefit,
+                self.last_seq,
+                totals,
+            )
+            .into_iter()
+            .map(|(seq, _)| Victim {
+                seq,
+                extents: Vec::new(),
+            })
+            .collect();
+            let index: HashMap<ObjSeq, usize> =
+                plan.iter().enumerate().map(|(i, v)| (v.seq, i)).collect();
+            for (lba, len, loc) in st.objmap.map_extents() {
+                if let Some(&i) = index.get(&loc.seq) {
+                    plan[i].extents.push((lba, len as u32));
+                }
+            }
+            plan
         };
-        if victims.is_empty() && compact_runs.is_empty() {
+        if plan.is_empty() {
             return false;
         }
         self.gc = Some(GcPass {
-            victims: victims.into(),
-            compact_runs: compact_runs.into(),
-            cursor: None,
-            sources: BTreeMap::new(),
+            plan: plan.into(),
             staged: Vec::new(),
-            staged_bytes: 0,
-            waiting_seal: Vec::new(),
+            staged_data: Vec::new(),
+            staged_victims: Vec::new(),
+            carriers: 0,
             collected: 0,
         });
         true
     }
 
-    /// The step engine: read pieces, stage them, seal carriers at batch
-    /// granularity, and ship without waiting for completions. Stops at
-    /// the byte budget (when `unbudgeted` is false and the configured
-    /// budget is nonzero) or when the writeback window has no room.
+    /// The step engine: take whole victims off the plan, seal carriers
+    /// at batch granularity, and ship without waiting for completions.
+    /// Stops at the byte budget (when `unbudgeted` is false and the
+    /// configured budget is nonzero) or when the writeback window has no
+    /// room.
     fn gc_step_inner(&mut self, unbudgeted: bool) -> Result<()> {
         let budget = if unbudgeted {
             0
@@ -413,9 +375,6 @@ impl Volume {
         };
         let mut moved = 0u64;
         loop {
-            if self.gc.is_none() {
-                return Ok(());
-            }
             if budget > 0 && moved >= budget {
                 break;
             }
@@ -426,35 +385,15 @@ impl Volume {
                     break;
                 }
             }
-            match self.gc_next_piece()? {
-                Some((lba, len, loc)) => {
-                    let data = match self.gc_read_piece(lba, len as u64, loc) {
-                        Ok(data) => data,
-                        Err(e) => {
-                            // The piece was not read: step the cursor back
-                            // so the next step retries it, or the victim
-                            // would retire with this piece still mapped.
-                            if let Some(c) = self.gc.as_mut().and_then(|p| p.cursor.as_mut()) {
-                                c.next -= 1;
-                            }
-                            return Err(e);
-                        }
-                    };
-                    moved += data.len() as u64;
-                    let pass = self.gc.as_mut().expect("active pass");
-                    pass.staged_bytes += data.len() as u64;
-                    pass.staged.push((lba, len, loc, data));
-                    if pass.staged_bytes >= self.cfg.batch_bytes {
-                        self.gc_seal_carrier();
-                    }
-                }
-                None => {
-                    // Every victim and run fully read: seal the final
-                    // partial carrier.
-                    self.gc_seal_carrier();
-                    break;
-                }
+            let Some(pass) = &self.gc else {
+                return Ok(());
+            };
+            if pass.plan.is_empty() {
+                // Every victim staged: seal the final partial carrier.
+                self.gc_seal_carrier();
+                break;
             }
+            moved += self.gc_take_victim()?;
         }
         // Ship what this step sealed without waiting for completion. A
         // transient failure leaves the carrier queued (degraded mode)
@@ -464,130 +403,117 @@ impl Volume {
         Ok(())
     }
 
-    /// Advances the pass cursor and returns the next live piece to
-    /// relocate, opening victim cursors (header fetch + live-piece
-    /// probe) and compaction runs as the previous ones drain. Returns
-    /// `None` once every victim and run has been fully read.
-    fn gc_next_piece(&mut self) -> Result<Option<(Lba, u32, ObjLoc)>> {
-        loop {
-            let cursor_state = self.gc.as_mut().and_then(|p| {
-                let c = p.cursor.as_mut()?;
-                if c.next < c.pieces.len() {
-                    let piece = c.pieces[c.next];
-                    c.next += 1;
-                    Some(Ok(piece))
-                } else {
-                    Some(Err(c.seq))
-                }
-            });
-            match cursor_state {
-                Some(Ok(piece)) => return Ok(Some(piece)),
-                Some(Err(done_seq)) => {
-                    self.gc_close_cursor(done_seq);
-                    continue;
-                }
-                None => {}
-            }
-            let next_victim = self.gc.as_mut().and_then(|p| p.victims.pop_front());
-            if let Some(seq) = next_victim {
-                self.gc_open_victim(seq)?;
-                continue;
-            }
-            let next_run = self.gc.as_mut().and_then(|p| p.compact_runs.pop_front());
-            if let Some(pieces) = next_run {
-                if let Some(pass) = self.gc.as_mut() {
-                    pass.cursor = Some(GcCursor {
-                        seq: 0,
-                        pieces,
-                        next: 0,
-                    });
-                }
-                continue;
-            }
-            return Ok(None);
-        }
-    }
-
-    /// Opens a victim: fetches its header, probes the map for its live
-    /// pieces, and registers it for retirement tracking.
-    fn gc_open_victim(&mut self, seq: ObjSeq) -> Result<()> {
-        let name = self.resolve_name(seq);
-        let Some(hdr) = retry_transient_lsvd(|| fetch_header(self.store.as_ref(), &name))? else {
-            // Already gone (e.g. deferred delete executed elsewhere).
-            self.plane.write_state().objmap.remove_object(seq);
-            return Ok(());
-        };
+    /// Takes the victim at the front of the plan: re-filters its planned
+    /// extents against the current map, reads the pieces still live and
+    /// stages them whole, sealing the open carrier first if this victim
+    /// would take it past `batch_bytes`. A victim with nothing live
+    /// retires on the spot. A failed read leaves the victim at the front
+    /// of the plan with nothing staged. Returns the bytes staged.
+    fn gc_take_victim(&mut self) -> Result<u64> {
+        let pass = self.gc.as_ref().expect("active pass");
+        let victim = pass.plan.front().expect("a planned victim");
+        let seq = victim.seq;
         let pieces = self
             .plane
             .read_state()
             .objmap
-            .live_pieces_of(seq, &hdr.extents);
-        if let Some(pass) = self.gc.as_mut() {
-            pass.sources.insert(seq, SourceProgress::default());
-            pass.cursor = Some(GcCursor {
-                seq,
-                pieces,
-                next: 0,
-            });
+            .live_pieces_of(seq, &victim.extents);
+        if pieces.is_empty() {
+            self.gc.as_mut().expect("active pass").plan.pop_front();
+            self.gc_retire_source(seq, self.last_seq);
+            return Ok(0);
         }
-        Ok(())
+        let data = self.gc_read_victim(seq, &pieces)?;
+        let staged = self.gc.as_ref().map_or(0, |p| p.staged_data.len());
+        if staged + data.len() > self.cfg.batch_bytes as usize {
+            self.gc_seal_carrier();
+        }
+        let pass = self.gc.as_mut().expect("active pass");
+        pass.plan.pop_front();
+        pass.staged.extend(pieces);
+        pass.staged_data.extend_from_slice(&data);
+        pass.staged_victims.push(seq);
+        Ok(data.len() as u64)
     }
 
-    /// Closes a drained cursor. A victim whose every piece has been read
-    /// becomes retirable once its staged pieces (if any) seal into a
-    /// carrier and all of its carriers apply; a victim with nothing live
-    /// retires on the spot.
-    fn gc_close_cursor(&mut self, seq: ObjSeq) {
-        let mut retire = None;
-        if let Some(pass) = self.gc.as_mut() {
-            pass.cursor = None;
-            if seq == 0 {
-                return; // compaction run: its sources are not retired
-            }
-            if pass.staged.iter().any(|&(_, _, loc, _)| loc.seq == seq) {
-                pass.waiting_seal.push(seq);
-            } else if let Some(p) = pass.sources.get_mut(&seq) {
-                p.issued_all = true;
-                if p.pending_carriers == 0 {
-                    retire = Some(seq);
+    /// Reads a victim's live `pieces` into one buffer, in piece order,
+    /// preferring the local cache (§3.5: "in many cases the data needed
+    /// for garbage collection may be found in the local cache"): pieces
+    /// that sit whole in the read cache come from there, and the rest
+    /// from one ranged GET spanning them.
+    fn gc_read_victim(&mut self, seq: ObjSeq, pieces: &[(Lba, u32, ObjLoc)]) -> Result<Vec<u8>> {
+        let sectors: u64 = pieces.iter().map(|&(_, len, _)| len as u64).sum();
+        let mut buf = vec![0u8; (sectors * SECTOR) as usize];
+        // Pieces left for the GET: (buffer offset, data-area offset, sectors).
+        let mut rest = Vec::new();
+        let hdr_sectors = {
+            // Hold the shared guard across the cache-device reads, as the
+            // read plane does: eviction (exclusive) cannot reuse the
+            // resolved sectors underneath us.
+            let st = self.plane.read_state();
+            let mut at = 0;
+            for &(lba, len, loc) in pieces {
+                let out = &mut buf[at..at + (len as u64 * SECTOR) as usize];
+                if let [Segment::Mapped { val, .. }] = st.rcache.resolve(lba, len as u64)[..] {
+                    st.rcache.read_cached(val, len as u64, out)?;
+                    self.stats.gc_cache_hit_bytes += out.len() as u64;
+                } else {
+                    rest.push((at, loc.off, len));
                 }
+                at += out.len();
             }
-        }
-        if let Some(src) = retire {
-            self.gc_retire_source(src);
-        }
-    }
-
-    /// Seals the staged pieces into a relocation carrier and queues it
-    /// behind the writeback window. The carrier claims the next object
-    /// sequence like any foreground batch — the durable frontier applies
-    /// it (and everything after it) strictly in order, so the prefix
-    /// rule holds at every interleaving.
-    fn gc_seal_carrier(&mut self) {
-        let (staged, waiting) = match self.gc.as_mut() {
-            None => return,
-            Some(pass) => {
-                if pass.staged.is_empty() {
-                    debug_assert!(pass.waiting_seal.is_empty());
-                    return;
-                }
-                pass.staged_bytes = 0;
-                (
-                    std::mem::take(&mut pass.staged),
-                    std::mem::take(&mut pass.waiting_seal),
-                )
-            }
+            st.objmap
+                .object_stat(seq)
+                .map(|s| (s.total_sectors - s.data_sectors) as u64)
         };
+        let (Some(lo), Some(hi)) = (
+            rest.iter().map(|&(_, off, _)| off).min(),
+            rest.iter().map(|&(_, off, len)| off + len).max(),
+        ) else {
+            return Ok(buf);
+        };
+        let hdr_sectors = hdr_sectors
+            .ok_or_else(|| LsvdError::Corrupt(format!("object {seq} is mapped but untracked")))?;
+        let name = self.resolve_name(seq);
+        let span = retry_transient(GC_RETRY_ATTEMPTS, || {
+            self.store.get_range(
+                &name,
+                (hdr_sectors + lo as u64) * SECTOR,
+                (hi - lo) as u64 * SECTOR,
+            )
+        })?;
+        self.stats.gc_gets += 1;
+        self.stats.gc_get_bytes += span.len() as u64;
+        for (at, off, len) in rest {
+            let from = ((off - lo) as u64 * SECTOR) as usize;
+            let n = (len as u64 * SECTOR) as usize;
+            buf[at..at + n].copy_from_slice(&span[from..from + n]);
+        }
+        Ok(buf)
+    }
+
+    /// Seals the open carrier and queues it behind the writeback window.
+    /// The carrier claims the next object sequence like any foreground
+    /// batch — the durable frontier applies it (and everything after it)
+    /// strictly in order, so the prefix rule holds at every interleaving.
+    fn gc_seal_carrier(&mut self) {
+        let Some(pass) = self.gc.as_mut() else {
+            return;
+        };
+        if pass.staged_victims.is_empty() {
+            return;
+        }
+        let pieces = std::mem::take(&mut pass.staged);
+        let data = std::mem::take(&mut pass.staged_data);
+        let victims = std::mem::take(&mut pass.staged_victims);
+        pass.carriers += 1;
         let seq = self.next_obj_seq;
         self.next_obj_seq = seq + 1;
-        let mut extents = Vec::with_capacity(staged.len());
-        let mut srcs = Vec::with_capacity(staged.len());
-        let mut data = Vec::new();
-        for (lba, len, loc, d) in &staged {
-            extents.push((*lba, *len));
-            srcs.push((loc.seq, loc.off));
-            data.extend_from_slice(d);
-        }
+        let extents: Vec<(Lba, u32)> = pieces.iter().map(|&(lba, len, _)| (lba, len)).collect();
+        let srcs: Vec<(ObjSeq, u32)> = pieces
+            .iter()
+            .map(|&(_, _, loc)| (loc.seq, loc.off))
+            .collect();
         let obj = objfmt::build_data_object(
             self.sb.uuid,
             seq,
@@ -598,66 +524,28 @@ impl Volume {
         );
         let hdr_sectors = ((obj.len() - data.len()) as u64 / SECTOR) as u32;
         let bytes = obj.len() as u64;
-        let pieces: Vec<(Lba, u32, ObjLoc)> = staged
-            .iter()
-            .map(|&(lba, len, loc, _)| (lba, len, loc))
-            .collect();
-        // Victims with pieces in this carrier gain a pending carrier;
-        // fully-read victims waiting on this seal become issued_all (they
-        // retire once their carriers apply). Compaction sources are not
-        // in `sources` and are skipped.
-        let mut victim_sources: Vec<ObjSeq> = Vec::new();
-        if let Some(pass) = self.gc.as_mut() {
-            for &(_, _, loc, _) in &staged {
-                if let Some(p) = pass.sources.get_mut(&loc.seq) {
-                    if !victim_sources.contains(&loc.seq) {
-                        victim_sources.push(loc.seq);
-                        p.pending_carriers += 1;
-                    }
-                    p.last_carrier = p.last_carrier.max(seq);
-                }
-            }
-            for v in waiting {
-                if let Some(p) = pass.sources.get_mut(&v) {
-                    p.issued_all = true;
-                }
-            }
-        }
         let carrier = GcCarrier {
             object: obj,
             hdr_sectors,
             pieces,
-            victim_sources,
+            victims,
         };
         self.enqueue(seq, PutPayload::Gc(carrier));
         self.edge(None, Stage::GcRelocate, seq.into(), bytes);
     }
 
-    /// Retires a fully-relocated victim: unmaps it and defers its delete
-    /// until a checkpoint covers the pass (§3.5/§3.6 safety rule). `ngc`
-    /// is the newest carrier holding the victim's pieces — or the log
-    /// head when nothing live needed moving. Both satisfy the coverage
-    /// rule: a checkpoint with sequence above `ngc` is captured after
-    /// this retirement, so its map no longer references the victim.
-    fn gc_retire_source(&mut self, src: ObjSeq) {
-        let mut ngc = self.last_seq;
-        if let Some(pass) = self.gc.as_mut() {
-            if let Some(p) = pass.sources.remove(&src) {
-                if p.last_carrier > 0 {
-                    ngc = p.last_carrier;
-                }
-            }
-        }
+    /// Retires a victim: unmaps it and defers its delete until a
+    /// checkpoint covers the pass (§3.5/§3.6 safety rule). `ngc` is the
+    /// carrier that held the victim's pieces — or the log head when
+    /// nothing live needed moving. Both satisfy the coverage rule: a
+    /// checkpoint with sequence above `ngc` is captured after this
+    /// retirement, so its map no longer references the victim.
+    fn gc_retire_source(&mut self, src: ObjSeq, ngc: ObjSeq) {
         let freed = {
             let mut st = self.plane.write_state();
-            match st.objmap.object_stat(src) {
-                Some(stat) => {
-                    let total = stat.total_sectors as u64 * SECTOR;
-                    st.objmap.remove_object(src);
-                    Some(total)
-                }
-                None => None, // vanished (header was already gone)
-            }
+            let stat = st.objmap.object_stat(src);
+            st.objmap.remove_object(src);
+            stat.map(|s| s.total_sectors as u64 * SECTOR)
         };
         if let Some(bytes) = freed {
             self.stats.gc_freed_bytes += bytes;
@@ -671,17 +559,10 @@ impl Volume {
     /// Completes the pass once every victim is retired and every carrier
     /// applied; records the `gc_pass` edge exactly once per pass.
     fn gc_maybe_finish_pass(&mut self) {
-        let done = match &self.gc {
-            None => return,
-            Some(p) => {
-                p.victims.is_empty()
-                    && p.compact_runs.is_empty()
-                    && p.cursor.is_none()
-                    && p.staged.is_empty()
-                    && p.waiting_seal.is_empty()
-                    && p.sources.is_empty()
-            }
-        };
+        let done = self
+            .gc
+            .as_ref()
+            .is_some_and(|p| p.plan.is_empty() && p.staged_victims.is_empty() && p.carriers == 0);
         if !done {
             return;
         }
@@ -689,118 +570,5 @@ impl Volume {
         self.gc_last_collected = pass.collected;
         self.stats.gc_passes += 1;
         self.edge(None, Stage::GcPass, pass.collected, 0);
-    }
-
-    /// Reads one GC piece, preferring local caches over backend GETs
-    /// (§3.5: "in many cases the data needed for garbage collection may be
-    /// found in the local cache").
-    fn gc_read_piece(&mut self, lba: Lba, sectors: u64, loc: ObjLoc) -> Result<Vec<u8>> {
-        // Read cache hit? Hold the shared guard across the cache-device
-        // read, as the read plane does: eviction (exclusive) cannot reuse
-        // the resolved sectors underneath us.
-        {
-            let st = self.plane.read_state();
-            if let [Segment::Mapped { val, .. }] = st.rcache.resolve(lba, sectors)[..] {
-                let mut buf = vec![0u8; (sectors * SECTOR) as usize];
-                st.rcache.read_cached(val, sectors, &mut buf)?;
-                self.stats.gc_cache_hit_bytes += buf.len() as u64;
-                return Ok(buf);
-            }
-        }
-        let name = self.resolve_name(loc.seq);
-        let hdr_sectors = self.hdr_sectors_of(loc.seq)?;
-        let data = retry_transient(|| {
-            self.store.get_range(
-                &name,
-                (hdr_sectors + loc.off as u64) * SECTOR,
-                sectors * SECTOR,
-            )
-        })?;
-        self.stats.backend_gets += 1;
-        self.stats.backend_get_bytes += data.len() as u64;
-        Ok(data.to_vec())
-    }
-}
-
-/// Scans the object map for cold fragmented runs worth compacting:
-/// maximal chains of LBA-contiguous extents, each at most
-/// `max_extent_sectors` long, mapped to checkpointed sources in
-/// `[first, upto]` that are not already whole-object victims. Chains of
-/// at least `min_run` entries are emitted as relocation piece lists
-/// (split at `batch_sectors` so one run never exceeds a carrier); the
-/// coalescing extent map re-merges each run into a single entry once
-/// its carrier applies, shrinking the map (Table 5's memory metric).
-fn find_compact_runs(
-    objmap: &ObjectMap,
-    first: ObjSeq,
-    upto: ObjSeq,
-    min_run: usize,
-    max_extent_sectors: u64,
-    batch_sectors: u64,
-    victims: &[ObjSeq],
-) -> Vec<Vec<(Lba, u32, ObjLoc)>> {
-    let mut runs: Vec<Vec<(Lba, u32, ObjLoc)>> = Vec::new();
-    let mut run: Vec<(Lba, u32, ObjLoc)> = Vec::new();
-    let mut run_sectors = 0u64;
-    let mut flush = |run: &mut Vec<(Lba, u32, ObjLoc)>, run_sectors: &mut u64| {
-        if run.len() >= min_run {
-            runs.push(std::mem::take(run));
-        } else {
-            run.clear();
-        }
-        *run_sectors = 0;
-    };
-    for (lba, len, loc) in objmap.map_extents() {
-        let eligible = len <= max_extent_sectors
-            && loc.seq >= first
-            && loc.seq <= upto
-            && !victims.contains(&loc.seq);
-        if !eligible {
-            flush(&mut run, &mut run_sectors);
-            continue;
-        }
-        let contiguous = run
-            .last()
-            .map(|&(plba, plen, _)| plba + plen as u64 == lba)
-            .unwrap_or(true);
-        if !contiguous {
-            flush(&mut run, &mut run_sectors);
-        }
-        if run_sectors + len > batch_sectors && !run.is_empty() {
-            // Split oversized runs at carrier capacity; both halves may
-            // still qualify on their own.
-            flush(&mut run, &mut run_sectors);
-        }
-        run.push((lba, len as u32, loc));
-        run_sectors += len;
-    }
-    flush(&mut run, &mut run_sectors);
-    runs
-}
-
-/// Bounded immediate retry for maintenance-path store calls (GC,
-/// deferred deletes): up to [`GC_RETRY_ATTEMPTS`] tries. Only transient
-/// errors are retried; there is no backoff here — latency-shaped retry
-/// belongs in an [`objstore::RetryStore`] layered under the volume.
-fn retry_transient<T>(mut f: impl FnMut() -> objstore::Result<T>) -> objstore::Result<T> {
-    let mut tries = 1;
-    loop {
-        match f() {
-            Err(e) if e.is_transient() && tries < GC_RETRY_ATTEMPTS => tries += 1,
-            other => return other,
-        }
-    }
-}
-
-/// [`retry_transient`] for calls that already return [`LsvdError`].
-fn retry_transient_lsvd<T>(mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut tries = 1;
-    loop {
-        match f() {
-            Err(LsvdError::Backend(e)) if e.is_transient() && tries < GC_RETRY_ATTEMPTS => {
-                tries += 1
-            }
-            other => return other,
-        }
     }
 }

@@ -114,7 +114,12 @@ pub struct VolumeStats {
     pub gc_freed_bytes: u64,
     /// GC bytes found in local caches (no backend read needed).
     pub gc_cache_hit_bytes: u64,
-    /// Backend range GETs.
+    /// Backend range GETs issued by the cleaner, one per victim at most.
+    pub gc_gets: u64,
+    /// Bytes the cleaner's GETs fetched, dead gaps between live pieces
+    /// included.
+    pub gc_get_bytes: u64,
+    /// Backend range GETs: read misses plus the cleaner's.
     pub backend_gets: u64,
     /// Bytes fetched from the backend.
     pub backend_get_bytes: u64,
@@ -1010,12 +1015,12 @@ impl Volume {
         let mut s = self.stats;
         s.flushes = self.wlog.commit().counts().0;
         // Read-path counters live in the plane (shared with concurrent
-        // `SharedVolume` readers); volume-side counters (GC GETs) add in.
+        // `SharedVolume` readers); the cleaner's GETs add in.
         let p = self.plane.stats();
         s.reads += p.reads;
         s.read_bytes += p.read_bytes;
-        s.backend_gets += p.backend_gets;
-        s.backend_get_bytes += p.backend_get_bytes;
+        s.backend_gets = p.backend_gets + s.gc_gets;
+        s.backend_get_bytes = p.backend_get_bytes + s.gc_get_bytes;
         s.degraded = self.is_degraded();
         s.pending_batches = self.backlog.len() as u64;
         s.pending_bytes = self.backlog_bytes();
@@ -1113,14 +1118,7 @@ impl Volume {
                 gc_passes: stats.gc_passes,
                 gc_pass_active: self.gc.is_some(),
                 gc_step_budget_bytes: self.cfg.gc_step_budget_bytes,
-                gc_victims_remaining: self
-                    .gc
-                    .as_ref()
-                    .map(|p| {
-                        (p.victims.len() + p.compact_runs.len() + usize::from(p.cursor.is_some()))
-                            as u64
-                    })
-                    .unwrap_or(0),
+                gc_victims_remaining: self.gc.as_ref().map_or(0, |p| p.victims_left() as u64),
                 gc_relocated_bytes: stats.gc_relocated_bytes,
                 gc_freed_bytes: stats.gc_freed_bytes,
                 deferred_deletes: self.deferred_deletes.len() as u64,
@@ -1620,42 +1618,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compaction_shrinks_extent_map() {
-        // Cold-extent compaction: interleaved 4 KiB extents from two
-        // sources collapse into one dense relocation object — and one
-        // merged map entry — even though both sources are fully live
-        // (no victim-eligible garbage).
+    /// A checkpointed image of 16 objects, each with every other 4 KiB
+    /// block overwritten: a pass must relocate eight live pieces, split by
+    /// dead gaps, from each victim it picks. Returns the volume reopened
+    /// on a fresh cache device, so the cleaner finds nothing in the read
+    /// cache.
+    fn half_dead_image(store: Arc<dyn ObjectStore>) -> Volume {
         let cfg = VolumeConfig {
-            gc_compact_min_run: 2,
+            checkpoint_interval: 1 << 20,
             ..VolumeConfig::small_for_tests()
         };
-        let store = Arc::new(MemStore::new());
         let dev = Arc::new(RamDisk::new(16 << 20));
-        let mut vol = Volume::create(store, dev, "vol", 64 << 20, cfg).unwrap();
-        // Even 4 KiB blocks in one object, odd blocks in the next: the
-        // map alternates sources across a contiguous LBA range.
-        for i in 0..8u64 {
-            wr(&mut vol, i * 8192, 1, 4096);
+        let mut vol = Volume::create(store.clone(), dev, "vol", 64 << 20, cfg.clone()).unwrap();
+        for i in 0..16u64 {
+            wr(&mut vol, i * 65536, 1, 65536);
         }
-        vol.drain().unwrap();
-        for i in 0..8u64 {
-            wr(&mut vol, i * 8192 + 4096, 2, 4096);
+        for i in 0..16u64 {
+            for b in (0..16u64).step_by(2) {
+                wr(&mut vol, i * 65536 + b * 4096, 2, 4096);
+            }
         }
-        vol.drain().unwrap();
-        vol.write_checkpoint().unwrap();
-        let before = vol.map_extent_count();
-        assert!(before >= 16, "interleaving fragmented the map: {before}");
-        vol.run_gc().unwrap();
-        let after = vol.map_extent_count();
+        vol.shutdown().unwrap();
+        Volume::open(store, Arc::new(RamDisk::new(16 << 20)), "vol", cfg).unwrap()
+    }
+
+    fn check_half_dead_image(vol: &mut Volume) {
+        for i in 0..16u64 {
+            for b in 0..16u64 {
+                let tag = if b % 2 == 0 { 2 } else { 1 };
+                let got = rd(vol, i * 65536 + b * 4096, 4096);
+                assert_eq!(got, vec![tag; 4096], "object {i} block {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn gc_reads_each_victim_with_at_most_one_get() {
+        let mut vol = half_dead_image(Arc::new(MemStore::new()));
+        let before = vol.telemetry().backend;
+        let collected = vol.run_gc().unwrap();
+        let after = vol.telemetry().backend;
+        assert!(collected > 0, "the pass collected nothing");
+        let gets = after.get.count - before.get.count;
         assert!(
-            after < before,
-            "compaction shrank the map: {before} -> {after}"
+            gets <= collected as u64,
+            "{gets} GETs for {collected} victims"
         );
-        for i in 0..8u64 {
-            assert_eq!(rd(&mut vol, i * 8192, 4096), vec![1u8; 4096]);
-            assert_eq!(rd(&mut vol, i * 8192 + 4096, 4096), vec![2u8; 4096]);
-        }
+        assert_eq!(after.head.count, before.head.count, "no victim HEADs");
+        assert_eq!(vol.stats().gc_gets, gets);
+        check_half_dead_image(&mut vol);
+    }
+
+    #[test]
+    fn failed_victim_read_retires_nothing() {
+        let chaos = Arc::new(objstore::ChaosStore::new(MemStore::new()));
+        let mut vol = half_dead_image(chaos.clone());
+        let before = vol.stats();
+        chaos.fail_next_gets(crate::config::GC_RETRY_ATTEMPTS as u64 + 1);
+        assert!(vol.gc_step().is_err(), "the victim's GET failed");
+        let after = vol.stats();
+        assert_eq!(after.gc_freed_bytes, before.gc_freed_bytes);
+        assert_eq!(after.gc_passes, before.gc_passes);
+        assert!(vol.gc_active(), "the pass waits for a later step");
+        assert!(vol.run_gc().unwrap() > 0);
+        assert_eq!(vol.stats().gc_passes, before.gc_passes + 1);
+        check_half_dead_image(&mut vol);
     }
 
     #[test]

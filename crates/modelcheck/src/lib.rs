@@ -559,14 +559,10 @@ fn mc_cfg(pipelined: bool) -> VolumeConfig {
         // corruption surfaces as an error instead of silent bad data.
         verify_get_crc: true,
         // Half-a-batch cleaner budget: a GcStep (or a checkpoint-site
-        // kick) leaves its pass resumable mid-flight, so crash edges —
+        // kick) leaves its pass open between victims, so crash edges —
         // including the in-pass `gc_relocate` carrier seals — land while
-        // victims are half relocated.
+        // some victims are relocated and others are not.
         gc_step_budget_bytes: 8 << 10,
-        // Compaction on: relocation carriers also rewrite cold
-        // fragmented runs, widening the set of mid-pass map states the
-        // oracle must survive.
-        gc_compact_min_run: 2,
         ..VolumeConfig::small_for_tests()
     }
 }

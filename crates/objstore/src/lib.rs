@@ -32,7 +32,7 @@ pub use dir::DirStore;
 pub use latency::LatencyStore;
 pub use mem::MemStore;
 pub use metrics::{MetricsHandle, MetricsStore};
-pub use retry::{RetryCounters, RetryHandle, RetryPolicy, RetryStore};
+pub use retry::{retry_transient, RetryCounters, RetryHandle, RetryPolicy, RetryStore};
 
 use std::fmt;
 use std::sync::Arc;

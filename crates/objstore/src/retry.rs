@@ -102,6 +102,21 @@ impl std::fmt::Debug for RetryHandle {
     }
 }
 
+/// Bounded immediate retry: calls `f` until it succeeds, fails
+/// permanently, or has failed transiently `attempts` times, with no
+/// backoff. For maintenance paths whose caller absorbs a failure (the
+/// volume's cleaner and deferred deletes, the replicator); backoff-shaped
+/// retry under every call is [`RetryStore`]'s job.
+pub fn retry_transient<T>(attempts: u32, mut f: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut tries = 1;
+    loop {
+        match f() {
+            Err(e) if e.is_transient() && tries < attempts => tries += 1,
+            other => return other,
+        }
+    }
+}
+
 /// A wrapper retrying transient failures with deterministic backoff.
 pub struct RetryStore<S> {
     inner: S,
@@ -262,6 +277,26 @@ mod tests {
         assert_eq!(c.attempts, 3);
         assert_eq!(c.retries, 2);
         assert_eq!(c.give_ups, 1);
+    }
+
+    #[test]
+    fn retry_transient_stops_at_attempts_or_a_permanent_error() {
+        let s = ChaosStore::new(MemStore::new());
+        s.fail_next_puts(2);
+        retry_transient(3, || s.put("a", Bytes::from_static(b"x"))).unwrap();
+        s.fail_next_puts(3);
+        let err = retry_transient(3, || s.put("a", Bytes::from_static(b"x"))).unwrap_err();
+        assert!(err.is_transient());
+        s.put("a", Bytes::from_static(b"x"))
+            .expect("the armed failures are spent");
+        let mut calls = 0;
+        let err = retry_transient(3, || {
+            calls += 1;
+            s.get("missing")
+        })
+        .unwrap_err();
+        assert!(matches!(err, ObjError::NotFound(_)));
+        assert_eq!(calls, 1, "a permanent error is not retried");
     }
 
     #[test]

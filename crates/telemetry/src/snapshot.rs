@@ -447,10 +447,9 @@ metric_table! {
         /// Configured per-step relocation budget (0 = unbudgeted).
         gc_step_budget_bytes: u64, max, gauge lsvd_gc_step_budget_bytes
             "Per-step relocation budget (0 = unbudgeted).";
-        /// Victims and compaction runs the active pass has yet to process
-        /// (its resumable cursor counts as one).
+        /// Victims the active pass has yet to read.
         gc_victims_remaining: u64, sum, gauge lsvd_gc_victims_remaining
-            "Victims and compaction runs the active pass has left.";
+            "Victims the active pass has left.";
         /// Bytes relocated by GC carriers since volume start.
         gc_relocated_bytes: u64, sum, counter lsvd_gc_relocated_bytes_total
             "Bytes relocated by GC carriers.";

@@ -22,6 +22,7 @@ use blkdev::RamDisk;
 use bytes::Bytes;
 use lsvd::checkpoint::CheckpointData;
 use lsvd::config::VolumeConfig;
+use lsvd::extent_map::ExtentMap;
 use lsvd::objmap::ObjectMap;
 use lsvd::shared::SharedVolume;
 use lsvd::volume::Volume;
@@ -264,4 +265,23 @@ fn empty_bytes_allocate_nothing() {
         }
     });
     assert_eq!(heap, 0, "Bytes::new() allocated");
+}
+
+#[test]
+fn overlaps_of_unmapped_ranges_allocate_nothing() {
+    // Every 4 KiB write asks the batch's and the object map's extent maps
+    // what it overwrites; usually nothing is there.
+    let mut map: ExtentMap<u64> = ExtentMap::new();
+    for i in 0..1024u64 {
+        map.insert(i * 16, 8, i * 100);
+    }
+    let (found, heap) = heap_bytes(|| {
+        let mut found = 0;
+        for i in 0..1024u64 {
+            found += std::hint::black_box(map.overlaps(i * 16 + 8, 8)).len();
+        }
+        found + map.overlaps(1 << 20, 8).len()
+    });
+    assert_eq!(found, 0, "the probed ranges are holes");
+    assert_eq!(heap, 0, "{heap} heap bytes for unmapped overlaps");
 }
