@@ -111,8 +111,9 @@ fn main() {
     args.emit(&paper_t);
     println!();
     println!(
-        "shape checks: WAF < 1.5 except small churny traces; merge ratio \
-         tracks the burst-overwrite knob; defrag collapses w01/w41 extent \
-         counts; w31 (sequential) has WAF ~1 and the smallest map."
+        "shape checks: WAF < 2 everywhere and ~1 on w31 (sequential); \
+         merge ratio tracks the burst-overwrite knob (over half on \
+         w66/w41, ~0 on w05/w10); defrag shrinks the w01/w41 maps; w66 \
+         has the smallest map, as in the paper."
     );
 }

@@ -686,51 +686,41 @@ impl LsvdEngine {
             return;
         }
         let v = &self.vols[vol as usize];
-        let upto = v.last_ckpt;
-        let totals = gcpolicy::eligible_totals(&v.objmap, 1, upto);
-        if !gcpolicy::should_collect(totals, low) {
-            return;
-        }
         // The engine models aggregate timing; greedy selection keeps its
         // historical throughput shapes independent of the volume's
         // default cost-benefit policy.
-        let cands = gcpolicy::select_candidates(
+        let plan = gcpolicy::plan_pass(
             &v.objmap,
             1,
-            upto,
-            high,
+            v.last_ckpt,
+            (low, high),
             gcpolicy::GcPolicy::Greedy,
             v.next_seq.saturating_sub(1),
-            totals,
         );
-        if cands.is_empty() {
+        if plan.is_empty() {
             return;
         }
         self.vols[vol as usize].gc_active = true;
 
         // Model the cleaning work: read live pieces (cache-hit pieces are
-        // free; others are ranged GETs), then write relocation objects
-        // through the normal PUT path.
-        let cand_set: std::collections::HashSet<u32> = cands.iter().map(|&(s, _)| s).collect();
-        let pieces: Vec<(u64, u64, u32)> = self.vols[vol as usize]
-            .objmap
-            .map_extents()
-            .filter(|(_, _, loc)| cand_set.contains(&loc.seq))
-            .map(|(lba, len, loc)| (lba, len, loc.seq))
+        // free; others are ranged GETs), in vLBA order, then write
+        // relocation objects through the normal PUT path.
+        let mut pieces: Vec<(u64, u32, u32)> = plan
+            .iter()
+            .flat_map(|(seq, extents)| extents.iter().map(|&(lba, len)| (lba, len, *seq)))
             .collect();
-        let mut copy_extents: Vec<(u64, u32)> = Vec::new();
+        pieces.sort_unstable();
         let mut t_read = now;
-        for (lba, len, seq) in pieces {
-            let bytes = len * 512;
-            if !self.wcache.covers(lba, len) && !self.rcache.covers(lba, len) {
+        for &(lba, len, seq) in &pieces {
+            let bytes = len as u64 * 512;
+            if !self.wcache.covers(lba, len as u64) && !self.rcache.covers(lba, len as u64) {
                 let t = self.pool.ec_get_range(now, seq as u64, 0, bytes);
                 let t = self.link.transfer(t, Dir::Rx, bytes);
                 t_read = t_read.max(t);
             }
-            copy_extents.push((lba, len as u32));
         }
         // Remove collected objects and enqueue the relocation PUT(s).
-        for (seq, _) in &cands {
+        for (seq, _) in &plan {
             self.vols[vol as usize].objmap.remove_object(*seq);
             self.pool.meta_op(now, *seq as u64); // DELETE
         }
@@ -739,7 +729,7 @@ impl LsvdEngine {
         let mut chunk: Vec<(u64, u32)> = Vec::new();
         let mut fill = 0u64;
         let mut batches = Vec::new();
-        for (lba, len) in copy_extents {
+        for (lba, len, _) in pieces {
             fill += len as u64 * 512;
             chunk.push((lba, len));
             if fill >= self.cfg.batch_bytes {

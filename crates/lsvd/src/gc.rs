@@ -10,12 +10,15 @@
 //! [`ObjStat::write_stamp`] — which beats greedy on cleaning write
 //! amplification under skewed churn by letting cold, mostly-dead segments
 //! win over hot ones that will re-dirty themselves anyway. This module
-//! holds the pure policy — trigger test, candidate selection,
-//! snapshot-aware delete deferral — while [`crate::volume`] performs the
-//! actual copying.
+//! holds the pure policy — the pass planner [`plan_pass`] (trigger test,
+//! candidate selection, the victims' map extents) and snapshot-aware
+//! delete deferral. [`crate::volume`] performs the actual copying, while
+//! [`crate::engine`] and [`crate::gcsim`] model it.
+
+use std::collections::HashMap;
 
 use crate::objmap::{ObjStat, ObjectMap};
-use crate::types::ObjSeq;
+use crate::types::{Lba, ObjSeq};
 
 /// Victim-selection policy for the cleaner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,19 +31,59 @@ pub enum GcPolicy {
     CostBenefit,
 }
 
+/// Plans one cleaning pass (§3.5) over the eligible pool `first..=upto`.
+/// When the pool's utilization is below `low`, it picks victims under
+/// `policy` (cost-benefit ages count against log head `now`) until the
+/// projected utilization reaches `high`, then walks the object map once
+/// to list the extents that still point at each victim.
+///
+/// Returns the victims in policy order, each with its extents in vLBA
+/// order; a victim with nothing live has none. The plan is empty when the
+/// trigger does not fire. The volume's cleaner, the performance engine
+/// and the Table 5 simulator all plan through here.
+pub fn plan_pass(
+    objmap: &ObjectMap,
+    first: ObjSeq,
+    upto: ObjSeq,
+    (low, high): (f64, f64),
+    policy: GcPolicy,
+    now: ObjSeq,
+) -> Vec<(ObjSeq, Vec<(Lba, u32)>)> {
+    let totals = eligible_totals(objmap, first, upto);
+    if !should_collect(totals, low) {
+        return Vec::new();
+    }
+    let mut plan: Vec<(ObjSeq, Vec<(Lba, u32)>)> =
+        select_candidates(objmap, first, upto, high, policy, now, totals)
+            .into_iter()
+            .map(|(seq, _)| (seq, Vec::new()))
+            .collect();
+    let index: HashMap<ObjSeq, usize> = plan
+        .iter()
+        .enumerate()
+        .map(|(i, &(seq, _))| (seq, i))
+        .collect();
+    for (lba, len, loc) in objmap.map_extents() {
+        if let Some(&i) = index.get(&loc.seq) {
+            plan[i].1.push((lba, len as u32));
+        }
+    }
+    plan
+}
+
 /// Decides whether collection should start (§3.5: utilization below the
 /// threshold) given the eligible pool's `(live, total)` sector totals
 /// from [`eligible_totals`].
-pub fn should_collect(totals: (u64, u64), low_watermark: f64) -> bool {
+fn should_collect(totals: (u64, u64), low_watermark: f64) -> bool {
     let (live, total) = totals;
     total > 0 && (live as f64 / total as f64) < low_watermark
 }
 
 /// Sums `(live_sectors, total_sectors)` over the collection-eligible
 /// range (`first..=upto`: own-stream objects at or below the last
-/// checkpoint). One O(objects) scan — callers pass the result to both
-/// [`should_collect`] and [`select_candidates`].
-pub fn eligible_totals(objmap: &ObjectMap, first: ObjSeq, upto: ObjSeq) -> (u64, u64) {
+/// checkpoint). One O(objects) scan — [`plan_pass`] passes the result to
+/// both [`should_collect`] and [`select_candidates`].
+fn eligible_totals(objmap: &ObjectMap, first: ObjSeq, upto: ObjSeq) -> (u64, u64) {
     let mut live = 0u64;
     let mut total = 0u64;
     for (seq, st) in objmap.objects() {
@@ -68,9 +111,8 @@ pub fn cost_benefit_score(st: &ObjStat, now: ObjSeq) -> f64 {
 /// pool and its live data re-enters as (part of) a fresh, fully-live
 /// object — the live count is unchanged by relocation. Only objects in
 /// `first..=upto` are eligible; fully-live objects are never picked.
-/// `totals` is the pool's `(live, total)` from [`eligible_totals`],
-/// computed once by the caller.
-pub fn select_candidates(
+/// `totals` is the pool's `(live, total)` from [`eligible_totals`].
+fn select_candidates(
     objmap: &ObjectMap,
     first: ObjSeq,
     upto: ObjSeq,
@@ -268,6 +310,25 @@ mod tests {
         let picked = greedy_select(&m, 5, 999, 0.99);
         assert_eq!(picked.len(), 1);
         assert_eq!(picked[0].0, 5);
+    }
+
+    #[test]
+    fn plan_lists_each_victims_extents_in_policy_order() {
+        let mut m = ObjectMap::new();
+        m.apply_object(1, 0, &[(0, 16), (100, 16)]);
+        m.apply_object(2, 0, &[(32, 16)]);
+        m.apply_object(3, 0, &[(4, 8), (104, 4), (32, 12)]);
+        // Live 48 of 72 sectors (0.67): object 2 is 4/16 live, object 1
+        // 20/32, object 3 fully live.
+        let plan = plan_pass(&m, 1, 999, (0.70, 0.99), GcPolicy::Greedy, 4);
+        assert_eq!(
+            plan,
+            vec![
+                (2, vec![(44, 4)]),
+                (1, vec![(0, 4), (12, 4), (100, 4), (108, 8)]),
+            ]
+        );
+        assert!(plan_pass(&m, 1, 999, (0.60, 0.99), GcPolicy::Greedy, 4).is_empty());
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //!
 //! The paper evaluates LSVD's garbage collector on week-long block traces
 //! by simulation: no data moves, only extents. This module reproduces that
-//! simulator. It models:
+//! simulator on the volume's own cleaner model: objects apply to an
+//! [`ObjectMap`], and [`gc::plan_pass`] plans every pass with the trigger,
+//! victim selection and map walk the volume runs. Around them it models:
 //!
 //! - **batching**: writes accumulate until the batch size (32 MiB in the
 //!   paper's runs) is reached, with intra-batch *merging* (coalescing of
 //!   overwrites) switchable to measure the Table 5 "merge" columns;
-//! - **greedy GC** with the 70 % / 75 % start/stop thresholds;
+//! - **relocation**: a pass's live extents are rewritten in vLBA order as
+//!   batch-sized objects, applied in the same call that plans them;
 //! - **defragmentation**: optionally copying small holes (≤ 8 KiB in the
 //!   paper) between live pieces during GC so map extents re-merge — the
 //!   Table 5 "defrag" column.
@@ -16,12 +19,14 @@
 //! Reported metrics match Table 5: write amplification factor (WAF), final
 //! extent-map size, and merge ratio.
 
-use std::collections::BTreeMap;
-
 use crate::extent_map::ExtentMap;
-use crate::gc::GcPolicy;
-use crate::objmap::ObjLoc;
+use crate::gc::{self, GcPolicy};
+use crate::objmap::ObjectMap;
 use crate::types::{Lba, ObjSeq};
+
+/// Hole-plugging limit of [`GcSimMode::MergeDefrag`] in sectors: the
+/// paper evaluated 8 KiB.
+const DEFRAG_HOLE_SECTORS: u64 = 16;
 
 /// Simulation mode for the three Table 5 column groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +50,6 @@ pub struct GcSimConfig {
     pub gc_high: f64,
     /// Mode (merge / defrag switches).
     pub mode: GcSimMode,
-    /// Hole-plugging limit in sectors (used by [`GcSimMode::MergeDefrag`];
-    /// the paper evaluated 8 KiB = 16 sectors).
-    pub defrag_hole_sectors: u64,
     /// Victim-selection policy. The default stays greedy — the paper's
     /// Table 5 runs use greedy selection, and the historical trace shapes
     /// depend on it; cost-benefit is the volume's runtime default and can
@@ -63,7 +65,6 @@ impl Default for GcSimConfig {
             gc_low: 0.70,
             gc_high: 0.75,
             mode: GcSimMode::Merge,
-            defrag_hole_sectors: 16,
             policy: GcPolicy::Greedy,
         }
     }
@@ -121,16 +122,6 @@ impl GcSimReport {
     }
 }
 
-struct SimObj {
-    data: u64,
-    live: u64,
-    extents: Vec<(Lba, u32)>,
-    /// Write-age stamp: the creating object's sequence for batch flushes;
-    /// relocation objects inherit the *youngest* source stamp (mirrors
-    /// `ObjStat.write_stamp` in the runtime collector).
-    stamp: ObjSeq,
-}
-
 /// The metadata-only batching + GC simulator.
 ///
 /// # Examples
@@ -152,15 +143,13 @@ struct SimObj {
 /// ```
 pub struct GcSim {
     cfg: GcSimConfig,
-    map: ExtentMap<ObjLoc>,
-    table: BTreeMap<ObjSeq, SimObj>,
+    /// Backend objects with no header: liveness counts data sectors only.
+    objmap: ObjectMap,
     // Batch state: coalescing map (merge modes) or append list (no-merge).
     batch_map: ExtentMap<u64>,
     batch_list: Vec<(Lba, u32)>,
     batch_accepted: u64,
     next_seq: ObjSeq,
-    live_total: u64,
-    data_total: u64,
     report: GcSimReport,
 }
 
@@ -169,14 +158,11 @@ impl GcSim {
     pub fn new(cfg: GcSimConfig) -> Self {
         GcSim {
             cfg,
-            map: ExtentMap::new(),
-            table: BTreeMap::new(),
+            objmap: ObjectMap::new(),
             batch_map: ExtentMap::new(),
             batch_list: Vec::new(),
             batch_accepted: 0,
             next_seq: 1,
-            live_total: 0,
-            data_total: 0,
             report: GcSimReport {
                 client_sectors: 0,
                 backend_sectors: 0,
@@ -237,196 +223,71 @@ impl GcSim {
         if extents.is_empty() {
             return;
         }
-        self.apply_object(&extents, None);
+        self.put_object(&extents);
     }
 
-    /// `gc_stamp` is `None` for a fresh batch flush (the new object's own
-    /// seq is its stamp) and `Some(youngest source stamp)` for a GC
-    /// relocation object.
-    fn apply_object(&mut self, extents: &[(Lba, u32)], gc_stamp: Option<ObjSeq>) {
-        let seq = self.next_seq;
+    /// Writes `extents` as the next backend object and returns its data
+    /// sectors. A relocation object goes through the same
+    /// [`ObjectMap::apply_object`] as a batch: its pieces were planned in
+    /// this same call, so each still points at its victim, and a
+    /// zero-filled defrag gap that was never written becomes mapped.
+    fn put_object(&mut self, extents: &[(Lba, u32)]) -> u64 {
+        self.objmap.apply_object(self.next_seq, 0, extents);
         self.next_seq += 1;
         let data: u64 = extents.iter().map(|&(_, n)| n as u64).sum();
-        self.table.insert(
-            seq,
-            SimObj {
-                data,
-                live: 0,
-                extents: extents.to_vec(),
-                stamp: gc_stamp.unwrap_or(seq),
-            },
-        );
-        self.data_total += data;
         self.report.backend_sectors += data;
-        if gc_stamp.is_some() {
-            self.report.gc_copied_sectors += data;
-        }
         self.report.objects_created += 1;
-        let mut off = 0u32;
-        for &(lba, len) in extents {
-            self.decay(lba, len as u64);
-            self.map.insert(lba, len as u64, ObjLoc { seq, off });
-            let obj = self.table.get_mut(&seq).expect("just inserted");
-            obj.live += len as u64;
-            self.live_total += len as u64;
-            off += len;
-        }
+        data
     }
 
-    fn decay(&mut self, lba: Lba, sectors: u64) {
-        for (_, plen, pval) in self.map.overlaps(lba, sectors) {
-            if let Some(obj) = self.table.get_mut(&pval.seq) {
-                obj.live -= plen;
-                self.live_total -= plen;
-            }
-        }
-    }
-
-    fn utilization(&self) -> f64 {
-        if self.data_total == 0 {
-            1.0
-        } else {
-            self.live_total as f64 / self.data_total as f64
-        }
-    }
-
+    /// Runs one pass when utilization is below the low mark: deletes the
+    /// planned victims and rewrites their live extents in vLBA order as
+    /// batch-sized relocation objects.
     fn maybe_gc(&mut self) {
-        if self.utilization() >= self.cfg.gc_low {
-            return;
-        }
-        // Rank victims by the configured policy, best-first, and collect
-        // until back above the high mark.
-        let now = self.next_seq;
-        let mut cands: Vec<(ObjSeq, u64, u64, ObjSeq)> = self
-            .table
-            .iter()
-            .filter(|(_, o)| o.live < o.data)
-            .map(|(&s, o)| (s, o.live, o.data, o.stamp))
-            .collect();
-        match self.cfg.policy {
-            // Greedy: least-utilized first.
-            GcPolicy::Greedy => cands.sort_by(|a, b| {
-                (a.1 as f64 / a.2 as f64)
-                    .partial_cmp(&(b.1 as f64 / b.2 as f64))
-                    .expect("finite")
-                    .then(a.0.cmp(&b.0))
-            }),
-            // LFS cost-benefit: (1-u)·age/(1+u), highest score first —
-            // prefers old, stable garbage over barely-dead hot objects
-            // whose survivors would die again right after relocation.
-            GcPolicy::CostBenefit => cands.sort_by(|a, b| {
-                let score = |c: &(ObjSeq, u64, u64, ObjSeq)| {
-                    let u = c.1 as f64 / c.2 as f64;
-                    let age = now.saturating_sub(c.3) as f64;
-                    (1.0 - u) * age / (1.0 + u)
-                };
-                score(b)
-                    .partial_cmp(&score(a))
-                    .expect("finite")
-                    .then(a.0.cmp(&b.0))
-            }),
-        }
-
-        let mut gc_pieces: Vec<(Lba, u32)> = Vec::new();
-        let mut youngest_stamp: ObjSeq = 0;
-        for (seq, _, _, _) in cands {
-            if self.utilization() >= self.cfg.gc_high {
-                break;
-            }
-            let obj = self.table.get(&seq).expect("candidate exists");
-            let hdr_extents = obj.extents.clone();
-            // Live pieces of this object, via its header extents: a piece
-            // is live only where the map still points at *this copy*
-            // (offset match matters — no-merge objects may contain the
-            // same vLBA several times).
-            let mut off = 0u32;
-            for &(lba, len) in &hdr_extents {
-                for (plo, plen, pval) in self.map.overlaps(lba, len as u64) {
-                    if pval.seq == seq && pval.off == off + (plo - lba) as u32 {
-                        gc_pieces.push((plo, plen as u32));
-                    }
-                }
-                off += len;
-            }
-            // Delete the collected object. The relocation objects inherit
-            // the *youngest* source stamp: mixing even one hot victim in
-            // makes the whole output look recent, exactly as the runtime
-            // collector's `ObjStat.write_stamp` accounting does.
-            let obj = self.table.remove(&seq).expect("candidate exists");
-            youngest_stamp = youngest_stamp.max(obj.stamp);
-            self.data_total -= obj.data;
-            self.live_total -= obj.live; // the live remainder is relocated
+        let plan = gc::plan_pass(
+            &self.objmap,
+            1,
+            ObjSeq::MAX,
+            (self.cfg.gc_low, self.cfg.gc_high),
+            self.cfg.policy,
+            self.next_seq,
+        );
+        let mut pieces: Vec<(Lba, u32)> = Vec::new();
+        for (seq, extents) in plan {
+            pieces.extend(extents);
+            self.objmap.remove_object(seq);
             self.report.objects_deleted += 1;
-        }
-        if gc_pieces.is_empty() {
-            return;
         }
         // A GC batch is one atomic object: free to restore spatial order
         // (§3.1), which also lets map extents re-merge after relocation.
-        gc_pieces.sort_unstable();
+        pieces.sort_unstable();
         if self.cfg.mode == GcSimMode::MergeDefrag {
-            gc_pieces = self.plug_holes(gc_pieces);
+            pieces = plug_holes(pieces);
         }
         let mut batch: Vec<(Lba, u32)> = Vec::new();
         let mut fill = 0u64;
-        for (lba, len) in gc_pieces {
+        for (lba, len) in pieces {
             batch.push((lba, len));
             fill += len as u64;
             if fill >= self.cfg.batch_sectors {
-                let b = std::mem::take(&mut batch);
-                self.apply_object(&b, Some(youngest_stamp));
+                self.report.gc_copied_sectors += self.put_object(&batch);
+                batch.clear();
                 fill = 0;
             }
         }
         if !batch.is_empty() {
-            self.apply_object(&batch, Some(youngest_stamp));
+            self.report.gc_copied_sectors += self.put_object(&batch);
         }
-    }
-
-    /// Extends relocated pieces across small gaps (§4.6 defragmentation):
-    /// a gap up to the threshold is copied too — from its current object
-    /// if mapped, as zero fill if never written — so vLBA-adjacent pieces
-    /// land contiguously in the new object and their map extents merge.
-    fn plug_holes(&self, pieces: Vec<(Lba, u32)>) -> Vec<(Lba, u32)> {
-        let thr = self.cfg.defrag_hole_sectors;
-        let mut out: Vec<(Lba, u32)> = Vec::with_capacity(pieces.len());
-        for (lba, len) in pieces {
-            if let Some(last) = out.last_mut() {
-                let gap_start = last.0 + last.1 as u64;
-                // Merge overlapping/adjacent collected pieces outright.
-                if lba <= gap_start && lba + len as u64 > gap_start {
-                    last.1 += (lba + len as u64 - gap_start) as u32;
-                    continue;
-                }
-                if lba <= gap_start {
-                    continue; // fully covered already
-                }
-                if lba - gap_start <= thr {
-                    // Plug the gap (mapped data is re-read; unmapped ranges
-                    // are zero-filled) and extend the previous piece so the
-                    // relocated run is contiguous.
-                    last.1 += (lba - gap_start) as u32 + len;
-                    continue;
-                }
-            }
-            out.push((lba, len));
-        }
-        out
-    }
-
-    /// Current extent-map size.
-    pub fn extent_count(&self) -> usize {
-        self.map.len()
     }
 
     /// Current utilization (live / total).
     pub fn current_utilization(&self) -> f64 {
-        self.utilization()
-    }
-
-    /// `(live, total)` data sectors across objects.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.live_total, self.data_total)
+        let (live, total) = self.objmap.totals();
+        if total == 0 {
+            1.0
+        } else {
+            live as f64 / total as f64
+        }
     }
 
     /// Flushes the final partial batch and returns the report.
@@ -434,9 +295,29 @@ impl GcSim {
         self.flush_batch();
         self.maybe_gc();
         let mut r = self.report;
-        r.extent_count = self.map.len();
+        r.extent_count = self.objmap.extent_count();
         r
     }
+}
+
+/// Extends relocated pieces (sorted, disjoint) across small gaps (§4.6
+/// defragmentation): a gap up to [`DEFRAG_HOLE_SECTORS`] is copied too —
+/// from its current object if mapped, as zero fill if never written — so
+/// vLBA-adjacent pieces land contiguously in the new object and their map
+/// extents merge.
+fn plug_holes(pieces: Vec<(Lba, u32)>) -> Vec<(Lba, u32)> {
+    let mut out: Vec<(Lba, u32)> = Vec::with_capacity(pieces.len());
+    for (lba, len) in pieces {
+        if let Some(last) = out.last_mut() {
+            let gap_start = last.0 + last.1 as u64;
+            if lba - gap_start <= DEFRAG_HOLE_SECTORS {
+                last.1 += (lba - gap_start) as u32 + len;
+                continue;
+            }
+        }
+        out.push((lba, len));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -501,8 +382,7 @@ mod tests {
             let lba = (x >> 33) % footprint / 8 * 8;
             sim.write(lba, 8);
         }
-        let (live, total) = sim.totals();
-        let util = live as f64 / total as f64;
+        let util = sim.current_utilization();
         assert!(util >= 0.65, "GC keeps utilization near threshold: {util}");
         let r = sim.finish();
         assert!(r.objects_deleted > 0, "GC ran");
@@ -517,7 +397,6 @@ mod tests {
         let run = |mode| {
             let mut sim = GcSim::new(GcSimConfig {
                 batch_sectors: 1024,
-                defrag_hole_sectors: 16,
                 mode,
                 ..Default::default()
             });

@@ -92,21 +92,16 @@ impl ObjectMap {
     }
 
     /// Applies a new data object's extents, in order: overwritten older
-    /// pieces lose liveness, and the new object enters the table fully
-    /// live.
+    /// pieces lose liveness, and the new object enters the table live
+    /// except where a later extent of its own overwrites an earlier one.
     ///
     /// `hdr_sectors` is the object's header size (counted in total size so
     /// utilization matches the paper's "ratio of live data to total object
     /// size").
     pub fn apply_object(&mut self, seq: ObjSeq, hdr_sectors: u32, extents: &[(Lba, u32)]) {
-        let mut off = 0u32;
-        let mut data_sectors = 0u32;
-        for &(lba, len) in extents {
-            self.decay(lba, len as u64);
-            self.map.insert(lba, len as u64, ObjLoc { seq, off });
-            off += len;
-            data_sectors += len;
-        }
+        let data_sectors: u32 = extents.iter().map(|&(_, len)| len).sum();
+        // The entry goes in first, so a vLBA the object maps twice decays
+        // its own earlier copy.
         self.table.insert(
             seq,
             ObjStat {
@@ -117,6 +112,22 @@ impl ObjectMap {
                 write_stamp: seq,
             },
         );
+        let mut off = 0u32;
+        for &(lba, len) in extents {
+            for (_, plen, pval) in self.map.overlaps(lba, len as u64) {
+                // A piece of this object at or past `off` is its own
+                // earlier application of this extent (a replayed header),
+                // and stays live.
+                if pval.seq == seq && pval.off >= off {
+                    continue;
+                }
+                if let Some(stat) = self.table.get_mut(&pval.seq) {
+                    stat.live_sectors = stat.live_sectors.saturating_sub(plen as u32);
+                }
+            }
+            self.map.insert(lba, len as u64, ObjLoc { seq, off });
+            off += len;
+        }
     }
 
     /// Applies a GC object: `pieces` are `(vLBA, sectors, expected_old)` —
@@ -250,24 +261,6 @@ impl ObjectMap {
         self.table.iter().map(|(&s, &st)| (s, st))
     }
 
-    /// Overall utilization: live data / total object size, across objects
-    /// with sequence `<= upto` (the GC works below the last checkpoint).
-    pub fn utilization(&self, upto: ObjSeq) -> f64 {
-        let mut live = 0u64;
-        let mut total = 0u64;
-        for (&s, st) in &self.table {
-            if s <= upto {
-                live += st.live_sectors as u64;
-                total += st.total_sectors as u64;
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            live as f64 / total as f64
-        }
-    }
-
     /// Sums `(live_sectors, total_sectors)` over all objects.
     pub fn totals(&self) -> (u64, u64) {
         let mut live = 0u64;
@@ -329,6 +322,19 @@ mod tests {
     }
 
     #[test]
+    fn object_overwriting_itself_counts_each_vlba_once() {
+        let mut m = ObjectMap::new();
+        m.apply_object(1, 0, &[(0, 8), (0, 8)]);
+        let st = m.object_stat(1).unwrap();
+        assert_eq!((st.live_sectors, st.data_sectors), (8, 16));
+        assert_eq!(m.lookup(0), Some((0, 8, ObjLoc { seq: 1, off: 8 })));
+        // Replaying the same header changes nothing.
+        m.apply_object(1, 0, &[(0, 8), (0, 8)]);
+        assert_eq!(m.object_stat(1), Some(st));
+        assert_eq!(m.lookup(0), Some((0, 8, ObjLoc { seq: 1, off: 8 })));
+    }
+
+    #[test]
     fn overwrite_decays_old_object() {
         let mut m = ObjectMap::new();
         m.apply_object(1, 1, &[(0, 16)]);
@@ -345,11 +351,9 @@ mod tests {
     fn utilization_tracks_overwrites() {
         let mut m = ObjectMap::new();
         m.apply_object(1, 0, &[(0, 100)]);
-        assert_eq!(m.utilization(10), 1.0);
+        assert_eq!(m.totals(), (100, 100));
         m.apply_object(2, 0, &[(0, 100)]); // full overwrite
-        assert!((m.utilization(10) - 0.5).abs() < 1e-9);
-        let (live, total) = m.totals();
-        assert_eq!((live, total), (100, 200));
+        assert_eq!(m.totals(), (100, 200));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! applies. Carriers ride the writeback backlog like data batches, and a
 //! retired victim's delete waits for a checkpoint that covers it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use objstore::{retry_transient, ObjError};
 use telemetry::Stage;
@@ -39,13 +39,6 @@ pub(super) struct GcCarrier {
     victims: Vec<ObjSeq>,
 }
 
-/// A victim planned for relocation: the map extents that pointed at it
-/// when its pass was planned.
-struct Victim {
-    seq: ObjSeq,
-    extents: Vec<(Lba, u32)>,
-}
-
 /// State of an in-progress incremental cleaning pass (§3.5). The pass
 /// survives across [`Volume::gc_step`] invocations: each step takes whole
 /// victims off the front of the plan, relocation carriers ride the
@@ -54,8 +47,9 @@ struct Victim {
 /// crash simply loses the pass — victims are still mapped or already
 /// safely deferred, so the next pass re-plans.
 pub(super) struct GcPass {
-    /// Victims not yet staged, in policy order.
-    plan: VecDeque<Victim>,
+    /// Victims not yet staged, in policy order, each with the map
+    /// extents that pointed at it when the pass was planned.
+    plan: VecDeque<(ObjSeq, Vec<(Lba, u32)>)>,
     /// The open carrier: its pieces, their data, and its victims.
     staged: Vec<(Lba, u32, ObjLoc)>,
     staged_data: Vec<u8>,
@@ -310,44 +304,19 @@ impl Volume {
         }
     }
 
-    /// Evaluates the GC trigger and, when warranted, plans a new pass:
-    /// cost-benefit victim selection over the checkpointed prefix, then
-    /// one walk over the object map under the same guard to record each
-    /// victim's live extents, so no victim header is ever fetched. Returns
-    /// whether a pass was started.
+    /// Evaluates the GC trigger and, when warranted, plans a new pass
+    /// with [`gc::plan_pass`]: cost-benefit victims over the checkpointed
+    /// prefix, each with its live extents from the object map, so no
+    /// victim header is ever fetched. Returns whether a pass was started.
     fn gc_start_pass(&mut self) -> bool {
-        let first = self.sb.own_first_seq();
-        let upto = self.last_ckpt_seq;
-        let plan = {
-            let st = self.plane.read_state();
-            let totals = gc::eligible_totals(&st.objmap, first, upto);
-            if !gc::should_collect(totals, GC_LOW_WATERMARK) {
-                return false;
-            }
-            let mut plan: Vec<Victim> = gc::select_candidates(
-                &st.objmap,
-                first,
-                upto,
-                GC_HIGH_WATERMARK,
-                GcPolicy::CostBenefit,
-                self.last_seq,
-                totals,
-            )
-            .into_iter()
-            .map(|(seq, _)| Victim {
-                seq,
-                extents: Vec::new(),
-            })
-            .collect();
-            let index: HashMap<ObjSeq, usize> =
-                plan.iter().enumerate().map(|(i, v)| (v.seq, i)).collect();
-            for (lba, len, loc) in st.objmap.map_extents() {
-                if let Some(&i) = index.get(&loc.seq) {
-                    plan[i].extents.push((lba, len as u32));
-                }
-            }
-            plan
-        };
+        let plan = gc::plan_pass(
+            &self.plane.read_state().objmap,
+            self.sb.own_first_seq(),
+            self.last_ckpt_seq,
+            (GC_LOW_WATERMARK, GC_HIGH_WATERMARK),
+            GcPolicy::CostBenefit,
+            self.last_seq,
+        );
         if plan.is_empty() {
             return false;
         }
@@ -411,13 +380,8 @@ impl Volume {
     /// of the plan with nothing staged. Returns the bytes staged.
     fn gc_take_victim(&mut self) -> Result<u64> {
         let pass = self.gc.as_ref().expect("active pass");
-        let victim = pass.plan.front().expect("a planned victim");
-        let seq = victim.seq;
-        let pieces = self
-            .plane
-            .read_state()
-            .objmap
-            .live_pieces_of(seq, &victim.extents);
+        let &(seq, ref extents) = pass.plan.front().expect("a planned victim");
+        let pieces = self.plane.read_state().objmap.live_pieces_of(seq, extents);
         if pieces.is_empty() {
             self.gc.as_mut().expect("active pass").plan.pop_front();
             self.gc_retire_source(seq, self.last_seq);
