@@ -63,15 +63,6 @@ fn bench_extent_map(c: &mut Criterion) {
                 std::hint::black_box(map.overlaps((x >> 33) % (span - 256), 256))
             });
         });
-        // Sequential-scan locality: repeated hits inside one extent are
-        // served by the map's last-hit cursor without a tree descent.
-        g.bench_with_input(BenchmarkId::new("lookup_seq_cursor", n), &n, |b, _| {
-            let mut pos = 0u64;
-            b.iter(|| {
-                pos = (pos + 1) % span;
-                std::hint::black_box(map.lookup(pos))
-            });
-        });
         // Checkpoint/snapshot restore: sorted bulk_load vs overwrite
         // insert per extent (the path objmap::from_parts and the rcache
         // snapshot loader take).

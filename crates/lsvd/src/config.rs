@@ -24,10 +24,6 @@ pub const GC_HIGH_WATERMARK: f64 = 0.75;
 /// not retry here: set [`VolumeConfig::retry_policy`] for that.
 pub const GC_RETRY_ATTEMPTS: u32 = 3;
 
-/// Capacity (entries) of the backend object-header cache that a read miss
-/// consults before issuing a header GET (§3.2's read path).
-pub const HDR_CACHE_ENTRIES: usize = 512;
-
 /// Tunable parameters of an LSVD volume.
 ///
 /// Defaults follow the paper's prototype configuration (§4.1): 8 MiB write
@@ -85,7 +81,9 @@ pub struct VolumeConfig {
     /// without the caller plumbing a `RetryHandle` by hand.
     pub retry_policy: Option<RetryPolicy>,
     /// Verify backend GET payloads against the per-extent CRCs recorded in
-    /// object headers. Fetch windows are snapped to extent boundaries and
+    /// object headers. Each miss then GETs its object's header, sized from
+    /// the object table, before the data. Fetch windows are snapped to
+    /// extent boundaries and
     /// the expected checksum is folded from the stored extent CRCs with
     /// `crc32c_combine` — no second pass over the object at PUT time; the
     /// fetched window is checksummed once. A mismatch fails the read with

@@ -689,7 +689,7 @@ impl LsvdEngine {
         // The engine models aggregate timing; greedy selection keeps its
         // historical throughput shapes independent of the volume's
         // default cost-benefit policy.
-        let plan = gcpolicy::plan_pass(
+        let victims = gcpolicy::plan_pass(
             &v.objmap,
             1,
             v.last_ckpt,
@@ -697,19 +697,21 @@ impl LsvdEngine {
             gcpolicy::GcPolicy::Greedy,
             v.next_seq.saturating_sub(1),
         );
-        if plan.is_empty() {
+        if victims.is_empty() {
             return;
         }
-        self.vols[vol as usize].gc_active = true;
-
         // Model the cleaning work: read live pieces (cache-hit pieces are
         // free; others are ranged GETs), in vLBA order, then write
         // relocation objects through the normal PUT path.
-        let mut pieces: Vec<(u64, u32, u32)> = plan
+        let mut pieces: Vec<(u64, u32, u32)> = victims
             .iter()
-            .flat_map(|(seq, extents)| extents.iter().map(|&(lba, len)| (lba, len, *seq)))
+            .flat_map(|&seq| {
+                let live = v.objmap.live_in(seq, ..);
+                live.into_iter().map(move |(lba, len, _)| (lba, len, seq))
+            })
             .collect();
         pieces.sort_unstable();
+        self.vols[vol as usize].gc_active = true;
         let mut t_read = now;
         for &(lba, len, seq) in &pieces {
             let bytes = len as u64 * 512;
@@ -720,9 +722,9 @@ impl LsvdEngine {
             }
         }
         // Remove collected objects and enqueue the relocation PUT(s).
-        for (seq, _) in &plan {
-            self.vols[vol as usize].objmap.remove_object(*seq);
-            self.pool.meta_op(now, *seq as u64); // DELETE
+        for &seq in &victims {
+            self.vols[vol as usize].objmap.remove_object(seq);
+            self.pool.meta_op(now, seq as u64); // DELETE
         }
         let vmut = &mut self.vols[vol as usize];
         // Re-apply relocated pieces as new objects in batch-size chunks.

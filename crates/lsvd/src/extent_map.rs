@@ -18,8 +18,6 @@
 //!    exactly the behaviour of a block-device translation layer.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A value that can be carried by an extent and split along with it.
 ///
@@ -29,88 +27,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub trait ExtentValue: Copy + PartialEq + std::fmt::Debug {
     /// Returns the value shifted forward by `delta` sectors.
     fn advance(self, delta: u64) -> Self;
-
-    /// Packs the value into one word for the atomic lookup cursor.
-    fn pack(self) -> u64;
-
-    /// Inverse of [`ExtentValue::pack`].
-    fn unpack(word: u64) -> Self;
 }
 
 impl ExtentValue for u64 {
     fn advance(self, delta: u64) -> Self {
         self + delta
-    }
-
-    fn pack(self) -> u64 {
-        self
-    }
-
-    fn unpack(word: u64) -> Self {
-        word
-    }
-}
-
-/// The last-hit point-lookup cursor, shareable across concurrent readers.
-///
-/// A seqlock built entirely from atomics (no `UnsafeCell`, so every
-/// interleaving is well-defined): the version counter is even when the
-/// cursor is stable and odd while an update is in progress. Readers snap
-/// the version, read the fields, and re-check the version; writers claim
-/// the update slot with a compare-exchange, so racing readers simply skip
-/// a cursor that is mid-update and fall back to the tree. A `len` of 0
-/// means "empty".
-struct Cursor {
-    ver: AtomicU64,
-    start: AtomicU64,
-    len: AtomicU64,
-    val: AtomicU64,
-}
-
-impl Cursor {
-    fn new() -> Self {
-        Cursor {
-            ver: AtomicU64::new(0),
-            start: AtomicU64::new(0),
-            len: AtomicU64::new(0),
-            val: AtomicU64::new(0),
-        }
-    }
-
-    fn load(&self) -> Option<(u64, u64, u64)> {
-        let v1 = self.ver.load(Ordering::Acquire);
-        if v1 & 1 == 1 {
-            return None; // update in progress
-        }
-        let start = self.start.load(Ordering::Relaxed);
-        let len = self.len.load(Ordering::Relaxed);
-        let val = self.val.load(Ordering::Relaxed);
-        if self.ver.load(Ordering::Acquire) != v1 || len == 0 {
-            return None;
-        }
-        Some((start, len, val))
-    }
-
-    fn store(&self, start: u64, len: u64, val: u64) {
-        let v = self.ver.load(Ordering::Relaxed);
-        if v & 1 == 1 {
-            return; // another reader is mid-update; theirs is as good
-        }
-        if self
-            .ver
-            .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        self.start.store(start, Ordering::Relaxed);
-        self.len.store(len, Ordering::Relaxed);
-        self.val.store(val, Ordering::Relaxed);
-        self.ver.store(v + 2, Ordering::Release);
-    }
-
-    fn clear(&self) {
-        self.store(0, 0, 0);
     }
 }
 
@@ -160,45 +81,16 @@ pub enum Segment<V> {
 /// map.insert(40, 20, 5040);
 /// assert_eq!(map.len(), 1);
 /// ```
-///
-/// Point lookups keep a one-entry last-hit cursor: sequential access
-/// patterns (streaming reads, writeback sweeps) revisit the same extent
-/// many times, and the cursor answers those repeats without rescanning
-/// the tree. The cursor is an atomics-only seqlock (`Cursor`), so the
-/// map is `Sync` and concurrent shared-lock readers (the read plane) can
-/// race on it safely; mutations invalidate it through `&mut` paths.
+#[derive(Debug, Clone)]
 pub struct ExtentMap<V> {
     map: BTreeMap<u64, Ext<V>>,
-    /// Last successful point-lookup, `(start, len, packed value_at_start)`.
-    /// Invalidated by every mutation.
-    cursor: Cursor,
-    /// How many lookups the cursor short-circuited (observability).
-    cursor_hits: AtomicU64,
 }
 
 impl<V> Default for ExtentMap<V> {
     fn default() -> Self {
         ExtentMap {
             map: BTreeMap::new(),
-            cursor: Cursor::new(),
-            cursor_hits: AtomicU64::new(0),
         }
-    }
-}
-
-impl<V: ExtentValue> Clone for ExtentMap<V> {
-    fn clone(&self) -> Self {
-        ExtentMap {
-            map: self.map.clone(),
-            cursor: Cursor::new(),
-            cursor_hits: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<V: ExtentValue> fmt::Debug for ExtentMap<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExtentMap").field("map", &self.map).finish()
     }
 }
 
@@ -206,11 +98,6 @@ impl<V: ExtentValue> ExtentMap<V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         ExtentMap::default()
-    }
-
-    /// How many point lookups were served by the last-hit cursor.
-    pub fn cursor_hits(&self) -> u64 {
-        self.cursor_hits.load(Ordering::Relaxed)
     }
 
     /// Number of extents (the paper's Table 5 "extent count" metric).
@@ -225,7 +112,6 @@ impl<V: ExtentValue> ExtentMap<V> {
 
     /// Removes all extents.
     pub fn clear(&mut self) {
-        self.cursor.clear();
         self.map.clear();
     }
 
@@ -240,7 +126,6 @@ impl<V: ExtentValue> ExtentMap<V> {
         if len == 0 {
             return;
         }
-        self.cursor.clear();
         let end = start + len;
 
         // Left neighbour straddling `start`.
@@ -287,7 +172,6 @@ impl<V: ExtentValue> ExtentMap<V> {
         if len == 0 {
             return;
         }
-        self.cursor.clear();
         self.remove(start, len);
 
         let mut start = start;
@@ -316,61 +200,44 @@ impl<V: ExtentValue> ExtentMap<V> {
     /// Builds a map from `(start, len, value)` triples in one pass.
     ///
     /// The fast path expects what checkpoint serialization and recovery
-    /// replay produce — address-ordered, non-overlapping extents — and
-    /// appends straight into the tree with only tail coalescing, skipping
-    /// the overlap search, split and re-merge work [`ExtentMap::insert`]
-    /// does per extent (which dominates large map restores). Input that
-    /// violates the precondition is detected and re-loaded through
+    /// replay produce — address-ordered, non-overlapping extents. It
+    /// coalesces continuous neighbours and builds the tree in bulk, with
+    /// full nodes, skipping the overlap search, split and re-merge work
+    /// [`ExtentMap::insert`] does per extent. From the first item that
+    /// starts before the previous one ends, the rest goes through
     /// `insert`, so the result always equals inserting the items in order.
     pub fn bulk_load(items: impl IntoIterator<Item = (u64, u64, V)>) -> Self {
-        let items: Vec<(u64, u64, V)> = items.into_iter().collect();
-        let sorted = items
-            .windows(2)
-            .all(|w| w[0].0 + w[0].1 <= w[1].0 || w[0].1 == 0);
-        if !sorted {
-            let mut m = ExtentMap::new();
-            for (s, l, v) in items {
-                m.insert(s, l, v);
-            }
-            return m;
-        }
-        let mut m = ExtentMap::new();
-        let mut tail: Option<(u64, u64, V)> = None;
-        for (start, len, val) in items {
+        let mut items = items.into_iter();
+        let mut runs: Vec<(u64, Ext<V>)> = Vec::with_capacity(items.size_hint().0);
+        let mut unsorted = None;
+        for (start, len, val) in items.by_ref() {
             if len == 0 {
                 continue;
             }
-            match &mut tail {
-                Some((ts, tl, tv)) if start == *ts + *tl && tv.advance(*tl) == val => {
-                    *tl += len; // continuous with the tail: keep extents maximal
+            match runs.last_mut() {
+                Some((s, e)) if start < *s + e.len => {
+                    unsorted = Some((start, len, val));
+                    break;
                 }
-                Some((ts, tl, tv)) => {
-                    m.map.insert(*ts, Ext { len: *tl, val: *tv });
-                    (*ts, *tl, *tv) = (start, len, val);
+                Some((s, e)) if start == *s + e.len && e.val.advance(e.len) == val => {
+                    e.len += len; // continuous with the tail: keep extents maximal
                 }
-                None => tail = Some((start, len, val)),
+                _ => runs.push((start, Ext { len, val })),
             }
         }
-        if let Some((ts, tl, tv)) = tail {
-            m.map.insert(ts, Ext { len: tl, val: tv });
+        let mut m = ExtentMap {
+            map: BTreeMap::from_iter(runs),
+        };
+        for (start, len, val) in unsorted.into_iter().chain(items) {
+            m.insert(start, len, val);
         }
         m
     }
 
     /// Returns the extent containing `pos`, as `(start, len, value_at_start)`.
     pub fn lookup(&self, pos: u64) -> Option<(u64, u64, V)> {
-        if let Some((s, l, packed)) = self.cursor.load() {
-            if pos >= s && pos < s + l {
-                self.cursor_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((s, l, V::unpack(packed)));
-            }
-        }
-        let (&s, &e) = self.map.range(..=pos).next_back()?;
-        let hit = (s + e.len > pos).then_some((s, e.len, e.val));
-        if let Some((hs, hl, hv)) = hit {
-            self.cursor.store(hs, hl, hv.pack());
-        }
-        hit
+        let (&s, e) = self.map.range(..=pos).next_back()?;
+        (s + e.len > pos).then_some((s, e.len, e.val))
     }
 
     /// Resolves `[start, start+len)` into an ordered list of mapped
@@ -612,29 +479,11 @@ mod tests {
     }
 
     #[test]
-    fn cursor_serves_repeated_lookups() {
-        let mut m = ExtentMap::new();
-        m.insert(0, 100, 1000u64);
-        m.insert(200, 50, 2000);
-        assert_eq!(m.cursor_hits(), 0);
-        assert_eq!(m.lookup(10), Some((0, 100, 1000))); // miss, seeds cursor
-        assert_eq!(m.lookup(20), Some((0, 100, 1000))); // hit
-        assert_eq!(m.lookup(99), Some((0, 100, 1000))); // hit
-        assert_eq!(m.cursor_hits(), 2);
-        // A lookup outside the cursored extent falls back to the tree and
-        // re-seeds the cursor; holes neither hit nor seed it.
-        assert_eq!(m.lookup(210), Some((200, 50, 2000)));
-        assert_eq!(m.lookup(150), None);
-        assert_eq!(m.lookup(249), Some((200, 50, 2000)));
-        assert_eq!(m.cursor_hits(), 3);
-    }
-
-    #[test]
     fn cursor_invalidated_on_insert() {
         let mut m = ExtentMap::new();
         m.insert(0, 100, 1000u64);
-        assert_eq!(m.lookup(50), Some((0, 100, 1000))); // seed cursor
-        m.insert(40, 20, 9000); // overwrite must not leave a stale cursor
+        assert_eq!(m.lookup(50), Some((0, 100, 1000)));
+        m.insert(40, 20, 9000); // the overwrite shows at once
         assert_eq!(m.lookup(50), Some((40, 20, 9000)));
         assert_eq!(m.lookup(30), Some((0, 40, 1000)));
         assert_eq!(m.lookup(70), Some((60, 40, 1060)));
@@ -647,11 +496,11 @@ mod tests {
         m.insert(0, 100, 1000u64);
         assert_eq!(m.lookup(50), Some((0, 100, 1000)));
         m.remove(0, 100);
-        assert_eq!(m.lookup(50), None, "stale cursor after remove");
+        assert_eq!(m.lookup(50), None, "stale extent after remove");
         m.insert(0, 10, 7u64);
         assert_eq!(m.lookup(5), Some((0, 10, 7)));
         m.clear();
-        assert_eq!(m.lookup(5), None, "stale cursor after clear");
+        assert_eq!(m.lookup(5), None, "stale extent after clear");
     }
 
     #[test]
@@ -695,6 +544,19 @@ mod tests {
             per_insert.iter().collect::<Vec<_>>()
         );
         assert_eq!(bulk.lookup(5), Some((5, 10, 900)));
+    }
+
+    #[test]
+    fn bulk_load_falls_back_past_a_zero_length_item() {
+        // The empty item sits between two overlapping ones; the second
+        // must still overwrite the first, as sequential inserts would.
+        let items: Vec<(u64, u64, u64)> = vec![(20, 10, 100), (35, 0, 7), (25, 10, 900)];
+        let bulk = ExtentMap::bulk_load(items.iter().copied());
+        bulk.check_invariants();
+        assert_eq!(
+            bulk.iter().collect::<Vec<_>>(),
+            vec![(20, 5, 100), (25, 10, 900)]
+        );
     }
 
     #[test]

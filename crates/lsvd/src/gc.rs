@@ -10,15 +10,14 @@
 //! [`ObjStat::write_stamp`] — which beats greedy on cleaning write
 //! amplification under skewed churn by letting cold, mostly-dead segments
 //! win over hot ones that will re-dirty themselves anyway. This module
-//! holds the pure policy — the pass planner [`plan_pass`] (trigger test,
-//! candidate selection, the victims' map extents) and snapshot-aware
+//! holds the pure policy — the pass planner [`plan_pass`] (trigger test
+//! and candidate selection over the object table) and snapshot-aware
 //! delete deferral. [`crate::volume`] performs the actual copying, while
-//! [`crate::engine`] and [`crate::gcsim`] model it.
-
-use std::collections::HashMap;
+//! [`crate::engine`] and [`crate::gcsim`] model it; each lists a victim's
+//! live pieces with [`ObjectMap::live_in`] when it gets to it.
 
 use crate::objmap::{ObjStat, ObjectMap};
-use crate::types::{Lba, ObjSeq};
+use crate::types::ObjSeq;
 
 /// Victim-selection policy for the cleaner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,13 +33,11 @@ pub enum GcPolicy {
 /// Plans one cleaning pass (§3.5) over the eligible pool `first..=upto`.
 /// When the pool's utilization is below `low`, it picks victims under
 /// `policy` (cost-benefit ages count against log head `now`) until the
-/// projected utilization reaches `high`, then walks the object map once
-/// to list the extents that still point at each victim.
+/// projected utilization reaches `high`. It reads the object table only.
 ///
-/// Returns the victims in policy order, each with its extents in vLBA
-/// order; a victim with nothing live has none. The plan is empty when the
-/// trigger does not fire. The volume's cleaner, the performance engine
-/// and the Table 5 simulator all plan through here.
+/// Returns the victims in policy order, or none when the trigger does not
+/// fire. The volume's cleaner, the performance engine and the Table 5
+/// simulator all plan through here.
 pub fn plan_pass(
     objmap: &ObjectMap,
     first: ObjSeq,
@@ -48,27 +45,15 @@ pub fn plan_pass(
     (low, high): (f64, f64),
     policy: GcPolicy,
     now: ObjSeq,
-) -> Vec<(ObjSeq, Vec<(Lba, u32)>)> {
+) -> Vec<ObjSeq> {
     let totals = eligible_totals(objmap, first, upto);
     if !should_collect(totals, low) {
         return Vec::new();
     }
-    let mut plan: Vec<(ObjSeq, Vec<(Lba, u32)>)> =
-        select_candidates(objmap, first, upto, high, policy, now, totals)
-            .into_iter()
-            .map(|(seq, _)| (seq, Vec::new()))
-            .collect();
-    let index: HashMap<ObjSeq, usize> = plan
-        .iter()
-        .enumerate()
-        .map(|(i, &(seq, _))| (seq, i))
-        .collect();
-    for (lba, len, loc) in objmap.map_extents() {
-        if let Some(&i) = index.get(&loc.seq) {
-            plan[i].1.push((lba, len as u32));
-        }
-    }
-    plan
+    select_candidates(objmap, first, upto, high, policy, now, totals)
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect()
 }
 
 /// Decides whether collection should start (§3.5: utilization below the
@@ -321,12 +306,15 @@ mod tests {
         // Live 48 of 72 sectors (0.67): object 2 is 4/16 live, object 1
         // 20/32, object 3 fully live.
         let plan = plan_pass(&m, 1, 999, (0.70, 0.99), GcPolicy::Greedy, 4);
+        assert_eq!(plan, vec![2, 1]);
+        let mut extents: Vec<Vec<(u64, u32)>> = plan
+            .iter()
+            .map(|&seq| m.live_in(seq, ..).iter().map(|&(l, n, _)| (l, n)).collect())
+            .collect();
+        extents.iter_mut().for_each(|e| e.sort_unstable());
         assert_eq!(
-            plan,
-            vec![
-                (2, vec![(44, 4)]),
-                (1, vec![(0, 4), (12, 4), (100, 4), (108, 8)]),
-            ]
+            extents,
+            vec![vec![(44, 4)], vec![(0, 4), (12, 4), (100, 4), (108, 8)]]
         );
         assert!(plan_pass(&m, 1, 999, (0.60, 0.99), GcPolicy::Greedy, 4).is_empty());
     }

@@ -244,7 +244,7 @@ impl GcSim {
     /// planned victims and rewrites their live extents in vLBA order as
     /// batch-sized relocation objects.
     fn maybe_gc(&mut self) {
-        let plan = gc::plan_pass(
+        let victims = gc::plan_pass(
             &self.objmap,
             1,
             ObjSeq::MAX,
@@ -253,8 +253,9 @@ impl GcSim {
             self.next_seq,
         );
         let mut pieces: Vec<(Lba, u32)> = Vec::new();
-        for (seq, extents) in plan {
-            pieces.extend(extents);
+        for seq in victims {
+            let live = self.objmap.live_in(seq, ..);
+            pieces.extend(live.iter().map(|&(lba, len, _)| (lba, len)));
             self.objmap.remove_object(seq);
             self.report.objects_deleted += 1;
         }

@@ -1,13 +1,19 @@
 //! The block-store object map and per-object liveness table (§3.1, §3.5).
 //!
 //! The object map translates virtual LBAs to `(object sequence, offset)`
-//! locations in the immutable backend stream. Alongside it, an in-memory
-//! object table tracks each object's total and remaining live data, "
-//! allowing efficient selection of cleaning candidates" for the garbage
-//! collector; both are persisted in map checkpoints and rebuilt from
-//! object headers on recovery.
+//! locations in the immutable backend stream. A second extent map inverts
+//! it: keyed by location, it answers "which extents of object X are still
+//! live?" with one range query. A read miss admits a prefetched window
+//! from it, and the cleaner lists a victim's pieces from it
+//! ([`ObjectMap::live_in`]). Alongside both, an in-memory object table
+//! tracks each object's size and remaining live data, "allowing efficient
+//! selection of cleaning candidates" for the garbage collector. The
+//! forward map and the table are persisted in map checkpoints and rebuilt
+//! from object headers on recovery; the index is rebuilt from the forward
+//! map.
 
 use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 
 use crate::extent_map::{ExtentMap, ExtentValue, Segment};
 use crate::types::{Lba, ObjSeq};
@@ -22,22 +28,19 @@ pub struct ObjLoc {
     pub off: u32,
 }
 
+impl ObjLoc {
+    /// The location's key in the index, `seq << 32 | off`: each object's
+    /// data area is one key range, in object order.
+    fn key(self) -> u64 {
+        (self.seq as u64) << 32 | self.off as u64
+    }
+}
+
 impl ExtentValue for ObjLoc {
     fn advance(self, delta: u64) -> Self {
         ObjLoc {
             seq: self.seq,
             off: self.off + delta as u32,
-        }
-    }
-
-    fn pack(self) -> u64 {
-        (self.seq as u64) << 32 | self.off as u64
-    }
-
-    fn unpack(word: u64) -> Self {
-        ObjLoc {
-            seq: (word >> 32) as u32,
-            off: word as u32,
         }
     }
 }
@@ -78,10 +81,13 @@ impl ObjStat {
     }
 }
 
-/// The object map plus the object table.
+/// The object map, its location index and the object table.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectMap {
+    /// vLBA → location.
     map: ExtentMap<ObjLoc>,
+    /// Location ([`ObjLoc::key`]) → vLBA: every extent of `map`, inverted.
+    index: ExtentMap<Lba>,
     table: BTreeMap<ObjSeq, ObjStat>,
 }
 
@@ -119,13 +125,12 @@ impl ObjectMap {
                 // earlier application of this extent (a replayed header),
                 // and stays live.
                 if pval.seq == seq && pval.off >= off {
-                    continue;
-                }
-                if let Some(stat) = self.table.get_mut(&pval.seq) {
-                    stat.live_sectors = stat.live_sectors.saturating_sub(plen as u32);
+                    self.index.remove(pval.key(), plen);
+                } else {
+                    self.unmap_piece(pval, plen);
                 }
             }
-            self.map.insert(lba, len as u64, ObjLoc { seq, off });
+            self.map_range(lba, len as u64, ObjLoc { seq, off });
             off += len;
         }
     }
@@ -158,8 +163,8 @@ impl ObjectMap {
             // Only redirect sub-ranges that still match the expected source.
             for (plo, plen, pval) in self.map.overlaps(lba, len as u64) {
                 if pval.seq == expect.seq && pval.off == expect.off + (plo - lba) as u32 {
-                    self.decay(plo, plen);
-                    self.map.insert(
+                    self.unmap_piece(pval, plen);
+                    self.map_range(
                         plo,
                         plen,
                         ObjLoc {
@@ -201,18 +206,27 @@ impl ObjectMap {
         stat.live_sectors += sectors;
     }
 
-    /// Reduces liveness of whatever currently maps `[lba, lba+sectors)`.
-    fn decay(&mut self, lba: Lba, sectors: u64) {
-        for (_, plen, pval) in self.map.overlaps(lba, sectors) {
-            if let Some(stat) = self.table.get_mut(&pval.seq) {
-                stat.live_sectors = stat.live_sectors.saturating_sub(plen as u32);
-            }
+    /// Maps `[lba, lba+sectors)` to `loc` onward, in the map and the
+    /// index. The range's old pieces must already be out of the index.
+    fn map_range(&mut self, lba: Lba, sectors: u64, loc: ObjLoc) {
+        self.map.insert(lba, sectors, loc);
+        self.index.insert(loc.key(), sectors, lba);
+    }
+
+    /// Drops a piece about to be overwritten or trimmed — `sectors` at
+    /// `loc` — from the index and from its object's liveness.
+    fn unmap_piece(&mut self, loc: ObjLoc, sectors: u64) {
+        self.index.remove(loc.key(), sectors);
+        if let Some(stat) = self.table.get_mut(&loc.seq) {
+            stat.live_sectors = stat.live_sectors.saturating_sub(sectors as u32);
         }
     }
 
     /// Punches a hole (e.g. TRIM): drops mappings and liveness.
     pub fn discard(&mut self, lba: Lba, sectors: u64) {
-        self.decay(lba, sectors);
+        for (_, plen, pval) in self.map.overlaps(lba, sectors) {
+            self.unmap_piece(pval, plen);
+        }
         self.map.remove(lba, sectors);
     }
 
@@ -231,22 +245,35 @@ impl ObjectMap {
         self.map.overlaps(lba, sectors)
     }
 
-    /// Live pieces of object `seq` within the given candidate extents
-    /// (the cleaner passes the map extents it planned for `seq`), as
-    /// `(vLBA, sectors, current location)` with locations inside `seq`.
-    pub fn live_pieces_of(&self, seq: ObjSeq, extents: &[(Lba, u32)]) -> Vec<(Lba, u32, ObjLoc)> {
-        let mut out = Vec::new();
-        for &(lba, len) in extents {
-            for (plo, plen, pval) in self.map.overlaps(lba, len as u64) {
-                if pval.seq == seq {
-                    out.push((plo, plen as u32, pval));
-                }
-            }
-        }
-        out
+    /// The live pieces of object `seq` whose data-area sectors fall in
+    /// `offsets`, as `(vLBA, sectors, location)` in object order: the
+    /// map's extents that point into that range, clipped to it. One range
+    /// query on the index; `live_in(seq, ..)` lists the whole object.
+    pub fn live_in(&self, seq: ObjSeq, offsets: impl RangeBounds<u32>) -> Vec<(Lba, u32, ObjLoc)> {
+        let lo = match offsets.start_bound() {
+            Bound::Included(&o) => o as u64,
+            Bound::Excluded(&o) => o as u64 + 1,
+            Bound::Unbounded => 0,
+        };
+        let hi = match offsets.end_bound() {
+            Bound::Included(&o) => o as u64 + 1,
+            Bound::Excluded(&o) => o as u64,
+            Bound::Unbounded => 1 << 32,
+        };
+        let base = ObjLoc { seq, off: 0 }.key();
+        self.index
+            .overlaps(base + lo, hi.saturating_sub(lo))
+            .into_iter()
+            .map(|(key, len, lba)| {
+                let off = (key - base) as u32;
+                (lba, len as u32, ObjLoc { seq, off })
+            })
+            .collect()
     }
 
     /// Removes object `seq` from the table (after deletion from the store).
+    /// The map and the index are left as they are: a retired victim has no
+    /// live pieces left.
     pub fn remove_object(&mut self, seq: ObjSeq) {
         self.table.remove(&seq);
     }
@@ -291,15 +318,23 @@ impl ObjectMap {
     ///
     /// Checkpoints serialize [`ObjectMap::map_extents`] in address order,
     /// so the restore goes through [`ExtentMap::bulk_load`]'s sorted fast
-    /// path instead of paying full overwrite-insert per extent.
+    /// path instead of paying full overwrite-insert per extent; the index
+    /// is bulk-loaded from the same extents sorted by location.
     pub fn from_parts(
         extents: impl IntoIterator<Item = (Lba, u64, ObjLoc)>,
         table: impl IntoIterator<Item = (ObjSeq, ObjStat)>,
     ) -> Self {
-        let mut m = ObjectMap::new();
-        m.map = ExtentMap::bulk_load(extents);
-        m.table = table.into_iter().collect();
-        m
+        let map = ExtentMap::bulk_load(extents);
+        let mut by_loc: Vec<(u64, u64, Lba)> = map
+            .iter()
+            .map(|(lba, len, loc)| (loc.key(), len, lba))
+            .collect();
+        by_loc.sort_unstable_by_key(|&(key, _, _)| key);
+        ObjectMap {
+            map,
+            index: ExtentMap::bulk_load(by_loc),
+            table: table.into_iter().collect(),
+        }
     }
 }
 
@@ -359,15 +394,68 @@ mod tests {
     #[test]
     fn live_pieces_found_via_header_extents() {
         let mut m = ObjectMap::new();
-        m.apply_object(1, 1, &[(0, 16), (100, 8)]);
+        m.apply_object(1, 1, &[(100, 8), (0, 16)]);
         m.apply_object(2, 1, &[(4, 4)]); // kills 4 sectors of object 1
-        let pieces = m.live_pieces_of(1, &[(0, 16), (100, 8)]);
-        let total: u32 = pieces.iter().map(|&(_, l, _)| l).sum();
-        assert_eq!(total, 20);
-        assert!(pieces.iter().all(|&(_, _, loc)| loc.seq == 1));
-        // Offsets must reflect position within object 1's data area.
-        assert!(pieces.contains(&(8, 8, ObjLoc { seq: 1, off: 8 })));
-        assert!(pieces.contains(&(100, 8, ObjLoc { seq: 1, off: 16 })));
+        let pieces = m.live_in(1, ..);
+        // In object order, with offsets into object 1's data area: the
+        // header's extents filtered through the map, and nothing else.
+        assert_eq!(
+            pieces,
+            vec![
+                (100, 8, ObjLoc { seq: 1, off: 0 }),
+                (0, 4, ObjLoc { seq: 1, off: 8 }),
+                (8, 8, ObjLoc { seq: 1, off: 16 }),
+            ]
+        );
+        let mut filtered = Vec::new();
+        for &(lba, len) in &[(100u64, 8u64), (0, 16)] {
+            for (plo, plen, loc) in m.overlaps(lba, len) {
+                if loc.seq == 1 {
+                    filtered.push((plo, plen as u32, loc));
+                }
+            }
+        }
+        assert_eq!(pieces, filtered);
+        // A range of offsets clips the pieces to it.
+        assert_eq!(
+            m.live_in(1, 6..18),
+            vec![
+                (106, 2, ObjLoc { seq: 1, off: 6 }),
+                (0, 4, ObjLoc { seq: 1, off: 8 }),
+                (8, 2, ObjLoc { seq: 1, off: 16 }),
+            ]
+        );
+        assert_eq!(m.live_in(2, ..), vec![(4, 4, ObjLoc { seq: 2, off: 0 })]);
+        assert!(m.live_in(3, ..).is_empty());
+    }
+
+    #[test]
+    fn index_follows_gc_trim_and_self_overwrite() {
+        let mut m = ObjectMap::new();
+        m.apply_object(1, 1, &[(0, 16), (0, 4)]); // maps [0,4) twice
+        assert_eq!(
+            m.live_in(1, ..),
+            vec![
+                (4, 12, ObjLoc { seq: 1, off: 4 }),
+                (0, 4, ObjLoc { seq: 1, off: 16 }),
+            ]
+        );
+        m.discard(8, 2);
+        let moved = m.apply_gc_object(2, 1, &m.live_in(1, 4..16));
+        assert_eq!(moved, 10);
+        assert_eq!(m.live_in(1, ..), vec![(0, 4, ObjLoc { seq: 1, off: 16 })]);
+        assert_eq!(
+            m.live_in(2, ..),
+            vec![
+                (4, 4, ObjLoc { seq: 2, off: 0 }),
+                (10, 6, ObjLoc { seq: 2, off: 4 }),
+            ]
+        );
+        let rebuilt = ObjectMap::from_parts(m.map_extents(), m.objects());
+        assert_eq!(
+            rebuilt.index.iter().collect::<Vec<_>>(),
+            m.index.iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -375,7 +463,7 @@ mod tests {
         let mut m = ObjectMap::new();
         m.apply_object(1, 1, &[(0, 16)]);
         m.apply_object(2, 1, &[(0, 4)]); // first 4 sectors overwritten
-        let pieces = m.live_pieces_of(1, &[(0, 16)]);
+        let pieces = m.live_in(1, ..);
         // GC writes object 3 containing those pieces.
         let moved = m.apply_gc_object(3, 1, &pieces);
         assert_eq!(moved, 12);
@@ -390,7 +478,7 @@ mod tests {
     fn gc_does_not_resurrect_concurrent_overwrites() {
         let mut m = ObjectMap::new();
         m.apply_object(1, 1, &[(0, 16)]);
-        let pieces = m.live_pieces_of(1, &[(0, 16)]);
+        let pieces = m.live_in(1, ..);
         // A write lands *after* the collector picked its pieces...
         m.apply_object(2, 1, &[(0, 8)]);
         // ...then the GC object arrives.
@@ -407,8 +495,8 @@ mod tests {
         m.apply_object(5, 1, &[(100, 8)]);
         assert_eq!(m.object_stat(1).unwrap().write_stamp, 1);
         assert_eq!(m.object_stat(1).unwrap().age(9), 8);
-        let mut pieces = m.live_pieces_of(1, &[(0, 16)]);
-        pieces.extend(m.live_pieces_of(5, &[(100, 8)]));
+        let mut pieces = m.live_in(1, ..);
+        pieces.extend(m.live_in(5, ..));
         m.apply_gc_object(9, 1, &pieces);
         // The relocation carries data last written at seq 1 and seq 5: the
         // youngest stamp (5) survives, not the relocation's own seq.

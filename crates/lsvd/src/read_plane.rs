@@ -24,29 +24,33 @@
 //!   the same backend object are *single-flighted*: the first reader
 //!   issues the ranged GET, later readers park on the in-flight fetch and
 //!   share its window (§3.2's temporal prefetch makes windows wide, so
-//!   sharing pays). Cache insertion afterwards revalidates liveness
-//!   against the current object map under the write lock — the same
-//!   stale-insert discipline the serial path used;
+//!   sharing pays). A miss is one ranged GET: the object map gives the
+//!   object and offset, and the object table its header and data sizes.
+//!   Cache insertion afterwards takes the window's live pieces from the
+//!   object map's location index ([`ObjectMap::live_in`]) under the write
+//!   lock, so nothing overwritten while the GET was in flight is cached;
 //! - **sequential scans** are detected per-stream and bypass read-cache
 //!   admission (ECI-Cache's pollution problem): a scan fetches and serves
 //!   its data but does not evict the hot set;
 //! - **a fetched window enters the cache whole only when it holds
 //!   co-written data.** §3.2 prefetches wide because data written together
-//!   is read together. A window that overlaps a header extent the
-//!   triggering read does not overlap holds such temporal neighbours and
-//!   is admitted whole. A window whose every extent the read overlaps
-//!   holds only spatial neighbours, typically the unread rest of one bulk
-//!   write, and admits just the read's own sectors: at a 256 KiB window a
-//!   random 4 KiB miss would otherwise admit 63 fetched bytes per byte
-//!   read and evict the hot set. A read that continues a sequential stream
-//!   still admits whole windows. The GET itself is unchanged. Keeping
-//!   recent windows in RAM for later misses, and admitting only requested
-//!   sectors, was rejected: at 32 windows (8 MiB) the temporal-prefetch
-//!   ablation needed 2,111 GETs where whole-window admission needs 1,327,
-//!   and matching it took 128 windows (32 MiB).
+//!   is read together. A window with a live piece that neither overlaps
+//!   the triggering read nor continues the write the read missed on, or
+//!   with dead data that was not inside one write, holds such temporal
+//!   neighbours and is admitted whole. A window that holds only the
+//!   read's own writes holds only spatial neighbours, typically the
+//!   unread rest of one bulk write, and admits just the read's own
+//!   sectors: at a 256 KiB window a random 4 KiB miss would
+//!   otherwise admit 63 fetched bytes per byte read and evict the hot set.
+//!   A read that continues a sequential stream still admits whole
+//!   windows. The GET itself is unchanged. Keeping recent windows in RAM
+//!   for later misses, and admitting only requested sectors, was
+//!   rejected: at 32 windows (8 MiB) the temporal-prefetch ablation needed
+//!   2,111 GETs where whole-window admission needs 1,327, and matching it
+//!   took 128 windows (32 MiB).
 //!
 //! Lock-ordering rules (deadlock freedom): `state` is never held across a
-//! backend call; `inflight`/`streams`/`hdr` are leaf mutexes never held
+//! backend call; `inflight`/`streams` are leaf mutexes never held
 //! while acquiring `state`; a fetch leader publishes its slot *after*
 //! releasing every lock.
 //!
@@ -69,13 +73,12 @@ use objstore::ObjectStore;
 use parking_lot::{Condvar, Mutex, RwLock};
 use telemetry::{LatencyRecorder, OpenSpan, SpanRing, Stage};
 
-use crate::config::{VolumeConfig, HDR_CACHE_ENTRIES};
+use crate::config::VolumeConfig;
 use crate::crc::{crc32c, crc32c_combine};
 use crate::extent_map::{ExtentMap, Segment};
-use crate::objfmt::Superblock;
+use crate::objfmt::{self, Superblock};
 use crate::objmap::{ObjLoc, ObjectMap};
 use crate::rcache::ReadCache;
-use crate::recovery::fetch_header;
 use crate::types::{object_name, Lba, LsvdError, ObjSeq, Plba, Result, SECTOR};
 
 /// How many independent sequential streams the scan detector tracks.
@@ -86,13 +89,6 @@ const STREAM_SLOTS: usize = 8;
 /// collected and deleted between resolve and GET); re-resolving under a
 /// fresh guard finds the relocated data. A second failure is a real error.
 const FETCH_ATTEMPTS: u32 = 2;
-
-/// A cached backend object header: the extent list plus the per-extent
-/// payload CRCs recorded at seal time (format v2).
-pub(crate) struct HdrEntry {
-    pub(crate) extents: Vec<(Lba, u32)>,
-    pub(crate) crcs: Vec<u32>,
-}
 
 /// The map state served under the plane's `RwLock`.
 pub(crate) struct ReadState {
@@ -105,103 +101,15 @@ pub(crate) struct ReadState {
 }
 
 impl ReadState {
-    /// Enters into the read cache the part of `[lba, lba+len)` that the
-    /// object map still points at object `seq`, sector `off` onward;
-    /// `data` holds that whole range. Sectors the write-back cache
-    /// shadows are punched back out. Returns the sectors entered.
-    fn admit_live(
-        &mut self,
-        seq: ObjSeq,
-        lba: Lba,
-        len: u64,
-        off: u64,
-        data: &[u8],
-    ) -> Result<u64> {
-        let mut admitted = 0u64;
-        for (plo, plen, pval) in self.objmap.overlaps(lba, len) {
-            if pval.seq == seq && pval.off as u64 == off + (plo - lba) {
-                let b = ((plo - lba) * SECTOR) as usize;
-                let e = b + (plen * SECTOR) as usize;
-                self.rcache.insert(plo, &data[b..e])?;
-                admitted += plen;
-                for (wlo, wlen, _) in self.wcache_map.overlaps(plo, plen) {
-                    self.rcache.invalidate(wlo, wlen);
-                }
-            }
+    /// Enters `data`, the backend's bytes for `[lba, ..)`, into the read
+    /// cache, and punches back out the sectors the write-back cache
+    /// shadows.
+    fn admit(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
+        self.rcache.insert(lba, data)?;
+        for (wlo, wlen, _) in self.wcache_map.overlaps(lba, data.len() as u64 / SECTOR) {
+            self.rcache.invalidate(wlo, wlen);
         }
-        Ok(admitted)
-    }
-}
-
-/// LRU cache of backend object headers, keyed by sequence.
-///
-/// Replaces the old 512-entry FIFO: under mixed workloads FIFO evicted
-/// the headers hot random reads re-consult on every miss while retaining
-/// ones a scan touched once. Recency is a monotonic tick bumped per hit;
-/// eviction scans for the minimum — O(capacity), but only on insert past
-/// capacity, which is always adjacent to a header GET (milliseconds).
-struct HdrCache {
-    map: HashMap<ObjSeq, HdrSlot>,
-    cap: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-struct HdrSlot {
-    entry: Arc<HdrEntry>,
-    last_used: u64,
-}
-
-impl HdrCache {
-    fn new(cap: usize) -> Self {
-        HdrCache {
-            map: HashMap::new(),
-            cap,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, seq: ObjSeq) -> Option<Arc<HdrEntry>> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(&seq) {
-            Some(slot) => {
-                slot.last_used = tick;
-                self.hits += 1;
-                Some(slot.entry.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, seq: ObjSeq, entry: Arc<HdrEntry>) {
-        if !self.map.contains_key(&seq) && self.map.len() >= self.cap {
-            if let Some(&victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(seq, _)| seq)
-            {
-                self.map.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        self.map.insert(
-            seq,
-            HdrSlot {
-                entry,
-                last_used: self.tick,
-            },
-        );
+        Ok(())
     }
 }
 
@@ -382,9 +290,6 @@ pub struct ReadPlaneStats {
     pub peak_concurrent_readers: u64,
     pub shared_lock_acqs: u64,
     pub excl_lock_acqs: u64,
-    pub hdr_hits: u64,
-    pub hdr_misses: u64,
-    pub hdr_evictions: u64,
 }
 
 /// One unresolved piece of a read: `[start, start+len)` mapped to `loc`
@@ -474,7 +379,6 @@ pub struct ReadPlane {
     /// read-cache admission; 0 disables admission control.
     scan_bypass_sectors: u64,
     state: RwLock<ReadState>,
-    hdr: Mutex<HdrCache>,
     inflight: Mutex<HashMap<ObjSeq, Arc<FetchSlot>>>,
     streams: Mutex<StreamTable>,
     counters: PlaneCounters,
@@ -512,7 +416,6 @@ impl ReadPlane {
                 rcache,
                 objmap,
             }),
-            hdr: Mutex::new(HdrCache::new(HDR_CACHE_ENTRIES)),
             inflight: Mutex::new(HashMap::new()),
             streams: Mutex::new(StreamTable::new()),
             counters: PlaneCounters::default(),
@@ -964,64 +867,32 @@ impl ReadPlane {
     }
 
     /// The leader's fetch for the read `m`: temporal prefetch window,
-    /// optional CRC verify, read-cache admission with liveness
-    /// revalidation. No lock is held across the GET; the insert takes the
-    /// exclusive lock briefly.
+    /// optional CRC verify, read-cache admission. The object table sizes
+    /// the GET, so a miss costs one ranged GET and no HEAD. No lock is
+    /// held across the GET; admission takes the exclusive lock briefly.
     fn fetch_window(&self, piece: &MissPiece, m: &Misses) -> Result<Window> {
         let loc = piece.loc;
-        let len = piece.len;
         let name = self.resolve_name(loc.seq);
-        let stat = { self.read_state().objmap.object_stat(loc.seq) };
-        let (hdr_sectors, data_sectors) = match stat {
-            Some(st) => (
-                (st.total_sectors - st.data_sectors) as u64,
-                st.data_sectors as u64,
-            ),
-            None => {
-                let h = fetch_header(self.store.as_ref(), &name)?
-                    .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))?;
-                (h.data_offset as u64 / SECTOR, h.data_sectors())
-            }
-        };
-        let window = (self.prefetch_bytes / SECTOR).max(len);
+        // An object leaves the table once the cleaner has moved its live
+        // data, so a piece resolved just before that fails here and
+        // re-resolves to the relocated copy.
+        let stat = { self.read_state().objmap.object_stat(loc.seq) }
+            .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object is untracked")))?;
+        let hdr_sectors = (stat.total_sectors - stat.data_sectors) as u64;
+        let window = (self.prefetch_bytes / SECTOR).max(piece.len);
         let fetch = window
-            .min(data_sectors.saturating_sub(loc.off as u64))
-            .max(len);
-        let entry = self.header_extents(loc.seq, &name)?;
-        let mut win_lo = loc.off as u64;
-        let mut win_hi = win_lo + fetch;
-        let mut expected: Option<u32> = None;
+            .min((stat.data_sectors as u64).saturating_sub(loc.off as u64))
+            .max(piece.len);
+        let (mut win_lo, mut win_hi) = (loc.off as u64, loc.off as u64 + fetch);
+        let mut expected = None;
         if self.verify_get_crc {
-            // Snap the window outward to whole header extents so the
-            // expected checksum folds from the per-extent CRCs the object
-            // was sealed with — O(1) combines, no re-reads.
-            let mut obj_off = 0u64;
-            for (i, &(_, elen)) in entry.extents.iter().enumerate() {
-                let e_lo = obj_off;
-                let e_hi = obj_off + elen as u64;
-                obj_off = e_hi;
-                if e_hi <= win_lo {
-                    continue;
-                }
-                if e_lo >= win_hi {
-                    break;
-                }
-                win_lo = win_lo.min(e_lo);
-                win_hi = win_hi.max(e_hi);
-                expected = Some(match expected {
-                    None => entry.crcs[i],
-                    Some(acc) => {
-                        self.counters
-                            .crc_combine_ops
-                            .fetch_add(1, Ordering::Relaxed);
-                        crc32c_combine(acc, entry.crcs[i], elen as u64 * SECTOR)
-                    }
-                });
-            }
+            let (lo, hi, crc) = self.window_crc(&name, hdr_sectors, win_lo, win_hi)?;
+            (win_lo, win_hi, expected) = (lo, hi, Some(crc));
         }
-        let fetch = win_hi - win_lo;
         let byte_off = (hdr_sectors + win_lo) * SECTOR;
-        let data = self.store.get_range(&name, byte_off, fetch * SECTOR)?;
+        let data = self
+            .store
+            .get_range(&name, byte_off, (win_hi - win_lo) * SECTOR)?;
         self.counters.backend_gets.fetch_add(1, Ordering::Relaxed);
         self.counters
             .backend_get_bytes
@@ -1036,7 +907,7 @@ impl ReadPlane {
                 )));
             }
         }
-        let admitted = self.admit_window(&entry, loc.seq, win_lo, win_hi, &data, m)?;
+        let admitted = self.admit_window(piece, win_lo, &data, m)?;
         Ok(Window {
             lo: win_lo,
             data,
@@ -1044,66 +915,109 @@ impl ReadPlane {
         })
     }
 
-    /// Enters a fetched window into the read cache for the read `m` that
-    /// triggered it, and returns whether the whole window entered. It does
-    /// when the window overlaps a header extent the read does not overlap
+    /// For `verify_get_crc`: GETs object `name`'s header (`hdr_sectors`
+    /// long) and snaps the window `[win_lo, win_hi)` outward to whole
+    /// header extents, so the expected checksum folds from the per-extent
+    /// CRCs the object was sealed with — O(1) combines, no re-reads.
+    /// Returns the snapped window and its expected CRC.
+    fn window_crc(
+        &self,
+        name: &str,
+        hdr_sectors: u64,
+        mut win_lo: u64,
+        mut win_hi: u64,
+    ) -> Result<(u64, u64, u32)> {
+        let hdr =
+            objfmt::parse_data_header(&self.store.get_range(name, 0, hdr_sectors * SECTOR)?)?;
+        let mut expected: Option<u32> = None;
+        let mut obj_off = 0u64;
+        for (&(_, elen), &crc) in hdr.extents.iter().zip(&hdr.extent_crcs) {
+            let (e_lo, e_hi) = (obj_off, obj_off + elen as u64);
+            obj_off = e_hi;
+            if e_hi <= win_lo {
+                continue;
+            }
+            if e_lo >= win_hi {
+                break;
+            }
+            win_lo = win_lo.min(e_lo);
+            win_hi = win_hi.max(e_hi);
+            expected = Some(match expected {
+                None => crc,
+                Some(acc) => {
+                    self.counters
+                        .crc_combine_ops
+                        .fetch_add(1, Ordering::Relaxed);
+                    crc32c_combine(acc, crc, elen as u64 * SECTOR)
+                }
+            });
+        }
+        let expected = expected.ok_or_else(|| {
+            LsvdError::Corrupt(format!("{name}: no header extent covers the GET"))
+        })?;
+        Ok((win_lo, win_hi, expected))
+    }
+
+    /// Enters a window fetched from `piece`'s object at sector `win_lo`
+    /// into the read cache for the read `m` that missed on `piece`, and
+    /// returns whether the whole window entered.
+    ///
+    /// Under the exclusive lock it lists the window's live pieces from the
+    /// object map's index, so data overwritten, trimmed or relocated while
+    /// the GET was in flight is not cached. A live piece is the read's own
+    /// when it overlaps the read or continues `piece`'s mapping (equal
+    /// vLBA − offset: a fragment of the same write). A dead gap between
+    /// two pieces is the read's own when both continue one mapping (an
+    /// overwritten middle of one write); a gap at either end of the
+    /// window, or between two writes, held some other write's data. The
+    /// whole window enters when anything in it is not the read's own
     /// (co-written data) or the read continues a stream; otherwise only
     /// the read's own sectors enter (see the module docs). A detected scan
-    /// admits nothing.
-    ///
-    /// Liveness is revalidated under the exclusive lock *now*, not at
-    /// resolve time: a piece whose vLBA was remapped (overwrite, trim, GC)
-    /// while the GET was in flight is stale and must not be cached.
-    /// Pieces shadowed by the write-back cache are punched out
-    /// (write-after-read hazard, §3.1).
+    /// admits nothing. Pieces shadowed by the write-back cache are punched
+    /// out (write-after-read hazard, §3.1).
     fn admit_window(
         &self,
-        entry: &HdrEntry,
-        seq: ObjSeq,
+        piece: &MissPiece,
         win_lo: u64,
-        win_hi: u64,
         data: &Bytes,
         m: &Misses,
     ) -> Result<bool> {
-        // The window's share of each header extent it overlaps, as
-        // `(vLBA, object sector, sectors)`.
-        let mut pieces = Vec::new();
-        let mut spatial = !m.stream;
-        let mut obj_off = 0u64;
-        for &(elba, elen) in entry.extents.iter() {
-            let e_lo = obj_off;
-            let e_hi = obj_off + elen as u64;
-            obj_off = e_hi;
-            let lo = e_lo.max(win_lo);
-            let hi = e_hi.min(win_hi);
-            if lo >= hi {
-                continue;
-            }
-            spatial &= elba < m.end && m.base < elba + elen as u64;
-            pieces.push((elba + (lo - e_lo), lo, hi - lo));
-        }
-        let covered: u64 = pieces.iter().map(|&(_, _, len)| len).sum();
+        let win_hi = win_lo + data.len() as u64 / SECTOR;
         if m.bypass {
             self.counters
                 .bypassed_sectors
-                .fetch_add(covered, Ordering::Relaxed);
+                .fetch_add(win_hi - win_lo, Ordering::Relaxed);
             return Ok(false);
         }
+        let mapping = |lba: Lba, loc: ObjLoc| lba.wrapping_sub(loc.off as u64);
         let mut st = self.write_state();
+        let live = st
+            .objmap
+            .live_in(piece.loc.seq, win_lo as u32..win_hi as u32);
+        let mut spatial = !m.stream;
+        let (mut end, mut prev) = (win_lo, None);
+        for &(lba, len, loc) in &live {
+            let this = mapping(lba, loc);
+            let overlaps = lba < m.end && m.base < lba + len as u64;
+            spatial &= overlaps || this == mapping(piece.start, piece.loc);
+            spatial &= loc.off as u64 == end || prev == Some(this);
+            (end, prev) = (loc.off as u64 + len as u64, Some(this));
+        }
+        spatial &= end == win_hi;
         let mut admitted = 0u64;
         let mut skipped = 0u64;
-        for &(vlba, off, len) in &pieces {
+        for (lba, len, loc) in live {
             let (lo, hi) = if spatial {
-                (vlba.max(m.base), (vlba + len).min(m.end))
+                (lba.max(m.base), (lba + len as u64).min(m.end))
             } else {
-                (vlba, vlba + len)
+                (lba, lba + len as u64)
             };
             let keep = hi.saturating_sub(lo);
-            skipped += len - keep;
+            skipped += len as u64 - keep;
             if keep > 0 {
-                let b = ((off + (lo - vlba) - win_lo) * SECTOR) as usize;
-                let e = b + (keep * SECTOR) as usize;
-                admitted += st.admit_live(seq, lo, keep, off + (lo - vlba), &data[b..e])?;
+                let b = ((loc.off as u64 + (lo - lba) - win_lo) * SECTOR) as usize;
+                st.admit(lo, &data[b..b + (keep * SECTOR) as usize])?;
+                admitted += keep;
             }
         }
         drop(st);
@@ -1117,18 +1031,23 @@ impl ReadPlane {
     }
 
     /// Enters a single-flight follower's own `piece`, served from a window
-    /// its leader did not admit whole, with the same revalidation. Sectors
+    /// its leader did not admit whole: its live pieces, from the index
+    /// under the exclusive lock as in [`ReadPlane::admit_window`]. Sectors
     /// already cached (the leader's own, say) are left as they are.
     fn admit_piece(&self, piece: &MissPiece, data: &[u8]) -> Result<()> {
+        let off = piece.loc.off;
         let mut st = self.write_state();
         let mut admitted = 0u64;
-        for seg in st.rcache.resolve(piece.start, piece.len) {
-            if let Segment::Hole { start, len } = seg {
-                let rel = start - piece.start;
-                let b = (rel * SECTOR) as usize;
-                let e = b + (len * SECTOR) as usize;
-                let off = piece.loc.off as u64 + rel;
-                admitted += st.admit_live(piece.loc.seq, start, len, off, &data[b..e])?;
+        for (lba, len, loc) in st
+            .objmap
+            .live_in(piece.loc.seq, off..off + piece.len as u32)
+        {
+            for seg in st.rcache.resolve(lba, len as u64) {
+                if let Segment::Hole { start, len } = seg {
+                    let b = ((loc.off - off) as u64 + start - lba) * SECTOR;
+                    st.admit(start, &data[b as usize..(b + len * SECTOR) as usize])?;
+                    admitted += len;
+                }
             }
         }
         drop(st);
@@ -1136,24 +1055,6 @@ impl ReadPlane {
             .admitted_sectors
             .fetch_add(admitted, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// The object's cached header (extent list + per-extent CRCs), LRU
-    /// eviction. The header GET runs without the cache lock held, so two
-    /// concurrent misses may both fetch; the second insert harmlessly
-    /// refreshes the first.
-    pub(crate) fn header_extents(&self, seq: ObjSeq, name: &str) -> Result<Arc<HdrEntry>> {
-        if let Some(e) = self.hdr.lock().get(seq) {
-            return Ok(e);
-        }
-        let h = fetch_header(self.store.as_ref(), name)?
-            .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))?;
-        let e = Arc::new(HdrEntry {
-            extents: h.extents,
-            crcs: h.extent_crcs,
-        });
-        self.hdr.lock().insert(seq, e.clone());
-        Ok(e)
     }
 
     // ------------------------------------------------------------------
@@ -1166,11 +1067,10 @@ impl ReadPlane {
         s.inserted_sectors.saturating_sub(s.evicted_sectors) * SECTOR
     }
 
-    /// Snapshot of every plane counter, including header-cache stats.
+    /// Snapshot of every plane counter.
     pub(crate) fn stats(&self) -> ReadPlaneStats {
         let c = &self.counters;
         let r = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let hdr = self.hdr.lock();
         ReadPlaneStats {
             reads: r(&c.reads),
             read_bytes: r(&c.read_bytes),
@@ -1189,9 +1089,6 @@ impl ReadPlane {
             peak_concurrent_readers: r(&c.peak_concurrent_readers),
             shared_lock_acqs: r(&c.shared_lock_acqs),
             excl_lock_acqs: r(&c.excl_lock_acqs),
-            hdr_hits: hdr.hits,
-            hdr_misses: hdr.misses,
-            hdr_evictions: hdr.evictions,
         }
     }
 }
@@ -1251,42 +1148,5 @@ mod tests {
             .map(|s| (s.next, s.run))
             .collect();
         assert_eq!(live, [(16, 8)], "the scan detector saw the read once");
-    }
-
-    #[test]
-    fn hdr_cache_lru_evicts_coldest() {
-        let mut h = HdrCache::new(2);
-        let e = || {
-            Arc::new(HdrEntry {
-                extents: vec![],
-                crcs: vec![],
-            })
-        };
-        h.insert(1, e());
-        h.insert(2, e());
-        assert!(h.get(1).is_some(), "1 is now most recent");
-        h.insert(3, e()); // evicts 2, the LRU
-        assert!(h.get(2).is_none());
-        assert!(h.get(1).is_some());
-        assert!(h.get(3).is_some());
-        assert_eq!(h.evictions, 1);
-        assert_eq!(h.hits, 3);
-        assert_eq!(h.misses, 1);
-    }
-
-    #[test]
-    fn hdr_cache_reinsert_does_not_evict() {
-        let mut h = HdrCache::new(2);
-        let e = || {
-            Arc::new(HdrEntry {
-                extents: vec![],
-                crcs: vec![],
-            })
-        };
-        h.insert(1, e());
-        h.insert(2, e());
-        h.insert(2, e()); // refresh, not a new entry
-        assert_eq!(h.evictions, 0);
-        assert!(h.get(1).is_some() && h.get(2).is_some());
     }
 }

@@ -13,7 +13,7 @@
 //! cut. Torn or reordered writeback (what an unsafe cache like bcache
 //! produces) fails the check; LSVD's recovered images must always pass.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Width of the verification blocks. Each write in a verified workload
 /// must be block-aligned.
@@ -44,8 +44,8 @@ pub const VBLOCK: u64 = 4096;
 /// ```
 #[derive(Debug, Default)]
 pub struct History {
-    /// Per block: indices of writes to it, ascending.
-    per_block: HashMap<u64, Vec<u64>>,
+    /// Per block, in block order: indices of writes to it, ascending.
+    per_block: BTreeMap<u64, Vec<u64>>,
     next_index: u64,
     /// Index of the last write known committed (flushed) by the client.
     committed: u64,
@@ -123,13 +123,14 @@ impl History {
     }
 
     /// Checks a recovered image (read back block by block via `read_block`)
-    /// against the history.
+    /// against the history. Blocks are checked in block order, so an
+    /// inconsistent image always names its lowest offending block.
     pub fn check_prefix_consistent<F>(&self, mut read_block: F) -> Verdict
     where
         F: FnMut(u64) -> Vec<u8>,
     {
         // Pass 1: determine each block's recovered version.
-        let mut versions: HashMap<u64, u64> = HashMap::new();
+        let mut versions: BTreeMap<u64, u64> = BTreeMap::new();
         let mut cut = 0u64;
         for (&block, writes) in &self.per_block {
             let data = read_block(block);
@@ -314,6 +315,26 @@ mod tests {
         // existed: not a prefix.
         let v = h.check_image(&img);
         assert!(!v.is_consistent(), "{v:?}");
+    }
+
+    #[test]
+    fn the_lowest_offending_block_is_named() {
+        // Blocks 3..67 lost their writes while block 100's survived. Each
+        // of eight fresh histories must name block 3, the lowest, whatever
+        // order a hashed map would have visited them in.
+        for _ in 0..8 {
+            let mut h = History::new();
+            for block in 3..67 {
+                h.record_write(block * VBLOCK, VBLOCK);
+            }
+            let last = h.record_write(100 * VBLOCK, VBLOCK);
+            let mut img = vec![0u8; 101 * VBLOCK as usize];
+            apply(&mut img, 100 * VBLOCK, &last);
+            match h.check_image(&img) {
+                Verdict::Inconsistent { block, .. } => assert_eq!(block, 3),
+                v => panic!("64 lost writes before the cut: {v:?}"),
+            }
+        }
     }
 
     #[test]

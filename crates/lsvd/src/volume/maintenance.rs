@@ -47,9 +47,8 @@ pub(super) struct GcCarrier {
 /// crash simply loses the pass — victims are still mapped or already
 /// safely deferred, so the next pass re-plans.
 pub(super) struct GcPass {
-    /// Victims not yet staged, in policy order, each with the map
-    /// extents that pointed at it when the pass was planned.
-    plan: VecDeque<(ObjSeq, Vec<(Lba, u32)>)>,
+    /// Victims not yet staged, in policy order.
+    plan: VecDeque<ObjSeq>,
     /// The open carrier: its pieces, their data, and its victims.
     staged: Vec<(Lba, u32, ObjLoc)>,
     staged_data: Vec<u8>,
@@ -306,8 +305,8 @@ impl Volume {
 
     /// Evaluates the GC trigger and, when warranted, plans a new pass
     /// with [`gc::plan_pass`]: cost-benefit victims over the checkpointed
-    /// prefix, each with its live extents from the object map, so no
-    /// victim header is ever fetched. Returns whether a pass was started.
+    /// prefix, chosen from the object table alone. Returns whether a pass
+    /// was started.
     fn gc_start_pass(&mut self) -> bool {
         let plan = gc::plan_pass(
             &self.plane.read_state().objmap,
@@ -372,16 +371,18 @@ impl Volume {
         Ok(())
     }
 
-    /// Takes the victim at the front of the plan: re-filters its planned
-    /// extents against the current map, reads the pieces still live and
-    /// stages them whole, sealing the open carrier first if this victim
-    /// would take it past `batch_bytes`. A victim with nothing live
-    /// retires on the spot. A failed read leaves the victim at the front
-    /// of the plan with nothing staged. Returns the bytes staged.
+    /// Takes the victim at the front of the plan: lists its live pieces
+    /// from the object map's index in vLBA order (no victim header is
+    /// fetched), reads them and stages them whole, sealing the open
+    /// carrier first if this victim would take it past `batch_bytes`. A
+    /// victim with nothing live retires on the spot. A failed read leaves
+    /// the victim at the front of the plan with nothing staged. Returns
+    /// the bytes staged.
     fn gc_take_victim(&mut self) -> Result<u64> {
         let pass = self.gc.as_ref().expect("active pass");
-        let &(seq, ref extents) = pass.plan.front().expect("a planned victim");
-        let pieces = self.plane.read_state().objmap.live_pieces_of(seq, extents);
+        let seq = *pass.plan.front().expect("a planned victim");
+        let mut pieces = self.plane.read_state().objmap.live_in(seq, ..);
+        pieces.sort_unstable_by_key(|&(lba, _, _)| lba);
         if pieces.is_empty() {
             self.gc.as_mut().expect("active pass").plan.pop_front();
             self.gc_retire_source(seq, self.last_seq);

@@ -175,8 +175,8 @@ pub struct Volume {
     cfg: VolumeConfig,
 
     wlog: WriteLog,
-    /// The concurrent read plane: write-back cache map, read cache, object
-    /// map, and header cache behind a `RwLock`, shared with
+    /// The concurrent read plane: write-back cache map, read cache and
+    /// object map behind a `RwLock`, shared with
     /// [`SharedVolume`](crate::shared::SharedVolume) readers. Mutations go
     /// through [`ReadPlane::write_state`]; everything read-path lives in
     /// [`crate::read_plane`].
@@ -1073,9 +1073,6 @@ impl Volume {
                 backpressure_rejections: stats.backpressure_rejections,
             },
             cache: CacheTelemetry {
-                hdr_hits: p.hdr_hits,
-                hdr_misses: p.hdr_misses,
-                hdr_evictions: p.hdr_evictions,
                 rcache_hit_sectors: rc.hit_sectors,
                 rcache_miss_sectors: rc.miss_sectors,
                 rcache_inserted_sectors: rc.inserted_sectors,

@@ -43,7 +43,9 @@ use crate::recorder::LatencySnapshot;
 /// `read_plane.quota_bypassed_sectors` and the tenants'
 /// `cache_quota_bytes` are gone. v6 drops per-export QoS, and with it
 /// the serving section's and the tenants' token-bucket stall counters.
-pub const SCHEMA: &str = "lsvd-telemetry-v6";
+/// v7 drops the backend object-header cache, and with it the `cache`
+/// section's `hdr_hits`, `hdr_misses` and `hdr_evictions`.
+pub const SCHEMA: &str = "lsvd-telemetry-v7";
 
 /// One table row bound to its current value: what the JSON encoder, the
 /// Prometheus exposition and the report read.
@@ -342,19 +344,9 @@ metric_table! {
 
     /// Cache-layer counters.
     cache:
-    /// Cache-layer counters: backend header cache, read cache, write log
-    /// and its group committer.
+    /// Cache-layer counters: read cache, write log and its group
+    /// committer.
     pub struct CacheTelemetry {
-        /// Backend object-header cache hits (a read miss found the
-        /// object's header in memory).
-        hdr_hits: u64, sum, counter lsvd_cache_hdr_hits_total
-            "Backend object-header cache hits.";
-        /// Header cache misses (header GET issued).
-        hdr_misses: u64, sum, counter lsvd_cache_hdr_misses_total
-            "Backend object-header cache misses.";
-        /// Header cache evictions (LRU capacity reached).
-        hdr_evictions: u64, sum, counter lsvd_cache_hdr_evictions_total
-            "Backend object-header cache evictions.";
         /// Read-cache sector hits.
         rcache_hit_sectors: u64, sum, counter lsvd_rcache_hit_sectors_total
             "Read-cache sector hits.";
@@ -906,9 +898,6 @@ mod tests {
                 backpressure_rejections: 9,
             },
             cache: CacheTelemetry {
-                hdr_hits: 10,
-                hdr_misses: 4,
-                hdr_evictions: 2,
                 rcache_hit_sectors: 100,
                 rcache_miss_sectors: 50,
                 rcache_inserted_sectors: 120,
@@ -1042,7 +1031,7 @@ mod tests {
     fn schema_key_is_first_and_validated() {
         let text = sample().to_json().render();
         assert!(
-            text.starts_with("{\"schema\":\"lsvd-telemetry-v6\""),
+            text.starts_with("{\"schema\":\"lsvd-telemetry-v7\""),
             "{text}"
         );
     }
@@ -1295,7 +1284,7 @@ mod tests {
         sum.absorb(&a);
         assert_eq!(sum.serving.reads, 2 * a.serving.reads);
         assert_eq!(sum.backend.put_bytes, 2 * a.backend.put_bytes);
-        assert_eq!(sum.cache.hdr_hits, 2 * a.cache.hdr_hits);
+        assert_eq!(sum.cache.rcache_hit_sectors, 2 * a.cache.rcache_hit_sectors);
         assert_eq!(
             sum.read_plane.admitted_sectors,
             2 * a.read_plane.admitted_sectors

@@ -12,7 +12,8 @@
 //! counted. This binary's global allocator counts the heap bytes each
 //! thread allocates, and the `heap_*` tests bound them per sealed byte,
 //! per GET byte and per read: a payload copied into fresh memory a third
-//! time shows up there.
+//! time shows up there. It also counts the bytes each thread still holds,
+//! which bounds a map rebuilt from a checkpoint per extent.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,30 +24,35 @@ use bytes::Bytes;
 use lsvd::checkpoint::CheckpointData;
 use lsvd::config::VolumeConfig;
 use lsvd::extent_map::ExtentMap;
-use lsvd::objmap::ObjectMap;
+use lsvd::objmap::{ObjLoc, ObjectMap};
 use lsvd::shared::SharedVolume;
 use lsvd::volume::Volume;
 use lsvd::LsvdError;
 use objstore::{DirStore, MemStore, ObjectStore};
 
 thread_local!(static HEAP_BYTES: Cell<u64> = const { Cell::new(0) });
+thread_local!(static HEAP_LIVE: Cell<i64> = const { Cell::new(0) });
 
 /// The system allocator, counting the bytes each thread allocates (a
-/// reallocation counts its new size).
+/// reallocation counts its new size) and the bytes it holds (allocations
+/// less frees).
 struct CountingAlloc;
 
-// SAFETY: every call is forwarded to `System` unchanged; the counter is a
-// const-initialised thread-local `Cell`, which never allocates.
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         HEAP_BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        HEAP_LIVE.with(|n| n.set(n.get() + layout.size() as i64));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        HEAP_LIVE.with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         HEAP_BYTES.with(|n| n.set(n.get() + new_size as u64));
+        HEAP_LIVE.with(|n| n.set(n.get() + new_size as i64 - layout.size() as i64));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,6 +66,14 @@ fn heap_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = HEAP_BYTES.with(Cell::get);
     let out = f();
     (out, HEAP_BYTES.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the heap bytes this thread still
+/// holds from it: what the result owns, plus anything `f` leaked.
+fn heap_kept<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = HEAP_LIVE.with(Cell::get);
+    let out = f();
+    (out, HEAP_LIVE.with(Cell::get) - before)
 }
 
 const KIB: u64 = 1024;
@@ -254,6 +268,44 @@ fn heap_per_checkpoint_byte_is_one() {
         per_byte <= 1.01,
         "{heap} heap bytes for a {} byte checkpoint",
         obj.len()
+    );
+}
+
+#[test]
+fn heap_per_rebuilt_map_extent_stays_under_28() {
+    // What a checkpoint restore builds: 100,000 address-ordered 4 KiB
+    // extents. A B-tree entry here is 24 bytes (key, length, value); a
+    // tree built in bulk packs 11 to a node and holds about 26 bytes per
+    // extent, where inserting them one by one leaves nodes half full.
+    const N: u64 = 100_000;
+    let (map, kept) = heap_kept(|| ExtentMap::bulk_load((0..N).map(|i| (i * 16, 8u64, i * 1000))));
+    assert_eq!(map.len(), N as usize);
+    let per_extent = kept as f64 / N as f64;
+    assert!(
+        per_extent <= 28.0,
+        "{per_extent:.1} heap bytes per rebuilt extent"
+    );
+    // The object map rebuilds its location index the same way: two such
+    // trees and a small object table.
+    let (objmap, kept) = heap_kept(|| {
+        ObjectMap::from_parts(
+            (0..N).map(|i| {
+                // Address order, but scattered over 49 objects.
+                let at = i * 7919 % N;
+                let loc = ObjLoc {
+                    seq: 1 + (at / 2048) as u32,
+                    off: ((at % 2048) * 8) as u32,
+                };
+                (i * 16, 8u64, loc)
+            }),
+            std::iter::empty(),
+        )
+    });
+    assert_eq!(objmap.extent_count(), N as usize);
+    let per_extent = kept as f64 / N as f64;
+    assert!(
+        per_extent <= 2.0 * 28.0,
+        "{per_extent:.1} heap bytes per rebuilt object-map extent"
     );
 }
 

@@ -224,11 +224,16 @@ fn corrupt_header_is_permanent_and_does_not_poison_state() {
     vol.shutdown().expect("shutdown");
 
     // Cold reopen, then flip a byte inside the first data object's header.
+    // A miss reads the header only to verify its GET (the object map and
+    // table give the object, offset and size), so this volume verifies.
     let mut vol = Volume::open(
         store.clone(),
         Arc::new(RamDisk::new(16 << 20)),
         "vol",
-        cfg(),
+        VolumeConfig {
+            verify_get_crc: true,
+            ..cfg()
+        },
     )
     .expect("open");
     let name = lsvd::types::object_name("vol", 1);

@@ -1,7 +1,8 @@
 //! Property-based tests on LSVD's core data structures and formats.
 //!
 //! Uses proptest to check the invariants the rest of the system leans on:
-//! the extent map against a naive per-sector model, the write-cache log's
+//! the extent map against a naive per-sector model, the object map's
+//! location index against its forward map, the write-cache log's
 //! recovery against arbitrary write schedules, batch coalescing's
 //! last-writer-wins semantics, object-format round trips under arbitrary
 //! extents, and CRC error detection.
@@ -11,9 +12,11 @@ use std::sync::Arc;
 
 use blkdev::RamDisk;
 use lsvd::batch::BatchBuilder;
+use lsvd::checkpoint::CheckpointData;
 use lsvd::crc::{crc32c, crc32c_append, crc32c_combine};
 use lsvd::extent_map::ExtentMap;
 use lsvd::objfmt::{build_data_object, parse_data_header, Superblock};
+use lsvd::objmap::{ObjLoc, ObjectMap};
 use lsvd::wlog::WriteLog;
 use proptest::prelude::*;
 
@@ -95,6 +98,130 @@ proptest! {
             let fast = map.next_extent_at_or_after(pos);
             let slow = map.iter().find(|&(s, _, _)| s >= pos);
             prop_assert_eq!(fast, slow);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The object map's location index against the forward map.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum ObjOp {
+    /// A data object mapping these `(vLBA, sectors)` extents in order.
+    Object(Vec<(u64, u32)>),
+    /// A relocation of one object's live pieces; `race` is a write that
+    /// lands between listing the pieces and applying the carrier.
+    Gc {
+        victim: u32,
+        race: Option<(u64, u32)>,
+    },
+    Discard {
+        lba: u64,
+        len: u64,
+    },
+    Remove {
+        victim: u32,
+    },
+}
+
+fn obj_ops() -> impl Strategy<Value = Vec<ObjOp>> {
+    let extent = (0u64..2000, 1u32..64);
+    prop::collection::vec(
+        prop_oneof![
+            4 => prop::collection::vec(extent.clone(), 1..6).prop_map(ObjOp::Object),
+            2 => (0u32..64, any::<bool>(), extent).prop_map(|(victim, raced, extent)| ObjOp::Gc {
+                victim,
+                race: raced.then_some(extent),
+            }),
+            1 => (0u64..2000, 1u64..200).prop_map(|(lba, len)| ObjOp::Discard { lba, len }),
+            1 => (0u32..64).prop_map(|victim| ObjOp::Remove { victim }),
+        ],
+        1..60,
+    )
+}
+
+/// Checks `live_in` against the forward map for objects `1..next_seq`:
+/// the whole object, and the window `[a, b)` of its data area.
+fn check_live_in(m: &ObjectMap, next_seq: u32, (a, b): (u32, u32)) -> Result<(), TestCaseError> {
+    for seq in 1..next_seq {
+        let mut want: Vec<(u64, u32, ObjLoc)> = m
+            .map_extents()
+            .filter(|&(_, _, loc)| loc.seq == seq)
+            .map(|(lba, len, loc)| (lba, len as u32, loc))
+            .collect();
+        want.sort_unstable_by_key(|&(_, _, loc)| loc.off);
+        prop_assert_eq!(&m.live_in(seq, ..), &want, "object {}", seq);
+        if let Some(st) = m.object_stat(seq) {
+            let live: u32 = want.iter().map(|&(_, len, _)| len).sum();
+            prop_assert_eq!(st.live_sectors, live, "object {} live count", seq);
+        }
+        let clipped: Vec<(u64, u32, ObjLoc)> = want
+            .iter()
+            .filter_map(|&(lba, len, loc)| {
+                let lo = loc.off.max(a);
+                let hi = (loc.off + len).min(b);
+                (lo < hi).then(|| {
+                    (
+                        lba + (lo - loc.off) as u64,
+                        hi - lo,
+                        ObjLoc { seq, off: lo },
+                    )
+                })
+            })
+            .collect();
+        prop_assert_eq!(
+            m.live_in(seq, a..b),
+            clipped,
+            "object {} [{}, {})",
+            seq,
+            a,
+            b
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn live_in_lists_exactly_the_forward_maps_pieces(
+        ops in obj_ops(),
+        window in (0u32..200, 0u32..200),
+    ) {
+        let mut m = ObjectMap::new();
+        let mut next_seq = 1u32;
+        for op in &ops {
+            match op {
+                ObjOp::Object(extents) => {
+                    m.apply_object(next_seq, 1, extents);
+                    next_seq += 1;
+                }
+                &ObjOp::Gc { victim, race } => {
+                    let victim = 1 + victim % next_seq;
+                    let pieces = m.live_in(victim, ..);
+                    if let Some(extent) = race {
+                        m.apply_object(next_seq, 1, &[extent]);
+                        next_seq += 1;
+                    }
+                    m.apply_gc_object(next_seq, 1, &pieces);
+                    next_seq += 1;
+                }
+                &ObjOp::Discard { lba, len } => m.discard(lba, len),
+                &ObjOp::Remove { victim } => m.remove_object(1 + victim % next_seq),
+            }
+        }
+        let window = (window.0.min(window.1), window.0.max(window.1));
+        check_live_in(&m, next_seq, window)?;
+
+        let ck = CheckpointData::capture(&m, next_seq - 1, 0, &[], &[]);
+        let parsed = CheckpointData::parse(&ck.build(7), 7).expect("parse");
+        let rebuilt = parsed.rebuild_map();
+        check_live_in(&rebuilt, next_seq, window)?;
+        for seq in 1..next_seq {
+            prop_assert_eq!(rebuilt.live_in(seq, ..), m.live_in(seq, ..));
+            prop_assert_eq!(rebuilt.object_stat(seq), m.object_stat(seq));
         }
     }
 }

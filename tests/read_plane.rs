@@ -494,6 +494,27 @@ fn random_misses_on_a_bulk_image_leave_the_hot_set_cached() {
 }
 
 #[test]
+fn an_overwritten_block_inside_a_bulk_write_keeps_its_window_spatial() {
+    // Block 40 of the first 1 MiB bulk write is overwritten, so a window
+    // fetched from block 36 has a dead gap with the same write's live
+    // pieces on both sides: still only the read's spatial neighbours.
+    let mut vol = bulk_volume(4 << 20);
+    vol.write(40 * BLOCK, &block_data(40)).unwrap();
+    vol.drain().unwrap();
+    let before = vol.read_plane_stats();
+    read_block(&mut vol, 36);
+    let after = vol.read_plane_stats();
+    assert_eq!(after.miss_reads - before.miss_reads, 1);
+    assert_eq!(
+        after.admitted_sectors - before.admitted_sectors,
+        8,
+        "the read's own 4 KiB, not the window"
+    );
+    read_block(&mut vol, 40);
+    vol.shutdown().unwrap();
+}
+
+#[test]
 fn co_written_blocks_arrive_with_the_first_miss() {
     // 64 scattered 4 KiB writes sealed into one 256 KiB object.
     let cfg = VolumeConfig {
@@ -530,6 +551,49 @@ fn co_written_blocks_arrive_with_the_first_miss() {
         (1, 63),
         "the first miss's window brought every co-written block"
     );
+    vol.shutdown().unwrap();
+}
+
+#[test]
+fn cold_misses_on_distinct_objects_cost_one_get_each() {
+    // One 4 KiB block per backend object. The object map gives each miss
+    // its object and offset, and the object table the object's size, so
+    // a cold miss is one ranged GET: no HEAD, no header GET.
+    const OBJECTS: u64 = 64;
+    let cfg = VolumeConfig {
+        batch_bytes: BLOCK,
+        gc_enabled: false,
+        ..VolumeConfig::small_for_tests()
+    };
+    let store = Arc::new(MemStore::new());
+    let mut vol = Volume::create(
+        store.clone(),
+        Arc::new(RamDisk::new(16 << 20)),
+        "vol",
+        64 << 20,
+        cfg.clone(),
+    )
+    .expect("create");
+    for b in 0..OBJECTS {
+        vol.write(b * 7 * BLOCK, &block_data(b * 7)).unwrap();
+    }
+    vol.shutdown().unwrap();
+
+    let mut vol = Volume::open(store, Arc::new(RamDisk::new(16 << 20)), "vol", cfg).expect("open");
+    let before = vol.telemetry().backend;
+    for b in 0..OBJECTS {
+        read_block(&mut vol, b * 7);
+    }
+    let after = vol.telemetry().backend;
+    assert_eq!(
+        (
+            after.get.count - before.get.count,
+            after.head.count - before.head.count
+        ),
+        (OBJECTS, 0),
+        "GETs and HEADs for {OBJECTS} cold misses on {OBJECTS} objects"
+    );
+    assert_eq!(vol.read_plane_stats().miss_reads, OBJECTS);
     vol.shutdown().unwrap();
 }
 

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use blkdev::RamDisk;
-use lsvd::config::{VolumeConfig, HDR_CACHE_ENTRIES};
+use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
 use lsvd::{LsvdError, Span, Stage};
 use objstore::{
@@ -278,53 +278,6 @@ fn backend_latency_shows_in_histograms() {
         "queue-wait split never recorded"
     );
     assert!(snap.ops.write.count >= 8 && snap.ops.write.p50_ns > 0.0);
-}
-
-#[test]
-fn header_cache_eviction_is_counted() {
-    // One 4 KiB block per backend object: reading them all back cold
-    // cycles 88 more object headers than the header cache holds.
-    const BLOCK: u64 = 4096;
-    let objects = HDR_CACHE_ENTRIES as u64 + 88;
-    let store: Arc<dyn ObjectStore> = Arc::new(MemStore::new());
-    let cfg = VolumeConfig {
-        batch_bytes: BLOCK,
-        prefetch_bytes: 4 << 10,
-        ..VolumeConfig::small_for_tests()
-    };
-    let mut vol = Volume::create(
-        store.clone(),
-        Arc::new(RamDisk::new(4 << 20)),
-        "t",
-        VOL_BYTES,
-        cfg.clone(),
-    )
-    .expect("create");
-    let data = vec![0x7Eu8; BLOCK as usize];
-    for i in 0..objects {
-        vol.write(i * BLOCK, &data).expect("write");
-    }
-    vol.shutdown().expect("shutdown");
-
-    // Reopen with a fresh (empty) cache device: every first read must
-    // fetch from the backend, consulting its object's header.
-    let mut vol = Volume::open(store, Arc::new(RamDisk::new(4 << 20)), "t", cfg).expect("open");
-    let mut buf = vec![0u8; BLOCK as usize];
-    for pass in 0..2 {
-        for i in 0..objects {
-            vol.read(i * BLOCK, &mut buf)
-                .unwrap_or_else(|e| panic!("pass {pass} read {i}: {e}"));
-        }
-    }
-    let snap = vol.telemetry();
-    assert!(snap.cache.hdr_misses > 0, "no header fetches recorded");
-    assert!(
-        snap.cache.hdr_evictions > 0,
-        "{objects} objects through a {HDR_CACHE_ENTRIES}-entry header cache must evict \
-         (misses {}, hits {})",
-        snap.cache.hdr_misses,
-        snap.cache.hdr_hits
-    );
 }
 
 #[test]
