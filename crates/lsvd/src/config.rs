@@ -66,7 +66,11 @@ pub struct VolumeConfig {
     /// call that issued it returns (deterministic; used by most unit
     /// tests). With `n > 0` threads, PUTs run on a worker pool and the
     /// foreground keeps accepting writes while they are in flight (§3.1's
-    /// pipelined write path).
+    /// pipelined write path). A landed PUT applies in the maintenance
+    /// step that ends a later write, discard or drain, or in a write that
+    /// waits for the window or the log. Checkpoints and cleaning run on
+    /// either executor: a checkpoint covers the applied prefix while
+    /// later PUTs are still in flight.
     pub writeback_threads: usize,
     /// Bound on concurrently in-flight batch PUTs when
     /// `writeback_threads > 0` (the inline executor's window is always

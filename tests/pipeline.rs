@@ -15,6 +15,10 @@
 //!   without losing acknowledged data;
 //! - backpressure counts queued *and* in-flight batches;
 //! - a permanently failed PUT stays tracked, so a later drain lands it;
+//! - a checkpoint covers the applied prefix while a later PUT is still in
+//!   flight, and a crash there recovers from it;
+//! - a write waits out a full cache log behind a parked PUT instead of
+//!   failing, because the backend is healthy;
 //! - the inline executor runs one PUT at a time on the caller and applies
 //!   it before the write that sealed it returns;
 //! - the pool carries only PUTs: a cold read miss costs the same GETs at
@@ -30,7 +34,7 @@ use bytes::Bytes;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
 use lsvd::{LsvdError, Stage};
-use objstore::{ChaosStore, LatencyStore, MemStore, ObjError, ObjectStore};
+use objstore::{ChaosStore, CutHandle, CutStore, LatencyStore, MemStore, ObjError, ObjectStore};
 
 const BATCH: u64 = 64 << 10;
 
@@ -135,13 +139,13 @@ fn durable_frontier_trails_inflight_puts_and_catches_up() {
 /// Parks the first PUT of one object until the test opens the gate. The
 /// gate opens by itself after 30 s, so a regression fails instead of
 /// hanging.
-struct GatedPut {
-    inner: MemStore,
+struct GatedPut<S = MemStore> {
+    inner: S,
     name: &'static str,
     gate: Mutex<Option<mpsc::Receiver<()>>>,
 }
 
-impl ObjectStore for GatedPut {
+impl<S: ObjectStore> ObjectStore for GatedPut<S> {
     fn put(&self, name: &str, data: Bytes) -> objstore::Result<()> {
         if name == self.name {
             let gate = self.gate.lock().unwrap().take();
@@ -226,6 +230,160 @@ fn an_object_that_lands_early_waits_for_its_predecessor() {
     assert_eq!(buf, first);
     vol.read(BATCH, &mut buf).expect("read object 2");
     assert_eq!(buf, second);
+}
+
+/// The writes [`crash_with_a_parked_put`] makes, as `(offset, data)`, in
+/// order: four 64 KiB batches, then a 4 KiB block it overwrites with the
+/// same bytes until the checkpoint lands. They touch disjoint ranges.
+fn parked_put_writes() -> Vec<(u64, Vec<u8>)> {
+    let mut writes: Vec<_> = (0..4u8)
+        .map(|i| (i as u64 * BATCH, vec![i + 1; BATCH as usize]))
+        .collect();
+    writes.push((4 * BATCH, vec![9u8; 4096]));
+    writes
+}
+
+/// A crash with object 3's PUT parked, after a checkpoint of objects 1
+/// and 2. PUTs take 20 ms, so objects 1 and 2 land only after object 3
+/// has sealed behind them, and `checkpoint_interval` is 2: the checkpoint
+/// they make due is written while object 3 is in flight. The volume then
+/// crashes with object 3 still parked: the store is severed, as the model
+/// checker severs it, and the volume is dropped without a shutdown. Every
+/// write is acknowledged before the last FLUSH. Returns the store
+/// (revived) and the cache device.
+fn crash_with_a_parked_put() -> (Arc<dyn ObjectStore>, Arc<RamDisk>) {
+    let cut_store = CutStore::new(MemStore::new());
+    let cut: CutHandle = cut_store.handle();
+    let (open_gate, gate) = mpsc::channel();
+    let store: Arc<dyn ObjectStore> = Arc::new(GatedPut {
+        inner: LatencyStore::new(cut_store, Duration::from_millis(20), Duration::ZERO),
+        name: "vol.00000003",
+        gate: Mutex::new(Some(gate)),
+    });
+    let cache = Arc::new(RamDisk::new(64 << 20));
+    let cfg = VolumeConfig {
+        checkpoint_interval: 2,
+        ..pipeline_cfg(2, 4)
+    };
+    let mut vol =
+        Volume::create(store.clone(), cache.clone(), "vol", 256 << 20, cfg).expect("create");
+    let writes = parked_put_writes();
+    let (batches, [(probe_at, probe)]) = writes.split_at(4) else {
+        unreachable!("four batches and a probe")
+    };
+    for (off, data) in batches {
+        vol.write(*off, data).expect("write");
+    }
+    // The probe never fills the open batch; each write of it ends in the
+    // maintenance step, which applies landed objects and writes a due
+    // checkpoint.
+    let ckpt = lsvd::types::checkpoint_name("vol", 2);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        vol.write(*probe_at, probe).expect("probe write");
+        if store.exists(&ckpt).expect("exists") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoint of objects 1-2 while object 3 is parked"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(vol.durable_frontier(), 2, "object 3 is still parked");
+    assert!(vol.stats().inflight_puts >= 1, "{:?}", vol.stats());
+    vol.flush().expect("flush");
+
+    cut.sever();
+    open_gate.send(()).expect("gate still armed");
+    drop(vol);
+    cut.revive();
+    let mut ckpts = store.list("vol.ckpt.").expect("list");
+    ckpts.sort();
+    assert_eq!(ckpts.last(), Some(&ckpt), "recovery starts from it");
+    (store, cache)
+}
+
+#[test]
+fn a_checkpoint_lands_while_a_put_is_parked_and_recovers_with_the_cache() {
+    let (store, cache) = crash_with_a_parked_put();
+    let cfg = pipeline_cfg(2, 4);
+    let mut vol = Volume::open(store, cache, "vol", cfg).expect("recovery");
+    for (off, data) in &parked_put_writes() {
+        let mut buf = vec![0u8; data.len()];
+        vol.read(*off, &mut buf).expect("read");
+        assert_eq!(&buf, data, "acknowledged write at {off} lost");
+    }
+}
+
+#[test]
+fn a_checkpoint_lands_while_a_put_is_parked_and_recovers_a_prefix_without_the_cache() {
+    let (store, _) = crash_with_a_parked_put();
+    let cfg = pipeline_cfg(2, 4);
+    let mut vol =
+        Volume::open(store, Arc::new(RamDisk::new(64 << 20)), "vol", cfg).expect("recovery");
+    // The writes touch disjoint ranges in order, so a prefix of them is
+    // every write before some cut, and nothing after it.
+    let held: Vec<bool> = parked_put_writes()
+        .iter()
+        .map(|(off, data)| {
+            let mut buf = vec![0u8; data.len()];
+            vol.read(*off, &mut buf).expect("read");
+            assert!(
+                &buf == data || buf.iter().all(|&b| b == 0),
+                "write at {off} is torn"
+            );
+            &buf == data
+        })
+        .collect();
+    let cut = held.iter().take_while(|&&h| h).count();
+    assert!(held[cut..].iter().all(|&h| !h), "not a prefix: {held:?}");
+    assert!(cut >= 2, "the checkpointed objects 1-2 were lost: {held:?}");
+}
+
+/// The cache log fills while object 1's PUT is parked, so every object
+/// after it lands behind a gap and frees no log space. The backend is
+/// healthy, so that is throttling: each write waits until a second
+/// thread opens the gate, and none fails.
+#[test]
+fn a_full_log_behind_a_parked_put_waits_instead_of_failing() {
+    let (open_gate, gate) = mpsc::channel();
+    let store = Arc::new(GatedPut {
+        inner: LatencyStore::new(MemStore::new(), Duration::from_millis(20), Duration::ZERO),
+        name: "vol.00000001",
+        gate: Mutex::new(Some(gate)),
+    });
+    let cfg = VolumeConfig {
+        max_pending_batches: 32,
+        ..pipeline_cfg(2, 4)
+    };
+    // A 4 MiB cache device holds a write log of about a dozen batches,
+    // well under the backlog limit.
+    let cache = Arc::new(RamDisk::new(4 << 20));
+    let mut vol = Volume::create(store, cache, "vol", 256 << 20, cfg).expect("create");
+    let opener = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        let _ = open_gate.send(());
+    });
+    let data: Vec<Vec<u8>> = (1..=32u8).map(|i| vec![i; BATCH as usize]).collect();
+    let t = Instant::now();
+    for (i, d) in data.iter().enumerate() {
+        vol.write(i as u64 * BATCH, d)
+            .unwrap_or_else(|e| panic!("write {i} on a healthy backend: {e}"));
+    }
+    let waited = t.elapsed();
+    opener.join().expect("gate opener");
+    assert!(
+        waited >= Duration::from_millis(150),
+        "the log never filled behind the parked PUT ({waited:?})"
+    );
+    assert_eq!(vol.stats().backpressure_rejections, 0);
+    vol.drain().expect("drain");
+    let mut buf = vec![0u8; BATCH as usize];
+    for (i, d) in data.iter().enumerate() {
+        vol.read(i as u64 * BATCH, &mut buf).expect("read");
+        assert_eq!(&buf, d, "write {i}");
+    }
 }
 
 #[test]
