@@ -78,6 +78,16 @@ impl Volume {
         self.backlog.values().filter(|s| s.state == state).count()
     }
 
+    /// Whether a data batch's PUT is in flight, or has landed behind an
+    /// older object: either applies without another seal and releases
+    /// its cache-log records. Never true on the inline executor once a
+    /// ship has returned.
+    pub(super) fn data_in_flight(&self) -> bool {
+        self.backlog
+            .values()
+            .any(|s| s.state != PutState::Queued && matches!(s.payload, PutPayload::Batch(_)))
+    }
+
     /// Object bytes in the backlog.
     pub(super) fn backlog_bytes(&self) -> u64 {
         self.backlog

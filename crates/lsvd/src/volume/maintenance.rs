@@ -14,7 +14,7 @@
 //! applies. Carriers ride the writeback backlog like data batches, and a
 //! retired victim's delete waits for a checkpoint that covers it.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use objstore::{retry_transient, ObjError};
 use telemetry::Stage;
@@ -27,8 +27,10 @@ use crate::extent_map::Segment;
 use crate::gc::{self, GcPolicy};
 use crate::objfmt;
 use crate::objmap::ObjLoc;
-use crate::recovery;
 use crate::types::{checkpoint_name, Lba, LsvdError, ObjSeq, Result, SECTOR};
+
+/// Checkpoints kept after each one lands, besides snapshot anchors.
+const CHECKPOINTS_KEPT: usize = 3;
 
 /// A sealed GC relocation object queued behind the writeback window.
 pub(super) struct GcCarrier {
@@ -69,6 +71,22 @@ impl GcPass {
     pub(super) fn victims_left(&self) -> usize {
         self.plan.len()
     }
+}
+
+/// The checkpoints in `checkpoints` to delete, oldest first: all but the
+/// newest `keep`, less those that anchor one of `snapshots`.
+pub(super) fn prunable(
+    checkpoints: &BTreeSet<ObjSeq>,
+    snapshots: &[(String, ObjSeq)],
+    keep: usize,
+) -> Vec<ObjSeq> {
+    let old = checkpoints.len().saturating_sub(keep);
+    checkpoints
+        .iter()
+        .take(old)
+        .filter(|&&seq| !snapshots.iter().any(|&(_, s)| s == seq))
+        .copied()
+        .collect()
 }
 
 impl Volume {
@@ -161,6 +179,9 @@ impl Volume {
                 &self.deferred_deletes,
             )
         };
+        // Recorded before the PUT, so a PUT that errs but lands is pruned
+        // later all the same.
+        self.checkpoints.insert(self.last_seq);
         self.store.put(
             &checkpoint_name(&self.sb.image, self.last_seq),
             ck.build(self.sb.uuid),
@@ -175,12 +196,25 @@ impl Volume {
         // lists them as deferred — captured before the PUT — which only
         // means a recovered volume re-issues idempotent deletes.)
         self.sweep_deferred_deletes();
-        // Pruning old checkpoints is cleanup; a flaky backend must not
-        // fail the checkpoint that already landed.
-        match recovery::prune_checkpoints(self.store.as_ref(), &self.sb.image, &self.snapshots, 3) {
-            Ok(()) => {}
-            Err(LsvdError::Backend(e)) if e.is_transient() => {}
-            Err(e) => return Err(e),
+        self.prune_checkpoints()
+    }
+
+    /// Deletes the known checkpoints that are neither among the newest
+    /// [`CHECKPOINTS_KEPT`] nor a snapshot's anchor (a snapshot mount
+    /// needs a checkpoint at its sequence, and the one written at snapshot
+    /// time is exactly that), oldest first, with no LIST. Pruning is
+    /// cleanup, so a flaky backend must not fail the checkpoint that
+    /// already landed: a transient failure stops the prune, and the
+    /// checkpoints left stay known and are retried after the next one.
+    fn prune_checkpoints(&mut self) -> Result<()> {
+        for seq in prunable(&self.checkpoints, &self.snapshots, CHECKPOINTS_KEPT) {
+            match self.store.delete(&checkpoint_name(&self.sb.image, seq)) {
+                Ok(()) => {
+                    self.checkpoints.remove(&seq);
+                }
+                Err(e) if e.is_transient() => break,
+                Err(e) => return Err(e.into()),
+            }
         }
         Ok(())
     }

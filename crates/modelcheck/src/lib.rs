@@ -298,6 +298,9 @@ pub struct RunReport {
     pub cut: u64,
     /// `(ordinal, kind)` of every edge, for edge selection.
     pub events: Vec<(u64, &'static str)>,
+    /// Ordinals of the `checkpoint` edges written while sealed objects
+    /// were still queued, in flight or landed behind a gap (`arg_b` > 0).
+    pub checkpoints_ahead: Vec<u64>,
 }
 
 /// A failed run: the case, the edge it died at, and why the checker (or
@@ -683,7 +686,8 @@ pub fn run_case(case: &McCase) -> Result<RunReport, McFailure> {
     // The crash controller: lists the edges, and at the chosen one
     // severs the backend and kills the volume by panicking mid-operation.
     let edge: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let events: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
+    // `(ordinal, kind, arg_b)` of every edge.
+    let events = Arc::new(Mutex::new(Vec::<(u64, &'static str, u64)>::new()));
     {
         let cut = cut.clone();
         let edge = edge.clone();
@@ -691,7 +695,7 @@ pub fn run_case(case: &McCase) -> Result<RunReport, McFailure> {
         let crash_at = case.crash_event;
         vol.set_edge_hook(Box::new(move |ordinal, span| {
             let kind = span.stage.name();
-            events.lock().push((ordinal, kind));
+            events.lock().push((ordinal, kind, span.arg_b));
             if Some(ordinal) == crash_at {
                 *edge.lock() = Some(format!("{kind} a={} b={}", span.arg_a, span.arg_b));
                 cut.sever();
@@ -800,7 +804,15 @@ pub fn run_case(case: &McCase) -> Result<RunReport, McFailure> {
         crashed,
         crash_edge,
         cut: cut_idx,
-        events,
+        checkpoints_ahead: events
+            .iter()
+            .filter(|&&(_, kind, behind)| kind == "checkpoint" && behind > 0)
+            .map(|&(ordinal, _, _)| ordinal)
+            .collect(),
+        events: events
+            .into_iter()
+            .map(|(ordinal, kind, _)| (ordinal, kind))
+            .collect(),
     })
 }
 
@@ -881,9 +893,11 @@ pub struct ExploreReport {
 }
 
 /// Picks crash edges from a profiled event list: the first occurrence of
-/// every event kind (the qualitatively distinct edges), then a uniform
-/// sample until `want` edges are chosen.
-fn pick_edges(events: &[(u64, &'static str)], want: usize) -> Vec<u64> {
+/// every event kind (the qualitatively distinct edges), with the first
+/// checkpoint written with PUTs behind it (the first of `ahead`) as a kind
+/// of its own, then a uniform sample until `want` edges are chosen. A
+/// first occurrence is never dropped, even past `want`.
+fn pick_edges(events: &[(u64, &'static str)], ahead: &[u64], want: usize) -> Vec<u64> {
     let mut picked = BTreeSet::new();
     let mut kinds = BTreeSet::new();
     for &(id, kind) in events {
@@ -891,6 +905,7 @@ fn pick_edges(events: &[(u64, &'static str)], want: usize) -> Vec<u64> {
             picked.insert(id);
         }
     }
+    picked.extend(ahead.first());
     if !events.is_empty() {
         let step = (events.len() / want.max(1)).max(1);
         for chunk in events.chunks(step) {
@@ -900,7 +915,7 @@ fn pick_edges(events: &[(u64, &'static str)], want: usize) -> Vec<u64> {
             picked.insert(chunk[0].0);
         }
     }
-    picked.into_iter().take(want).collect()
+    picked.into_iter().collect()
 }
 
 /// Sweeps the state space: for every schedule (seed × profile × faults ×
@@ -936,14 +951,19 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
         };
         // Profiling run: no crash, cache kept; also a checked state.
         states.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let events = match run_case(&base) {
-            Ok(report) => report.events,
+        let report = match run_case(&base) {
+            Ok(report) => report,
             Err(f) => {
                 failures.lock().push(f);
                 return;
             }
         };
-        for edge in pick_edges(&events, cfg.edges_per_schedule) {
+        let picked = pick_edges(
+            &report.events,
+            &report.checkpoints_ahead,
+            cfg.edges_per_schedule,
+        );
+        for edge in picked {
             for lose_cache in [false, true] {
                 let case = McCase {
                     lose_cache,
@@ -1094,8 +1114,20 @@ mod tests {
             (4, "frontier-advance"),
             (5, "checkpoint"),
         ];
-        let picked = pick_edges(&events, 4);
-        assert_eq!(picked.len(), 4);
-        assert!(picked.contains(&0) && picked.contains(&1));
+        // Five kinds, four wanted: no first occurrence is dropped.
+        assert_eq!(pick_edges(&events, &[], 4), vec![0, 1, 2, 4, 5]);
+        // Five kinds with a checkpoint written ahead of PUTs as a sixth:
+        // every first occurrence stays, past `want`.
+        let events: Vec<(u64, &'static str)> = vec![
+            (0, "seal"),
+            (1, "put-start"),
+            (2, "checkpoint"),
+            (3, "put-done"),
+            (4, "frontier-advance"),
+            (5, "checkpoint"),
+            (6, "trim"),
+            (7, "seal"),
+        ];
+        assert_eq!(pick_edges(&events, &[5], 4), vec![0, 1, 2, 3, 4, 5, 6]);
     }
 }

@@ -18,7 +18,8 @@
 //! - a checkpoint covers the applied prefix while a later PUT is still in
 //!   flight, and a crash there recovers from it;
 //! - a write waits out a full cache log behind a parked PUT instead of
-//!   failing, because the backend is healthy;
+//!   failing, because the backend is healthy, and waits for a data PUT in
+//!   flight instead of sealing a short batch;
 //! - the inline executor runs one PUT at a time on the caller and applies
 //!   it before the write that sealed it returns;
 //! - the pool carries only PUTs: a cold read miss costs the same GETs at
@@ -384,6 +385,49 @@ fn a_full_log_behind_a_parked_put_waits_instead_of_failing() {
         vol.read(i as u64 * BATCH, &mut buf).expect("read");
         assert_eq!(&buf, d, "write {i}");
     }
+}
+
+/// Data objects sealed for 512 distinct 4 KiB writes and a drain, on a
+/// 2 MiB cache device whose write log holds about six batches, fewer than
+/// the backlog limit of 8.
+fn objects_sealed_behind_a_short_log(threads: usize) -> u64 {
+    let store = Arc::new(LatencyStore::new(
+        MemStore::new(),
+        Duration::from_millis(5),
+        Duration::ZERO,
+    ));
+    let cfg = VolumeConfig {
+        max_pending_batches: 8,
+        ..pipeline_cfg(threads, 4)
+    };
+    let cache = Arc::new(RamDisk::new(2 << 20));
+    let mut vol = Volume::create(store, cache, "vol", 64 << 20, cfg).expect("create");
+    let log = vol.telemetry().cache.wlog_capacity_sectors * 512;
+    assert!(log < 8 * BATCH, "the log holds {log} bytes");
+    for i in 0..512u64 {
+        vol.write(i * 4096, &[i as u8; 4096]).expect("write");
+    }
+    vol.drain().expect("drain");
+    let mut buf = [0u8; 4096];
+    for i in (0..512u64).step_by(37) {
+        vol.read(i * 4096, &mut buf).expect("read");
+        assert_eq!(buf, [i as u8; 4096], "write {i}");
+    }
+    vol.stats().backend_puts
+}
+
+/// A write that finds the log full while a data object's PUT is in
+/// flight waits for it to land, which releases log space, instead of
+/// sealing the open batch short.
+#[test]
+fn a_full_log_waits_for_the_put_in_flight_instead_of_sealing_short() {
+    let inline = objects_sealed_behind_a_short_log(0);
+    let pipelined = objects_sealed_behind_a_short_log(1);
+    assert_eq!(inline, 32, "16 writes fill a batch");
+    assert!(
+        pipelined <= inline,
+        "one writeback thread sealed {pipelined} data objects, the inline executor {inline}"
+    );
 }
 
 #[test]

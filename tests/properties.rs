@@ -973,6 +973,10 @@ fn serial_recover_backend(
     let prefix = format!("{image}.ckpt.");
     let mut names = store.list(&prefix)?;
     names.sort();
+    let checkpoints: Vec<u32> = names
+        .iter()
+        .filter_map(|name| name.strip_prefix(&prefix)?.parse().ok())
+        .collect();
     let mut ckpt = None;
     for name in names.iter().rev() {
         let Some(seq) = name
@@ -1036,6 +1040,7 @@ fn serial_recover_backend(
         snapshots,
         deferred_deletes,
         ckpt_seq,
+        checkpoints,
         stranded_deleted,
     })
 }
@@ -1189,6 +1194,7 @@ type RecoveredView = (
     (u32, u64, u32),
     Vec<String>,
     Vec<(String, u32)>,
+    Vec<u32>,
 );
 
 fn recovered_view(rb: &lsvd::recovery::RecoveredBackend) -> RecoveredView {
@@ -1198,6 +1204,7 @@ fn recovered_view(rb: &lsvd::recovery::RecoveredBackend) -> RecoveredView {
         (rb.last_seq, rb.frontier, rb.ckpt_seq),
         rb.stranded_deleted.clone(),
         rb.snapshots.clone(),
+        rb.checkpoints.clone(),
     )
 }
 
